@@ -23,6 +23,7 @@ from .digitset import (
 )
 from .errors import (
     BallSizeError,
+    ConsistencyError,
     InstanceError,
     LatnafError,
     MalformedDigitSetError,
@@ -58,9 +59,7 @@ from .numberfield import (
     NumberFieldInstance,
     build,
     embedding_moduli_sq,
-    inv_operator_norm,
     is_expanding_base,
-    minkowski_norm_sq,
 )
 from .optimality import (
     OptimalityCertificate,
@@ -74,6 +73,7 @@ __all__ = [
     "BallSizeError",
     "CERT_MINIMAL_NORM",
     "CERT_TILING",
+    "ConsistencyError",
     "CycleReport",
     "DigitSet",
     "Expansion",
@@ -109,13 +109,11 @@ __all__ = [
     "from_digits",
     "geometry",
     "invariant_ball_bound",
-    "inv_operator_norm",
     "is_expanding",
     "is_expanding_base",
     "is_window_form",
     "is_wnaf",
     "min_weight_oracle",
-    "minkowski_norm_sq",
     "norm_context",
     "residue_system",
     "search",

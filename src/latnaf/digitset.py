@@ -11,19 +11,29 @@ represented by the digit zero). Three families are provided:
   half-open interval (-|tau|^w / 2, |tau|^w / 2] not divisible by tau;
 * custom: caller-provided representatives, validated.
 
-The module also bundles the geometric context (packing radius, covering
-radius, contraction factor of the inverse map) that the termination and
-optimality arguments consume.
+``Geometry`` owns the working norm: the exact Gram matrix when one
+exists, otherwise the one certified enclosure path (interval Gram
+matrices cached per precision, balls enumerated on a midpoint Gram
+matrix inflated by a certified factor). Every norm evaluation, ball and
+window bound of the package goes through it. The module also bundles
+the geometric context (packing radius, covering radius, contraction
+factor of the inverse map) that the termination and optimality
+arguments consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import intmat, lattice, numberfield, quadform
-from .errors import InstanceError, MalformedDigitSetError, NotExpandingError
+from .errors import (
+    ConsistencyError,
+    InstanceError,
+    MalformedDigitSetError,
+    NotExpandingError,
+)
 from .exactreal import (
     DEFAULT_PRECISION_CAP_BITS,
     CReal,
@@ -49,25 +59,83 @@ class Geometry:
     nf: numberfield.NumberFieldInstance | None
     gram: quadform.Gram | None
     precision_cap_bits: int
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _midpoints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def gram_intervals(self, bits: int) -> tuple[tuple[Interval, ...], ...]:
+        """Interval enclosure of the Gram matrix at the given precision."""
+        if bits not in self._grams:
+            self._grams[bits] = tuple(
+                map(tuple, numberfield.gram_enclosure(self.nf, bits))
+            )
+        return self._grams[bits]
+
+    def enclosure(self, start: int = 64) -> tuple[int, quadform.Gram, Fraction]:
+        """(bits, mid, kappa) at the first precision start, 2 start, ...
+        where the rational midpoint Gram matrix mid is positive definite
+        and kappa <= 1/2.
+
+        For any vector v, |Q_true(v) - Q_mid(v)| is at most
+        eps * (sum |v_i|)^2 <= eps * n * Q_mid(v) / lambda_min(mid), with
+        eps the largest entry halfwidth. So Q_true(v) <= C implies
+        Q_mid(v) <= C / (1 - kappa) with kappa = eps * n / lambda_min, and
+        enumerating mid to the inflated bound provably covers the ball.
+        """
+        bits = start
+        while True:
+            if bits not in self._midpoints:
+                giv = self.gram_intervals(bits)
+                # conjugate symmetry makes the enclosure entrywise symmetric
+                mid = quadform.as_gram(
+                    [[(e.lo + e.hi) / 2 for e in row] for row in giv]
+                )
+                eps = max(e.width() for row in giv for e in row) / 2
+                found = None
+                if quadform.ldl(mid) is not None:
+                    lam_lo = quadform.min_eigenvalue_real(mid).interval(64).lo
+                    if lam_lo > 0 and eps * len(giv) <= lam_lo / 2:
+                        found = (mid, eps * len(giv) / lam_lo)
+                self._midpoints[bits] = found
+            if self._midpoints[bits] is not None:
+                return (bits, *self._midpoints[bits])
+            bits *= 2
+
+    def ball(self, bound_sq: Fraction, cap: int | None = None) -> list[Point]:
+        """Lattice points of squared norm at most bound_sq: exactly that
+        ball with an exact Gram matrix, a certified superset otherwise.
+        Raises BallSizeError once more than cap points are found."""
+        if self.gram is not None:
+            return quadform.enumerate_ball(self.gram, bound_sq, cap)
+        _, mid, kappa = self.enclosure()
+        return quadform.enumerate_ball(mid, bound_sq / (1 - kappa), cap)
 
     def norm_sq_exact(self, p) -> Fraction | None:
         if self.gram is None:
             return None
         return quadform.eval_quadratic(self.gram, p)
 
-    def norm_sq_real(self, p) -> CReal:
-        exact = self.norm_sq_exact(p)
-        if exact is not None:
-            return CReal.from_rational(exact)
-        assert self.nf is not None
-        return numberfield.norm_sq_real(self.nf, p)
-
     def norm_sq_interval(self, p, bits: int = 64) -> Interval:
+        """Certified enclosure of the squared norm of p (conjugate pairs
+        counted twice); a point interval when the Gram matrix is exact."""
         exact = self.norm_sq_exact(p)
         if exact is not None:
             return Interval.point(exact)
-        assert self.nf is not None
-        return numberfield.minkowski_norm_sq(self.nf, p, bits)
+        g = self.gram_intervals(bits)
+        acc = Interval.point(0)
+        for i, vi in enumerate(p):
+            if vi == 0:
+                continue
+            for k, vk in enumerate(p):
+                if vk:
+                    acc = acc + g[i][k].scaled(vi * vk)
+        return acc
+
+    def norm_sq_real(self, p) -> CReal:
+        """The squared norm of p as a comparable certified real."""
+        exact = self.norm_sq_exact(p)
+        if exact is not None:
+            return CReal.from_rational(exact)
+        return CReal.from_refinable(lambda bits: self.norm_sq_interval(p, bits))
 
     @cached_property
     def u(self) -> CReal:
@@ -87,6 +155,13 @@ class Geometry:
                 "supply the base as a minimal polynomial instead"
             )
         return (one / lam).sqrt()
+
+    def least_window(self, threshold: CReal) -> int:
+        """Least window width w with u^w certified below threshold."""
+        for w in range(1, 10_001):
+            if self.u.pow(w).compare(threshold, self.precision_cap_bits) < 0:
+                return w
+        raise PrecisionCapError("window bound search did not converge")
 
 
 @lru_cache(maxsize=None)
@@ -140,6 +215,18 @@ class DigitSet:
         return {
             lattice.residue_key(inst, self.w, d): d for d in self.nonzero_digits
         }
+
+    @cached_property
+    def is_minimal_norm(self) -> bool:
+        """Whether every digit minimizes the pulled-back norm in its class
+        (the Voronoi-cell membership both certificates rest on)."""
+        if self.family == FAMILY_MINIMAL_NORM:
+            return True
+        geo = geometry(self.source)
+        if geo.gram is None:
+            return False
+        pw = intmat.mat_pow(self.inst.phi, self.w)
+        return all(d in _minimizers_exact(geo, pw, d) for d in self.nonzero_digits)
 
 
 def _validate_digits(source, w: int, nonzero: list[Point]) -> tuple[Point, ...]:
@@ -195,46 +282,20 @@ def _minimizers_enclosure(
     """Same minimization over the class, for instances where the Gram
     matrix is only known by enclosure.
 
-    Candidates come from a rational midpoint Gram matrix with a rigorous
-    inflation factor: for any vector v, |Q_true(v) - Q_mid(v)| is at most
-    eps * (sum |v_i|)^2 <= eps * n * Q_mid(v) / lambda_min(mid), with eps
-    the largest entry halfwidth. So Q_true(v) <= C implies
-    Q_mid(v) <= C / (1 - kappa) with kappa = eps * n / lambda_min, and
-    enumerating to the inflated bound provably contains every minimizer.
-    Finalists are then compared as certified reals; a tie between
-    candidates that are not mirror images raises the precision cap error.
+    Candidates are enumerated on the midpoint Gram matrix of
+    ``Geometry.enclosure`` to the inflated norm of the Babai point, which
+    provably contains every minimizer. Finalists are then compared as
+    certified reals; a tie between candidates that are not mirror images
+    raises the precision cap error.
     """
-    nf = geo.nf
-    assert nf is not None
-    n = len(rep)
     t = intmat.solve_exact(pw, rep)
-    bits = 64
-    while True:
-        giv = numberfield.gram_enclosure(nf, bits)
-        mid = quadform.as_gram(
-            [[(giv[i][k].lo + giv[i][k].hi) / 2 for k in range(n)] for i in range(n)]
-        )
-        eps = max(e.width() for row in giv for e in row) / 2
-        if quadform.ldl(mid) is None:
-            bits *= 2
-            continue
-        lam_lo = quadform.min_eigenvalue_real(mid).interval(64).lo
-        if lam_lo <= 0:
-            bits *= 2
-            continue
-        kappa = eps * n / lam_lo
-        if kappa > Fraction(1, 2):
-            bits *= 2
-            continue
-        seed = quadform._babai_seed(mid, t)
-        seed_vec = tuple(a + b for a, b in zip(t, seed))
-        c_hi = numberfield.minkowski_norm_sq(nf, seed_vec, bits).hi
-        bound = c_hi / (1 - kappa)
-        cands = sorted(
-            tuple(a + b for a, b in zip(t, x))
-            for x in quadform.enumerate_with_offset(mid, t, bound)
-        )
-        break
+    bits, mid, kappa = geo.enclosure()
+    seed = tuple(a + b for a, b in zip(t, quadform.babai_point(mid, t)))
+    bound = geo.norm_sq_interval(seed, bits).hi / (1 - kappa)
+    cands = sorted(
+        tuple(a + b for a, b in zip(t, x))
+        for x in quadform.enumerate_with_offset(mid, t, bound)
+    )
     cap = geo.precision_cap_bits
     best: list[tuple[Fraction, ...]] = []
     best_val: CReal | None = None
@@ -242,7 +303,7 @@ def _minimizers_enclosure(
         if best and any(vec == tuple(-c for c in b) for b in best):
             best.append(vec)
             continue
-        val = numberfield.norm_sq_real(nf, vec)
+        val = geo.norm_sq_real(vec)
         if best_val is None:
             best, best_val = [vec], val
             continue
@@ -254,7 +315,8 @@ def _minimizers_enclosure(
     digits = []
     for vec in best:
         pt = intmat.mat_vec(pw, vec)
-        assert all(c.denominator == 1 for c in pt)
+        if any(c.denominator != 1 for c in pt):
+            raise ConsistencyError(f"minimizer {pt} of the class of {rep} is not integral")
         digits.append(tuple(int(c) for c in pt))
     return sorted(digits)
 
@@ -338,6 +400,13 @@ class NormContext:
     R_exact: bool
     u: CReal
 
+    @property
+    def tiling_ratio(self) -> CReal:
+        """r / (r + R), the contraction threshold of the tiling argument."""
+        ratio = (CReal.from_rational(self.R_sq) / CReal.from_rational(self.r_sq)).sqrt()
+        one = CReal.from_rational(Fraction(1))
+        return one / (one + ratio)
+
 
 @lru_cache(maxsize=None)
 def norm_context(source) -> NormContext:
@@ -350,77 +419,30 @@ def norm_context(source) -> NormContext:
         return NormContext(
             r_sq, True, quadform.covering_radius_sq_upper(geo.gram), False, geo.u
         )
-    nf = geo.nf
-    assert nf is not None
+    # enclosure instances: certified lower bound on the shortest vector
+    # from a ball that provably holds it; retry finer until positive
     bits = 64
     while True:
-        giv = numberfield.gram_enclosure(nf, bits)
-        n = nf.degree
-        # conjugate symmetry makes the enclosure entrywise symmetric
-        mid = quadform.as_gram(
-            [[(giv[i][k].lo + giv[i][k].hi) / 2 for k in range(n)] for i in range(n)]
-        )
-        eps = max(e.width() for row in giv for e in row) / 2
-        if quadform.ldl(mid) is None:
-            bits *= 2
-            continue
-        lam_lo = quadform.min_eigenvalue_real(mid).interval(64).lo
-        if lam_lo <= 0 or eps * n / lam_lo > Fraction(1, 2):
-            bits *= 2
-            continue
-        kappa = eps * n / lam_lo
-        c = min(giv[i][i].hi for i in range(n))
-        cands = [
-            x
-            for x in quadform.enumerate_ball(mid, c / (1 - kappa))
-            if any(v != 0 for v in x)
-        ]
+        bits, mid, kappa = geo.enclosure(bits)
+        giv = geo.gram_intervals(bits)
+        c = min(row[i].hi for i, row in enumerate(giv))
+        cands = [x for x in quadform.enumerate_ball(mid, c / (1 - kappa)) if any(x)]
         r_lo = min(geo.norm_sq_interval(x, bits).lo for x in cands)
-        if r_lo <= 0:
-            bits *= 2
-            continue
-        total = Fraction(0)
-        for i in range(n):
-            total += sqrt_upper(giv[i][i].hi, 64)
-        return NormContext(r_lo / 4, False, total * total / 4, False, geo.u)
+        if r_lo > 0:
+            break
+        bits *= 2
+    total = sum((sqrt_upper(row[i].hi, 64) for i, row in enumerate(giv)), Fraction(0))
+    return NormContext(r_lo / 4, False, total * total / 4, False, geo.u)
 
 
 def w0_bound(source) -> int:
     """Least window width at which one inverse step contracts the norm
     below half: the threshold beyond which minimal-norm digit systems
     always terminate."""
-    geo = geometry(source)
-    u = geo.u
-    half = CReal.from_rational(Fraction(1, 2))
-    cap = geo.precision_cap_bits
-    w = 1
-    upow = u
-    while True:
-        if upow.compare(half, cap) < 0:
-            return w
-        w += 1
-        upow = upow * u
-        if w > 10_000:
-            raise PrecisionCapError("window bound search did not converge")
+    return geometry(source).least_window(CReal.from_rational(Fraction(1, 2)))
 
 
 def tiling_w_bound(source) -> int:
     """Least window width with u^w below r / (r + R): the contraction
     regime where every digit set drawn from the covering argument works."""
-    geo = geometry(source)
-    ctx = norm_context(source)
-    ratio = (
-        CReal.from_rational(ctx.R_sq) / CReal.from_rational(ctx.r_sq)
-    ).sqrt()
-    rhs = CReal.from_rational(Fraction(1)) / (CReal.from_rational(Fraction(1)) + ratio)
-    cap = geo.precision_cap_bits
-    u = geo.u
-    w = 1
-    upow = u
-    while True:
-        if upow.compare(rhs, cap) < 0:
-            return w
-        w += 1
-        upow = upow * u
-        if w > 10_000:
-            raise PrecisionCapError("window bound search did not converge")
+    return geometry(source).least_window(norm_context(source).tiling_ratio)

@@ -41,3 +41,8 @@ class NormCapError(LatnafError):
 
 class InstanceError(LatnafError):
     """An instance description (CLI JSON or constructor input) is invalid."""
+
+
+class ConsistencyError(LatnafError):
+    """A computed result failed its own re-check (a counterexample cycle,
+    a digit, the window property); a defect, never a verdict."""

@@ -12,11 +12,15 @@ Three levels cooperate here:
 * ``CReal`` wraps either a ``QuadExt`` or a lazily refinable enclosure
   (for algebraic atoms that are not multi-quadratic). Comparisons refine
   in rounds and raise ``PrecisionCapError`` rather than guess.
+
+``isolated_roots`` supplies those atoms: certified enclosures of the
+roots of an integer polynomial at any precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable
 
@@ -199,6 +203,47 @@ class ComplexBox:
             or self.im.hi < other.im.lo
             or other.im.hi < self.im.lo
         )
+
+
+@lru_cache(maxsize=None)
+def isolated_roots(coeffs: tuple[int, ...], bits: int):
+    """Disjoint certified enclosures of all roots of the squarefree
+    integer polynomial with ascending coefficients coeffs.
+
+    Returns (reals, pairs): real roots as Intervals (ascending) and one
+    ComplexBox per conjugate pair, keeping the one with positive imaginary
+    part. Indices follow the isolation output order, which refines the
+    same initial isolation at every precision, so the k-th entry encloses
+    the same root at every bits value.
+    """
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    eps = sympy.Rational(1, 1 << max(bits, 8))
+    real_iv, cplx_iv = poly.intervals(all=True, eps=eps)
+    reals = []
+    for (lo, hi), mult in real_iv:
+        if mult != 1:
+            raise ValueError("repeated root in isolation")
+        reals.append(Interval(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
+    pairs = []
+    for (c1, c2), mult in cplx_iv:
+        if mult != 1:
+            raise ValueError("repeated root in isolation")
+        r1, i1 = c1.as_real_imag()
+        r2, i2 = c2.as_real_imag()
+        re = Interval(
+            min(Fraction(r1.p, r1.q), Fraction(r2.p, r2.q)),
+            max(Fraction(r1.p, r1.q), Fraction(r2.p, r2.q)),
+        )
+        im = Interval(
+            min(Fraction(i1.p, i1.q), Fraction(i2.p, i2.q)),
+            max(Fraction(i1.p, i1.q), Fraction(i2.p, i2.q)),
+        )
+        if im.lo >= 0:
+            pairs.append(ComplexBox(re, im))
+    if len(reals) + 2 * len(pairs) != len(coeffs) - 1:
+        raise ValueError("conjugate pairing of isolated roots failed")
+    return tuple(reals), tuple(pairs)
 
 
 def _squarefree_decompose(m: int) -> tuple[int, int]:
@@ -472,24 +517,6 @@ class CReal:
 
         return CReal.from_refinable(fn)
 
-    @staticmethod
-    def maximum(values) -> "CReal":
-        vals = [CReal.wrap(v) for v in values]
-        if not vals:
-            raise ValueError("maximum of nothing")
-        if all(v.exact is not None for v in vals):
-            best = vals[0].exact
-            for v in vals[1:]:
-                if v.exact.compare(best) > 0:
-                    best = v.exact
-            return CReal.from_quadext(best)
-
-        def fn(bits: int) -> Interval:
-            ivs = [v.interval(bits) for v in vals]
-            return Interval(max(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
-
-        return CReal.from_refinable(fn)
-
     def compare(self, other, cap_bits: int | None = None) -> int:
         """-1, 0 or +1. Exact pairs always decide; refinable pairs refine
         until separated or the cap is hit."""
@@ -514,15 +541,3 @@ class CReal:
                     "values may be exactly equal"
                 )
             bits = min(bits * 2, cap)
-
-    def lt(self, other, cap_bits: int | None = None) -> bool:
-        return self.compare(other, cap_bits) < 0
-
-    def le(self, other, cap_bits: int | None = None) -> bool:
-        return self.compare(other, cap_bits) <= 0
-
-    def hi_bound(self, bits: int = 64) -> Fraction:
-        return self.interval(bits).hi
-
-    def lo_bound(self, bits: int = 64) -> Fraction:
-        return self.interval(bits).lo

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import lattice
 from .digitset import DigitSet
-from .errors import LatnafError, MalformedDigitSetError
+from .errors import ConsistencyError, LatnafError, MalformedDigitSetError
 
 Point = lattice.Point
 
@@ -107,7 +107,10 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
         path.append(cur)
         d = digit_of(ds, cur)
         if d != zero:
-            assert quiet == 0, "window property violated during division"
+            if quiet:
+                raise ConsistencyError(
+                    f"window property violated during division at {cur}"
+                )
             quiet = ds.w - 1
         elif quiet:
             quiet -= 1

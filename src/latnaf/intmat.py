@@ -37,10 +37,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_neg_rows(a: Matrix, which) -> Matrix:
-    return tuple(tuple(-v for v in row) if i in which else row for i, row in enumerate(a))
-
-
 def mat_pow(a: Matrix, k: int) -> Matrix:
     if k < 0:
         raise ValueError("negative matrix power")

@@ -10,12 +10,10 @@ no floating point anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import intmat
 from .errors import BallSizeError
-from .exactreal import sqrt_upper
 
 Point = tuple[int, ...]
 
@@ -51,15 +49,6 @@ class LatticeInstance:
         if len(p) != self.n:
             raise ValueError(f"point has length {len(p)}, expected {self.n}")
         return p
-
-
-@dataclass(frozen=True)
-class SpectralInfo:
-    """Cheap rational bounds on the spectrum, mostly informational."""
-
-    char_poly: tuple[int, ...]
-    min_eig_abs_lower: Fraction
-    max_inv_norm_upper: Fraction
 
 
 def apply_phi(inst: LatticeInstance, p, k: int = 1) -> Point:
@@ -164,20 +153,3 @@ def is_expanding(inst: LatticeInstance) -> bool:
     if f[0] == 0:
         return False
     return intmat.all_roots_in_open_unit_disk(f[::-1])
-
-
-def spectral_info(inst: LatticeInstance) -> SpectralInfo:
-    f = char_poly(inst)
-    if f[0] == 0:
-        min_lower = Fraction(0)
-    else:
-        # Cauchy bound on the reciprocal roots
-        c = Fraction(1) + max(Fraction(abs(a), abs(f[0])) for a in f[1:])
-        min_lower = 1 / c
-    adj, det = _adjugate_det(inst)
-    frob_sq = Fraction(sum(v * v for row in adj for v in row), det * det)
-    return SpectralInfo(
-        char_poly=f,
-        min_eig_abs_lower=min_lower,
-        max_inv_norm_upper=sqrt_upper(frob_sq, 32),
-    )

@@ -17,21 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lattice, numberfield, quadform
+from . import lattice
 from .digitset import (
     DigitSet,
     FAMILY_INTERVAL,
-    FAMILY_MINIMAL_NORM,
     Geometry,
     geometry,
     max_digit_norm_sq_upper,
     norm_context,
-    _minimizers_exact,
 )
-from .errors import BallSizeError, PrecisionCapError
+from .errors import ConsistencyError, PrecisionCapError
 from .exactreal import CReal, sqrt_upper
 from .expansion import CycleReport, step
-from . import intmat
 
 Point = lattice.Point
 
@@ -83,21 +80,6 @@ def invariant_ball_bound(ds: DigitSet) -> Fraction:
     return u_hi * md_hi / (1 - u_hi)
 
 
-def _digits_are_minimal(ds: DigitSet) -> bool:
-    """Whether every digit minimizes the pulled-back norm in its class
-    (the Voronoi-cell membership both certificates rest on)."""
-    if ds.family == FAMILY_MINIMAL_NORM:
-        return True
-    geo = geometry(ds.source)
-    if geo.gram is None:
-        return False
-    pw = intmat.mat_pow(ds.inst.phi, ds.w)
-    for d in ds.nonzero_digits:
-        if d not in _minimizers_exact(geo, pw, d):
-            return False
-    return True
-
-
 def certify(ds: DigitSet) -> NadsVerdict | None:
     """Certificate-only check; None when no certificate applies (which
     says nothing about the property itself).
@@ -109,63 +91,20 @@ def certify(ds: DigitSet) -> NadsVerdict | None:
     """
     geo = geometry(ds.source)
     cap = geo.precision_cap_bits
-    u = geo.u
-    upow = u
-    for _ in range(1, ds.w):
-        upow = upow * u
+    upow = geo.u.pow(ds.w)
+    half = CReal.from_rational(Fraction(1, 2))
     if ds.family == FAMILY_INTERVAL:
         # V is the balanced interval: r = R = half the cell width
-        half = CReal.from_rational(Fraction(1, 2))
         if upow.compare(half, cap) < 0:
             return NadsVerdict(STATUS_CERTIFIED, bound_used=CERT_TILING)
         return None
-    if not _digits_are_minimal(ds):
+    if not ds.is_minimal_norm:
         return None
-    half = CReal.from_rational(Fraction(1, 2))
     if upow.compare(half, cap) < 0:
         return NadsVerdict(STATUS_CERTIFIED, bound_used=CERT_MINIMAL_NORM)
-    ctx = norm_context(ds.source)
-    ratio = (CReal.from_rational(ctx.R_sq) / CReal.from_rational(ctx.r_sq)).sqrt()
-    one = CReal.from_rational(Fraction(1))
-    rhs = one / (one + ratio)
-    if upow.compare(rhs, cap) < 0:
+    if upow.compare(norm_context(ds.source).tiling_ratio, cap) < 0:
         return NadsVerdict(STATUS_CERTIFIED, bound_used=CERT_TILING)
     return None
-
-
-def _ball_points(geo: Geometry, bound_sq: Fraction, cap: int):
-    """Lattice points with squared working norm at most bound_sq; a
-    certified superset is fine (extra starts are harmless)."""
-    if geo.gram is not None:
-        pts = quadform.enumerate_ball(geo.gram, bound_sq)
-        if len(pts) > cap:
-            raise BallSizeError(
-                f"search ball holds {len(pts)} points (cap {cap})", cap
-            )
-        return pts
-    nf = geo.nf
-    bits = 64
-    while True:
-        giv = numberfield.gram_enclosure(nf, bits)
-        n = nf.degree
-        mid = quadform.as_gram(
-            [[(giv[i][k].lo + giv[i][k].hi) / 2 for k in range(n)] for i in range(n)]
-        )
-        eps = max(e.width() for row in giv for e in row) / 2
-        if quadform.ldl(mid) is None:
-            bits *= 2
-            continue
-        lam_lo = quadform.min_eigenvalue_real(mid).interval(64).lo
-        if lam_lo <= 0 or eps * n / lam_lo > Fraction(1, 2):
-            bits *= 2
-            continue
-        kappa = eps * n / lam_lo
-        pts = quadform.enumerate_ball(mid, bound_sq / (1 - kappa))
-        if len(pts) > cap:
-            raise BallSizeError(
-                f"search ball holds {len(pts)} points (cap {cap})", cap
-            )
-        return pts
 
 
 def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
@@ -175,7 +114,7 @@ def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
     m_hi = invariant_ball_bound(ds)
     geo = geometry(ds.source)
     zero = ds.inst.zero()
-    starts = _ball_points(geo, m_hi * m_hi, ball_cap)
+    starts = geo.ball(m_hi * m_hi, ball_cap)
     status: dict[Point, bool] = {zero: True}
     for start in starts:
         if start in status:
@@ -193,7 +132,7 @@ def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
                 cyc = tuple(path[index[cur]:])
                 k = min(range(len(cyc)), key=lambda i: cyc[i])
                 witness = CycleReport(start, cyc[k:] + cyc[:k])
-                _validate_cycle(ds, witness)
+                validate_cycle(ds, witness)
                 return NadsVerdict(
                     STATUS_COUNTEREXAMPLE,
                     witness=witness,
@@ -205,13 +144,18 @@ def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
     return NadsVerdict(STATUS_SEARCH, search_radius=m_hi)
 
 
-def _validate_cycle(ds: DigitSet, report: CycleReport) -> None:
+def validate_cycle(ds: DigitSet, report: CycleReport) -> None:
+    """Re-check a counterexample step by step: a nonempty cycle of
+    nonzero points that the division map closes."""
     cyc = report.cycle
-    assert cyc, "empty cycle"
+    if not cyc:
+        raise ConsistencyError("empty cycle")
     zero = ds.inst.zero()
     for i, p in enumerate(cyc):
-        assert p != zero, "cycle through zero"
-        assert step(ds, p) == cyc[(i + 1) % len(cyc)], "cycle does not close"
+        if p == zero:
+            raise ConsistencyError("cycle through zero")
+        if step(ds, p) != cyc[(i + 1) % len(cyc)]:
+            raise ConsistencyError(f"cycle does not close at {p}")
 
 
 def decide(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:

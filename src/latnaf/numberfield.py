@@ -25,7 +25,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import sympy
 
@@ -38,6 +37,7 @@ from .exactreal import (
     IndeterminateInterval,
     Interval,
     QuadExt,
+    isolated_roots,
 )
 
 GRAM_POWER_SUMS = "power-sums"
@@ -109,46 +109,6 @@ def _power_sums(coeffs: tuple[int, ...], upto: int) -> list[int]:
     return p
 
 
-@lru_cache(maxsize=None)
-def _isolated_roots(min_poly: tuple[int, ...], bits: int):
-    """Disjoint certified enclosures of all roots.
-
-    Returns (reals, pairs): real roots as Intervals (ascending) and one
-    ComplexBox per conjugate pair, keeping the one with positive imaginary
-    part. Indices follow the isolation output order, which refines the
-    same initial isolation at every precision, so the k-th entry encloses
-    the same root at every bits value.
-    """
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(min_poly)), x)
-    eps = sympy.Rational(1, 1 << max(bits, 8))
-    real_iv, cplx_iv = poly.intervals(all=True, eps=eps)
-    reals = []
-    for (lo, hi), mult in real_iv:
-        if mult != 1:
-            raise ValueError("repeated root in isolation")
-        reals.append(Interval(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
-    pairs = []
-    for (c1, c2), mult in cplx_iv:
-        if mult != 1:
-            raise ValueError("repeated root in isolation")
-        r1, i1 = c1.as_real_imag()
-        r2, i2 = c2.as_real_imag()
-        re = Interval(
-            min(Fraction(r1.p, r1.q), Fraction(r2.p, r2.q)),
-            max(Fraction(r1.p, r1.q), Fraction(r2.p, r2.q)),
-        )
-        im = Interval(
-            min(Fraction(i1.p, i1.q), Fraction(i2.p, i2.q)),
-            max(Fraction(i1.p, i1.q), Fraction(i2.p, i2.q)),
-        )
-        if im.lo >= 0:
-            pairs.append(ComplexBox(re, im))
-    if len(reals) + 2 * len(pairs) != len(min_poly) - 1:
-        raise ValueError("conjugate pairing of isolated roots failed")
-    return tuple(reals), tuple(pairs)
-
-
 def _int_root(x: int, n: int) -> int | None:
     root, exact = sympy.integer_nthroot(x, n)
     return int(root) if exact else None
@@ -174,7 +134,7 @@ def _certify_equal_modulus(min_poly: tuple[int, ...], m: int) -> bool:
     box meets only that same box, every root is a fixed point."""
     bits = 32
     while bits <= (1 << 14):
-        reals, pairs = _isolated_roots(min_poly, bits)
+        reals, pairs = isolated_roots(min_poly, bits)
         boxes = [ComplexBox(iv, Interval.point(0)) for iv in reals]
         for box in pairs:
             boxes.append(box)
@@ -221,7 +181,7 @@ def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstanc
         warnings.warn("minimal polynomial is reducible; treating the product ring")
 
     inst = lattice.LatticeInstance.from_matrix(_companion(coeffs))
-    reals, pairs = _isolated_roots(coeffs, 32)
+    reals, pairs = isolated_roots(coeffs, 32)
     s, t = len(reals), len(pairs)
     n = len(coeffs) - 1
 
@@ -269,7 +229,7 @@ def gram_enclosure(nf: NumberFieldInstance, bits: int) -> list[list[Interval]]:
     instance; used as the fallback and as an independent cross-check of
     the exact constructions."""
     n = nf.degree
-    reals, pairs = _isolated_roots(nf.min_poly, bits)
+    reals, pairs = isolated_roots(nf.min_poly, bits)
     out = [[Interval.point(0)] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
@@ -281,53 +241,6 @@ def gram_enclosure(nf: NumberFieldInstance, bits: int) -> list[list[Interval]]:
                 acc = acc + prod.re.scaled(2)
             out[i][k] = acc
     return out
-
-
-def minkowski_norm_sq_exact(nf: NumberFieldInstance, p) -> Fraction | None:
-    """Exact squared embedding norm, when the Gram matrix is exact."""
-    if nf.gram is None:
-        return None
-    vec = tuple(Fraction(v) for v in p)
-    if len(vec) != nf.degree:
-        raise ValueError("point length does not match the field degree")
-    total = Fraction(0)
-    for i, vi in enumerate(vec):
-        if vi == 0:
-            continue
-        row = nf.gram[i]
-        for k, vk in enumerate(vec):
-            if vk:
-                total += vi * vk * row[k]
-    return total
-
-
-def minkowski_norm_sq(nf: NumberFieldInstance, p, bits: int = 64) -> Interval:
-    """Certified enclosure of sum of |sigma_j(alpha)|^2 over all embeddings
-    (conjugate pairs counted twice); degenerate interval when exact."""
-    exact = minkowski_norm_sq_exact(nf, p)
-    if exact is not None:
-        return Interval.point(exact)
-    vec = tuple(Fraction(v) for v in p)
-    if len(vec) != nf.degree:
-        raise ValueError("point length does not match the field degree")
-    g = gram_enclosure(nf, bits)
-    acc = Interval.point(0)
-    for i, vi in enumerate(vec):
-        if vi == 0:
-            continue
-        for k, vk in enumerate(vec):
-            if vk:
-                acc = acc + g[i][k].scaled(vi * vk)
-    return acc
-
-
-def norm_sq_real(nf: NumberFieldInstance, p) -> CReal:
-    """The squared embedding norm as a comparable certified real."""
-    exact = minkowski_norm_sq_exact(nf, p)
-    if exact is not None:
-        return CReal.from_rational(exact)
-    vec = tuple(Fraction(v) for v in p)
-    return CReal.from_refinable(lambda bits: minkowski_norm_sq(nf, vec, bits))
 
 
 def _quadratic_roots(coeffs: tuple[int, ...]) -> tuple[QuadExt, QuadExt]:
@@ -357,13 +270,13 @@ def embedding_moduli_sq(nf: NumberFieldInstance) -> list[CReal]:
     out: list[CReal] = []
     for j in range(nf.s):
         def fn(bits: int, idx: int = j) -> Interval:
-            reals, _ = _isolated_roots(coeffs, bits)
+            reals, _ = isolated_roots(coeffs, bits)
             return reals[idx].sq()
 
         out.append(CReal.from_refinable(fn))
     for j in range(nf.t):
         def fn(bits: int, idx: int = j) -> Interval:
-            _, pairs = _isolated_roots(coeffs, bits)
+            _, pairs = isolated_roots(coeffs, bits)
             return pairs[idx].modulus_sq()
 
         out.append(CReal.from_refinable(fn))
@@ -384,7 +297,3 @@ def inv_operator_norm_real(nf: NumberFieldInstance) -> CReal:
         )
     min_mod_sq = CReal.minimum(embedding_moduli_sq(nf))
     return (CReal.from_rational(1) / min_mod_sq).sqrt()
-
-
-def inv_operator_norm(nf: NumberFieldInstance, bits: int = 64) -> Interval:
-    return inv_operator_norm_real(nf).interval(bits)

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import lattice, numberfield, quadform
-from .digitset import DigitSet, Geometry, geometry, norm_context
+from . import lattice
+from .digitset import DigitSet, geometry, norm_context
 from .errors import InstanceError, LatnafError, NormCapError
 from .exactreal import CReal, Interval, QuadExt
 from .expansion import CycleReport, expand
-from .nadscheck import _digits_are_minimal, invariant_ball_bound
+from .nadscheck import invariant_ball_bound
 
 Point = lattice.Point
 
@@ -71,7 +71,7 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
     inequality u * R <= r. The remaining two are strict certified
     comparisons; failure of any flag is not a refutation of optimality.
     """
-    if not _digits_are_minimal(ds):
+    if not ds.is_minimal_norm:
         raise InstanceError(
             "optimality hypotheses apply to minimal-norm digit sets only"
         )
@@ -88,11 +88,8 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
     )
     below_ratio = u.compare(r_over_R, cap) < 0
 
-    upow = u
-    for _ in range(1, ds.w):
-        upow = upow * u
     rhs = (r_over_R - u) * CReal.from_rational(Fraction(1, 2))
-    window_ok = below_ratio and upow.compare(rhs, cap) < 0
+    window_ok = below_ratio and u.pow(ds.w).compare(rhs, cap) < 0
 
     return OptimalityCertificate(
         cell_symmetric=True,
@@ -175,31 +172,6 @@ def min_weight_oracle(
     raise LatnafError(f"no digit word represents {start} within the cap")
 
 
-def _ball_points_superset(geo: Geometry, bound_sq: Fraction):
-    """Lattice points certainly covering the closed ball of squared norm
-    bound_sq (a superset for enclosure instances)."""
-    if geo.gram is not None:
-        return quadform.enumerate_ball(geo.gram, bound_sq)
-    nf = geo.nf
-    bits = 64
-    while True:
-        giv = numberfield.gram_enclosure(nf, bits)
-        n = nf.degree
-        mid = quadform.as_gram(
-            [[(giv[i][k].lo + giv[i][k].hi) / 2 for k in range(n)] for i in range(n)]
-        )
-        eps = max(e.width() for row in giv for e in row) / 2
-        if quadform.ldl(mid) is None:
-            bits *= 2
-            continue
-        lam_lo = quadform.min_eigenvalue_real(mid).interval(64).lo
-        if lam_lo <= 0 or eps * n / lam_lo > Fraction(1, 2):
-            bits *= 2
-            continue
-        kappa = eps * n / lam_lo
-        return quadform.enumerate_ball(mid, bound_sq / (1 - kappa))
-
-
 @lru_cache(maxsize=8)
 def _distance_table(ds: DigitSet, bound: Fraction) -> dict:
     """Minimum word weight for every lattice point of norm <= bound, by
@@ -209,7 +181,7 @@ def _distance_table(ds: DigitSet, bound: Fraction) -> dict:
     geo = geometry(ds.source)
     inst = ds.inst
     zero = inst.zero()
-    points = _ball_points_superset(geo, Fraction(bound) ** 2)
+    points = geo.ball(Fraction(bound) ** 2)
     inside = set(points)
     dist: dict[Point, int] = {zero: 0}
     queue: deque[Point] = deque([zero])
@@ -260,7 +232,7 @@ def verify_empirically(
     radius = Fraction(radius)
     if radius < 0:
         return VerifyReport(0)
-    pts = _ball_points_superset(geo, radius * radius)
+    pts = geo.ball(radius * radius)
     if geo.gram is None:
         pts = [
             p for p in pts if geo.norm_sq_interval(p).hi <= radius * radius

@@ -13,7 +13,8 @@ from math import floor, isqrt, lcm
 import sympy
 
 from . import intmat
-from .exactreal import CReal, Interval, sqrt_upper
+from .errors import BallSizeError
+from .exactreal import CReal, Interval, isolated_roots, sqrt_upper
 
 Gram = tuple[tuple[Fraction, ...], ...]
 
@@ -85,10 +86,11 @@ def _floor_shift_sqrt(shift: Fraction, val: Fraction) -> int:
     return k
 
 
-def enumerate_with_offset(g: Gram, t, bound: Fraction):
+def enumerate_with_offset(g: Gram, t, bound: Fraction, cap: int | None = None):
     """All integer x with Q(t + x) <= bound, sorted lexicographically.
 
     t is a rational point of the ambient space; bound is a rational.
+    Raises BallSizeError as soon as more than cap points are found.
     """
     n = len(g)
     decomp = ldl(g)
@@ -120,6 +122,10 @@ def enumerate_with_offset(g: Gram, t, bound: Fraction):
             ys[i] = yi
             if i == 0:
                 out.append(tuple(xs))
+                if cap is not None and len(out) > cap:
+                    raise BallSizeError(
+                        f"search ball holds more than {cap} points", cap
+                    )
             else:
                 recurse(i - 1, budget - used)
 
@@ -128,9 +134,9 @@ def enumerate_with_offset(g: Gram, t, bound: Fraction):
     return out
 
 
-def enumerate_ball(g: Gram, bound: Fraction):
+def enumerate_ball(g: Gram, bound: Fraction, cap: int | None = None):
     """All integer points with Q(x) <= bound, origin included, lex order."""
-    return enumerate_with_offset(g, (0,) * len(g), bound)
+    return enumerate_with_offset(g, (0,) * len(g), bound, cap)
 
 
 def shortest_nonzero_norm_sq(g: Gram) -> Fraction:
@@ -146,7 +152,9 @@ def shortest_nonzero_norm_sq(g: Gram) -> Fraction:
     return best
 
 
-def _babai_seed(g: Gram, t) -> tuple[int, ...]:
+def babai_point(g: Gram, t) -> tuple[int, ...]:
+    """Nearest-plane rounding: an integer x with Q(t + x) small, whose
+    value bounds the search for the closest points."""
     n = len(g)
     d, u = ldl(g)
     xs = [0] * n
@@ -167,7 +175,7 @@ def closest_lattice_points(g: Gram, t):
     minimizer.
     """
     tt = tuple(Fraction(v) for v in t)
-    seed = _babai_seed(g, tt)
+    seed = babai_point(g, tt)
     bound = eval_quadratic(g, tuple(a + b for a, b in zip(tt, seed)))
     best = bound
     winners = []
@@ -276,9 +284,7 @@ def min_eigenvalue_real(mat) -> CReal:
         fc = tuple(int(v) for v in reversed(fac.all_coeffs()))
 
         def atom(bits: int, fcoeffs=fc) -> Interval:
-            from .numberfield import _isolated_roots
-
-            reals, _ = _isolated_roots(fcoeffs, bits)
+            reals, _ = isolated_roots(fcoeffs, bits)
             return reals[0].scaled(scale)
 
         candidates.append(CReal.from_refinable(atom))

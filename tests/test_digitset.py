@@ -89,7 +89,7 @@ def test_minimal_digits_minimize_preimage_norm():
     ds = dsm.build_minimal_norm(source, w)
     inst = ds.inst
     for d in ds.nonzero_digits:
-        dn = nfm.minkowski_norm_sq_exact(source, dsm_preimage(source, w, d))
+        dn = dsm.geometry(source).norm_sq_exact(dsm_preimage(source, w, d))
         for shift in lattice.residue_system(inst, 1):
             # walk a few other members of the class
             for mul in (-2, -1, 1, 2):
@@ -99,8 +99,8 @@ def test_minimal_digits_minimize_preimage_norm():
                 )
                 if other == d:
                     continue
-                on = nfm.minkowski_norm_sq_exact(
-                    source, dsm_preimage(source, w, other)
+                on = dsm.geometry(source).norm_sq_exact(
+                    dsm_preimage(source, w, other)
                 )
                 assert dn <= on
 
@@ -121,13 +121,13 @@ def test_totally_real_tie_break_uses_preimage_norm():
     ds = dsm.build_minimal_norm(source, 1)
     assert len(ds.nonzero_digits) == 4
     for d in ds.nonzero_digits:
-        dn = nfm.minkowski_norm_sq_exact(source, dsm_preimage(source, 1, d))
+        dn = dsm.geometry(source).norm_sq_exact(dsm_preimage(source, 1, d))
         for shift in ((1, 0), (0, 1), (1, 1), (-1, 2)):
             base = lattice.apply_phi(ds.inst, shift, 1)
             for mul in (-2, -1, 1, 2):
                 other = tuple(a + mul * b for a, b in zip(d, base))
-                on = nfm.minkowski_norm_sq_exact(
-                    source, dsm_preimage(source, 1, other)
+                on = dsm.geometry(source).norm_sq_exact(
+                    dsm_preimage(source, 1, other)
                 )
                 assert dn <= on
 
@@ -195,7 +195,7 @@ def test_max_digit_norm_upper():
     ds = dsm.build_minimal_norm(source, 2)
     bound = dsm.max_digit_norm_sq_upper(ds)
     for d in ds.digits:
-        assert nfm.minkowski_norm_sq_exact(source, d) <= bound
+        assert dsm.geometry(source).norm_sq_exact(d) <= bound
 
 
 def test_digit_set_frozen_and_ordered():

@@ -117,8 +117,6 @@ def test_creal_arithmetic_and_minimum():
     assert iv.width() <= Fraction(1, 2**100)
     m = xr.CReal.minimum([b, a, xr.CReal.from_rational(1)])
     assert m.compare(Fraction(1, 3)) == 0
-    mx = xr.CReal.maximum([a, b])
-    assert mx.compare(b) == 0
 
 
 def test_creal_sqrt_squares_back():

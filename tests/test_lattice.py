@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -100,15 +99,6 @@ def test_is_expanding_against_numeric_roots():
         inst = _inst(rows)
         assert lattice.is_expanding(inst) == (min_mod > 1), rows
         checked += 1
-
-
-def test_spectral_info_fields():
-    info = lattice.spectral_info(_inst([[0, -2], [1, 1]]))
-    assert info.char_poly == (2, -1, 1)
-    assert 0 < info.min_eig_abs_lower
-    # sqrt(2) is the true smallest eigenvalue modulus
-    assert info.min_eig_abs_lower**2 <= 2
-    assert info.max_inv_norm_upper**2 >= Fraction(1, 2)
 
 
 def test_check_point_length():

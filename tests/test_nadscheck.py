@@ -124,3 +124,43 @@ def test_verdict_fields_on_search():
     assert v.bound_used is None
     assert v.witness is None
     assert isinstance(v.search_radius, Fraction)
+
+
+def test_validate_cycle_raises_under_optimize_flag():
+    """Counterexample validation must not rest on assert: python -O
+    strips asserts, and a forged cycle must still be rejected."""
+    import subprocess
+    import sys
+
+    code = (
+        "from latnaf import digitset as dsm, numberfield as nfm\n"
+        "from latnaf.errors import ConsistencyError\n"
+        "from latnaf.expansion import CycleReport\n"
+        "from latnaf.nadscheck import validate_cycle\n"
+        "ds = dsm.build_minimal_norm(nfm.build([-3, 1]), 2)\n"
+        "try:\n"
+        "    validate_cycle(ds, CycleReport((1,), ((1,), (2,))))\n"
+        "except ConsistencyError:\n"
+        "    print('rejected')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
+
+
+def test_search_ball_cap_checked_during_enumeration():
+    # the invariant ball holds about 5e5 points; the cap must stop the
+    # enumeration long before they are materialised
+    import tracemalloc
+
+    ds = dsm.from_digits(nfm.build([-2, 1]), 1, [(2**18 + 1,)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallSizeError):
+            ncm.search(ds, ball_cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from latnaf import numberfield as nfm
+from latnaf.digitset import geometry
 from latnaf.errors import NotExpandingError
 
 
@@ -64,12 +65,11 @@ def test_gram_values_equal_modulus():
 
 
 def test_minkowski_norm_examples():
-    nf = nfm.build([2, -1, 1])
-    assert nfm.minkowski_norm_sq_exact(nf, (1, 0)) == 2
-    assert nfm.minkowski_norm_sq_exact(nf, (0, 1)) == 4
-    assert nfm.minkowski_norm_sq_exact(nf, (1, 1)) == 8
-    one = nfm.build([-2, 1])
-    assert nfm.minkowski_norm_sq_exact(one, (3,)) == 9
+    geo = geometry(nfm.build([2, -1, 1]))
+    assert geo.norm_sq_exact((1, 0)) == 2
+    assert geo.norm_sq_exact((0, 1)) == 4
+    assert geo.norm_sq_exact((1, 1)) == 8
+    assert geometry(nfm.build([-2, 1])).norm_sq_exact((3,)) == 9
 
 
 def test_norm_enclosure_contains_exact():
@@ -81,15 +81,15 @@ def test_norm_enclosure_contains_exact():
 
 
 def test_enclosure_instance_norm_brackets():
-    nf = nfm.build([-2, 0, 0, 0, 1])  # x^4 - 2
+    geo = geometry(nfm.build([-2, 0, 0, 0, 1]))  # x^4 - 2
     # |1|^2 summed over the four embeddings is exactly 4
-    v = nfm.norm_sq_real(nf, (1, 0, 0, 0))
+    v = geo.norm_sq_real((1, 0, 0, 0))
     iv = v.interval(128)
     assert iv.contains(4)
     # |tau|^2 = sqrt(2) per embedding, 4*sqrt(2) total
     from latnaf.exactreal import sqrt_lower, sqrt_upper
 
-    t = nfm.norm_sq_real(nf, (0, 1, 0, 0)).interval(128)
+    t = geo.norm_sq_real((0, 1, 0, 0)).interval(128)
     assert t.lo <= 4 * sqrt_upper(Fraction(2), 128)
     assert t.hi >= 4 * sqrt_lower(Fraction(2), 128)
     assert t.width() < Fraction(1, 2**64)
