@@ -17,9 +17,6 @@ from .digitset import (
     digit_count,
     from_digits,
     geometry,
-    norm_context,
-    tiling_w_bound,
-    w0_bound,
 )
 from .errors import (
     BallSizeError,
@@ -114,14 +111,11 @@ __all__ = [
     "is_window_form",
     "is_wnaf",
     "min_weight_oracle",
-    "norm_context",
     "residue_system",
     "search",
     "step",
-    "tiling_w_bound",
     "value",
     "verify_empirically",
-    "w0_bound",
     "word_weight",
 ]
 

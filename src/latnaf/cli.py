@@ -165,7 +165,8 @@ def _parse_point(text: str, n: int):
 
 
 def _cmd_info(source, make_digits, args):
-    inst = dsm.lattice_of(source)
+    geo = dsm.geometry(source)
+    inst = geo.inst
     pairs: list[tuple[str, object]] = []
     pairs.append(("n", inst.n))
     pairs.append(("char_poly", list(lam.char_poly(inst))))
@@ -174,7 +175,6 @@ def _cmd_info(source, make_digits, args):
     pairs.append(("expanding", expanding))
     if not expanding:
         return pairs, [], 0
-    geo = dsm.geometry(source)
     if geo.nf is not None:
         for j, mod_sq in enumerate(nfm.embedding_moduli_sq(geo.nf), start=1):
             iv = mod_sq.interval(64)
@@ -186,13 +186,13 @@ def _cmd_info(source, make_digits, args):
             )
     uiv = geo.u.interval(64)
     pairs.append(("inv_norm", _enclosure(uiv.lo, uiv.hi)))
-    pairs.append(("w0", dsm.w0_bound(source)))
-    ctx = dsm.norm_context(source)
+    pairs.append(("w0", geo.w0_bound))
+    ctx = geo.norm_context
     pairs.append(("r_sq", _fmt_fraction(ctx.r_sq)))
     pairs.append(("R_sq", _fmt_fraction(ctx.R_sq)))
     pairs.append(("r", _enclosure(sqrt_lower(ctx.r_sq, 64), sqrt_upper(ctx.r_sq, 64))))
     pairs.append(("R", _enclosure(sqrt_lower(ctx.R_sq, 64), sqrt_upper(ctx.R_sq, 64))))
-    pairs.append(("tiling_w", dsm.tiling_w_bound(source)))
+    pairs.append(("tiling_w", geo.tiling_w_bound))
     return pairs, [], 0
 
 

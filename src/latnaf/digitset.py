@@ -15,17 +15,21 @@ represented by the digit zero). Three families are provided:
 exists, otherwise the one certified enclosure path (interval Gram
 matrices cached per precision, balls enumerated on a midpoint Gram
 matrix inflated by a certified factor). Every norm evaluation, ball and
-window bound of the package goes through it. The module also bundles
-the geometric context (packing radius, covering radius, contraction
-factor of the inverse map) that the termination and optimality
-arguments consume.
+window bound of the package goes through it, and it caches the
+geometric context (packing radius, covering radius, contraction factor
+of the inverse map) that the termination and optimality arguments
+consume.
+
+``DigitSet`` owns its ``Geometry`` and the division map p -> (p - d) / phi
+that expansion, orbit search and the weight oracle all run: the digit
+table is built once, when the set is validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import intmat, lattice, numberfield, quadform
 from .errors import (
@@ -92,7 +96,8 @@ class Geometry:
                 eps = max(e.width() for row in giv for e in row) / 2
                 found = None
                 if quadform.ldl(mid) is not None:
-                    lam_lo = quadform.min_eigenvalue_real(mid).interval(64).lo
+                    lam = quadform.min_eigenvalue_real(mid, self.precision_cap_bits)
+                    lam_lo = lam.interval(64).lo
                     if lam_lo > 0 and eps * len(giv) <= lam_lo / 2:
                         found = (mid, eps * len(giv) / lam_lo)
                 self._midpoints[bits] = found
@@ -147,7 +152,7 @@ class Geometry:
             raise NotExpandingError("the base map is not expanding")
         phi = self.inst.phi
         sym = intmat.mat_mul(intmat.transpose(phi), phi)
-        lam = quadform.min_eigenvalue_real(sym)
+        lam = quadform.min_eigenvalue_real(sym, self.precision_cap_bits)
         one = CReal.from_rational(Fraction(1))
         if lam.compare(one, self.precision_cap_bits) <= 0:
             raise InstanceError(
@@ -163,8 +168,46 @@ class Geometry:
                 return w
         raise PrecisionCapError("window bound search did not converge")
 
+    @cached_property
+    def norm_context(self) -> NormContext:
+        """Packing and covering radii of the working norm, with u."""
+        if self.gram is not None:
+            r_sq = quadform.shortest_nonzero_norm_sq(self.gram) / 4
+            exact_R = quadform.covering_radius_sq_exact(self.gram)
+            if exact_R is not None:
+                return NormContext(r_sq, True, exact_R, True, self.u)
+            return NormContext(
+                r_sq, True, quadform.covering_radius_sq_upper(self.gram), False, self.u
+            )
+        # enclosure instances: certified lower bound on the shortest vector
+        # from a ball that provably holds it; retry finer until positive
+        bits = 64
+        while True:
+            bits, mid, kappa = self.enclosure(bits)
+            giv = self.gram_intervals(bits)
+            c = min(row[i].hi for i, row in enumerate(giv))
+            cands = [x for x in quadform.enumerate_ball(mid, c / (1 - kappa)) if any(x)]
+            r_lo = min(self.norm_sq_interval(x, bits).lo for x in cands)
+            if r_lo > 0:
+                break
+            bits *= 2
+        total = sum((sqrt_upper(row[i].hi, 64) for i, row in enumerate(giv)), Fraction(0))
+        return NormContext(r_lo / 4, False, total * total / 4, False, self.u)
 
-@lru_cache(maxsize=None)
+    @cached_property
+    def w0_bound(self) -> int:
+        """Least window width at which one inverse step contracts the norm
+        below half: the threshold beyond which minimal-norm digit systems
+        always terminate."""
+        return self.least_window(CReal.from_rational(Fraction(1, 2)))
+
+    @cached_property
+    def tiling_w_bound(self) -> int:
+        """Least window width with u^w below r / (r + R): the contraction
+        regime where every digit set drawn from the covering argument works."""
+        return self.least_window(self.norm_context.tiling_ratio)
+
+
 def geometry(source) -> Geometry:
     """Working geometry for a base given as a field instance (embedding
     norm) or a plain matrix instance (coordinate norm, Gram = identity)."""
@@ -181,40 +224,96 @@ def geometry(source) -> Geometry:
     raise TypeError("source must be a field instance or a lattice instance")
 
 
-def lattice_of(source) -> lattice.LatticeInstance:
-    return geometry(source).inst
-
-
 def digit_count(source, w: int) -> int:
-    d = abs(lattice_of(source).det)
+    d = abs(geometry(source).inst.det)
     return d**w - d ** (w - 1)
 
 
 @dataclass(frozen=True)
 class DigitSet:
     """Validated digit set; digits are lattice points in coordinates,
-    sorted, with the zero digit included."""
+    sorted, with the zero digit included.
 
-    source: object
+    Construction validates the digits (one per residue class modulo
+    phi^w outside the image of phi) and tabulates them for the division
+    map: the digit d with adj(phi) d per class modulo phi^w, and the digits
+    grouped by class modulo phi, keyed on adj(phi) d mod det (p - d lies
+    in the image of phi exactly when adj(phi) (p - d) is divisible by det).
+    """
+
+    geo: Geometry
     w: int
     digits: tuple[Point, ...]
     family: str
+    _kernel: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inst = self.geo.inst
+        adj, det = inst.adjugate, inst.det
+        u, diag, _ = lattice.residue_structure(inst, self.w)
+        zero = inst.zero()
+        want = digit_count(inst, self.w)
+        got = sum(1 for d in self.digits if d != zero)
+        if got != want:
+            raise MalformedDigitSetError(f"expected {want} nonzero digits, got {got}")
+        table: dict = {}
+        by_class: dict = {}
+        for d in self.digits:
+            ad = intmat.mat_vec(adj, d)
+            by_class.setdefault(tuple(v % det for v in ad), []).append((d, ad))
+            if d == zero:
+                continue
+            if not any(v % det for v in ad):
+                raise MalformedDigitSetError(
+                    f"digit {d} lies in the image of the base map"
+                )
+            key = tuple(x % m for x, m in zip(intmat.mat_vec(u, d), diag))
+            if key in table:
+                raise MalformedDigitSetError(
+                    f"digits {table[key][0]} and {d} share a residue class"
+                )
+            table[key] = (d, ad)
+        object.__setattr__(self, "_kernel", (adj, det, u, diag, zero, table, by_class))
 
     @property
     def inst(self) -> lattice.LatticeInstance:
-        return lattice_of(self.source)
+        return self.geo.inst
 
     @property
     def nonzero_digits(self) -> tuple[Point, ...]:
         zero = self.inst.zero()
         return tuple(d for d in self.digits if d != zero)
 
-    @cached_property
-    def class_map(self) -> dict:
-        inst = self.inst
-        return {
-            lattice.residue_key(inst, self.w, d): d for d in self.nonzero_digits
-        }
+    def divide(self, p: Point) -> tuple[Point, Point]:
+        """One division step: (digit, (p - digit) / phi), the digit being
+        zero when phi divides p and the one congruent to p modulo phi^w
+        otherwise. One adjugate product; the residue key only when phi
+        does not divide p."""
+        adj, det, u, diag, zero, table, _ = self._kernel
+        ap = intmat.mat_vec(adj, p)
+        if not any(v % det for v in ap):
+            return zero, tuple(v // det for v in ap)
+        key = tuple(x % m for x, m in zip(intmat.mat_vec(u, p), diag))
+        if key not in table:
+            raise MalformedDigitSetError(f"no digit covers the residue class of {p}")
+        d, ad = table[key]
+        rest = tuple(a - b for a, b in zip(ap, ad))
+        if any(v % det for v in rest):
+            raise MalformedDigitSetError(
+                f"digit {d} is not congruent to {p} modulo the base image"
+            )
+        return d, tuple(v // det for v in rest)
+
+    def divisions(self, p: Point) -> list[tuple[Point, Point]]:
+        """Every (digit, (p - digit) / phi) with the digit congruent to p
+        modulo phi, in digit order: the zero digit alone when phi
+        divides p."""
+        adj, det, *_, by_class = self._kernel
+        ap = intmat.mat_vec(adj, p)
+        return [
+            (d, tuple((a - b) // det for a, b in zip(ap, ad)))
+            for d, ad in by_class.get(tuple(v % det for v in ap), ())
+        ]
 
     @cached_property
     def is_minimal_norm(self) -> bool:
@@ -222,45 +321,21 @@ class DigitSet:
         (the Voronoi-cell membership both certificates rest on)."""
         if self.family == FAMILY_MINIMAL_NORM:
             return True
-        geo = geometry(self.source)
-        if geo.gram is None:
+        if self.geo.gram is None:
             return False
         pw = intmat.mat_pow(self.inst.phi, self.w)
-        return all(d in _minimizers_exact(geo, pw, d) for d in self.nonzero_digits)
+        return all(d in _minimizers_exact(self.geo, pw, d) for d in self.nonzero_digits)
 
 
-def _validate_digits(source, w: int, nonzero: list[Point]) -> tuple[Point, ...]:
-    inst = lattice_of(source)
-    want = digit_count(inst, w)
-    if len(nonzero) != want:
-        raise MalformedDigitSetError(
-            f"expected {want} nonzero digits, got {len(nonzero)}"
-        )
-    seen = {}
-    for d in nonzero:
-        if lattice.solve_divisibility(inst, d, 1) is not None:
-            raise MalformedDigitSetError(
-                f"digit {d} lies in the image of the base map"
-            )
-        key = lattice.residue_key(inst, w, d)
-        if key in seen:
-            raise MalformedDigitSetError(
-                f"digits {seen[key]} and {d} share a residue class"
-            )
-        seen[key] = d
-    return tuple(sorted(nonzero)) + (inst.zero(),)
-
-
-def _finish(source, w: int, nonzero: list[Point], family: str) -> DigitSet:
+def _finish(geo: Geometry, w: int, nonzero: list[Point], family: str) -> DigitSet:
     # a non-expanding base never terminates the division, so the digit
     # system would be vacuous; reject it at construction
-    if not lattice.is_expanding(lattice_of(source)):
+    if not lattice.is_expanding(geo.inst):
         raise NotExpandingError(
             "digit sets require an expanding base "
             "(every eigenvalue outside the closed unit disk)"
         )
-    digits = _validate_digits(source, w, nonzero)
-    return DigitSet(source, w, tuple(sorted(digits)), family)
+    return DigitSet(geo, w, tuple(sorted([*nonzero, geo.inst.zero()])), family)
 
 
 def _minimizers_exact(
@@ -339,14 +414,15 @@ def build_minimal_norm(source, w: int) -> DigitSet:
         else:
             mins = _minimizers_enclosure(geo, pw, rep)
         nonzero.append(mins[0])
-    return _finish(source, w, nonzero, FAMILY_MINIMAL_NORM)
+    return _finish(geo, w, nonzero, FAMILY_MINIMAL_NORM)
 
 
 def build_rational_interval(source, w: int) -> DigitSet:
     """Balanced-interval digits for an integer base (degree 1 only)."""
     if w < 1:
         raise ValueError("window width must be at least 1")
-    inst = lattice_of(source)
+    geo = geometry(source)
+    inst = geo.inst
     if inst.n != 1:
         raise InstanceError("interval digits require an integer base")
     tau = inst.phi[0][0]
@@ -355,7 +431,7 @@ def build_rational_interval(source, w: int) -> DigitSet:
     nonzero = [
         (d,) for d in range(start, m // 2 + 1) if d % abs(tau) != 0 and d != 0
     ]
-    return _finish(source, w, nonzero, FAMILY_INTERVAL)
+    return _finish(geo, w, nonzero, FAMILY_INTERVAL)
 
 
 def from_digits(source, w: int, points) -> DigitSet:
@@ -363,7 +439,8 @@ def from_digits(source, w: int, points) -> DigitSet:
     class outside the image of the base map, zero digit optional."""
     if w < 1:
         raise ValueError("window width must be at least 1")
-    inst = lattice_of(source)
+    geo = geometry(source)
+    inst = geo.inst
     zero = inst.zero()
     nonzero = []
     for p in points:
@@ -374,13 +451,13 @@ def from_digits(source, w: int, points) -> DigitSet:
             )
         if pt != zero:
             nonzero.append(pt)
-    return _finish(source, w, nonzero, FAMILY_CUSTOM)
+    return _finish(geo, w, nonzero, FAMILY_CUSTOM)
 
 
 def max_digit_norm_sq_upper(ds: DigitSet, bits: int = 64) -> Fraction:
     """Rational upper bound on the squared working norm of the digits;
     exact for instances with an exact Gram matrix."""
-    geo = geometry(ds.source)
+    geo = ds.geo
     best = Fraction(0)
     for d in ds.nonzero_digits:
         hi = geo.norm_sq_interval(d, bits).hi
@@ -406,43 +483,3 @@ class NormContext:
         ratio = (CReal.from_rational(self.R_sq) / CReal.from_rational(self.r_sq)).sqrt()
         one = CReal.from_rational(Fraction(1))
         return one / (one + ratio)
-
-
-@lru_cache(maxsize=None)
-def norm_context(source) -> NormContext:
-    geo = geometry(source)
-    if geo.gram is not None:
-        r_sq = quadform.shortest_nonzero_norm_sq(geo.gram) / 4
-        exact_R = quadform.covering_radius_sq_exact(geo.gram)
-        if exact_R is not None:
-            return NormContext(r_sq, True, exact_R, True, geo.u)
-        return NormContext(
-            r_sq, True, quadform.covering_radius_sq_upper(geo.gram), False, geo.u
-        )
-    # enclosure instances: certified lower bound on the shortest vector
-    # from a ball that provably holds it; retry finer until positive
-    bits = 64
-    while True:
-        bits, mid, kappa = geo.enclosure(bits)
-        giv = geo.gram_intervals(bits)
-        c = min(row[i].hi for i, row in enumerate(giv))
-        cands = [x for x in quadform.enumerate_ball(mid, c / (1 - kappa)) if any(x)]
-        r_lo = min(geo.norm_sq_interval(x, bits).lo for x in cands)
-        if r_lo > 0:
-            break
-        bits *= 2
-    total = sum((sqrt_upper(row[i].hi, 64) for i, row in enumerate(giv)), Fraction(0))
-    return NormContext(r_lo / 4, False, total * total / 4, False, geo.u)
-
-
-def w0_bound(source) -> int:
-    """Least window width at which one inverse step contracts the norm
-    below half: the threshold beyond which minimal-norm digit systems
-    always terminate."""
-    return geometry(source).least_window(CReal.from_rational(Fraction(1, 2)))
-
-
-def tiling_w_bound(source) -> int:
-    """Least window width with u^w below r / (r + R): the contraction
-    regime where every digit set drawn from the covering argument works."""
-    return geometry(source).least_window(norm_context(source).tiling_ratio)

@@ -401,7 +401,7 @@ class QuadExt:
                 return -1
             bits *= 2
             if bits > (1 << 22):
-                raise AssertionError("radical sign refinement should terminate")
+                raise PrecisionCapError("radical sign undecided at 2^22 precision bits")
 
     def compare(self, other: "QuadExt") -> int:
         return (self - other).sign()

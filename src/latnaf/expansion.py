@@ -2,10 +2,11 @@
 
 Repeatedly strip a digit (the unique one congruent to the point modulo
 the w-th power of the base, or zero when the point is divisible) and
-apply the inverse base map. The digit words are least significant first.
-A word produced this way automatically satisfies the window property:
-after a nonzero digit the next w - 1 steps see a point divisible by the
-base and emit zeros.
+apply the inverse base map; ``DigitSet.divide`` does both in one step,
+and ``digit_of`` and ``step`` are its two halves. The digit words are
+least significant first. A word produced this way automatically
+satisfies the window property: after a nonzero digit the next w - 1
+steps see a point divisible by the base and emit zeros.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from . import lattice
 from .digitset import DigitSet
-from .errors import ConsistencyError, LatnafError, MalformedDigitSetError
+from .errors import ConsistencyError, LatnafError
 
 Point = lattice.Point
 
@@ -45,28 +46,12 @@ class CycleReport:
 def digit_of(ds: DigitSet, p: Point) -> Point:
     """The digit congruent to p: zero when p is divisible by the base,
     the class representative otherwise."""
-    inst = ds.inst
-    if lattice.solve_divisibility(inst, p, 1) is not None:
-        return inst.zero()
-    key = lattice.residue_key(inst, ds.w, p)
-    try:
-        return ds.class_map[key]
-    except KeyError:
-        raise MalformedDigitSetError(
-            f"no digit covers the residue class of {p}"
-        ) from None
+    return ds.divide(p)[0]
 
 
 def step(ds: DigitSet, p: Point) -> Point:
     """One backwards-division step: subtract the digit, divide by the base."""
-    d = digit_of(ds, p)
-    shifted = tuple(a - b for a, b in zip(p, d))
-    q = lattice.solve_divisibility(ds.inst, shifted, 1)
-    if q is None:
-        raise MalformedDigitSetError(
-            f"digit {d} is not congruent to {p} modulo the base image"
-        )
-    return q
+    return ds.divide(p)[1]
 
 
 def default_step_limit(ds: DigitSet, p) -> int:
@@ -105,7 +90,7 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
             raise LatnafError(f"expansion exceeded {max_steps} steps")
         seen[cur] = len(path)
         path.append(cur)
-        d = digit_of(ds, cur)
+        d, nxt = ds.divide(cur)
         if d != zero:
             if quiet:
                 raise ConsistencyError(
@@ -115,7 +100,7 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
         elif quiet:
             quiet -= 1
         digits.append(d)
-        cur = step(ds, cur)
+        cur = nxt
     return Expansion(start, tuple(digits), ds.w)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import ConsistencyError
+
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
@@ -117,7 +119,7 @@ def char_poly(a: Matrix) -> tuple[int, ...]:
         tr = sum(am[i][i] for i in range(n))
         q, r = divmod(-tr, k)
         if r:
-            raise AssertionError("trace recurrence must divide exactly")
+            raise ConsistencyError("trace recurrence must divide exactly")
         coeffs[n - k] = q
         if k < n:
             m = tuple(

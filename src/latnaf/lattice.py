@@ -5,12 +5,16 @@ integer matrix ``phi`` with nonzero determinant. Everything is exact:
 residue systems come from a Smith normal form and the expanding test is
 a rational root-locus test on the characteristic polynomial, so there is
 no floating point anywhere in this module.
+
+The instance caches its adjugate; Smith data are recomputed per call,
+so callers that key many points keep them. ``solve_divisibility`` and
+``residue_key`` are the reference that ``DigitSet.divide`` is tested on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from . import intmat
 from .errors import BallSizeError
@@ -41,6 +45,11 @@ class LatticeInstance:
         phi = intmat.mat_from_rows(rows)
         return cls(n=len(phi), phi=phi, det=intmat.determinant(phi))
 
+    @cached_property
+    def adjugate(self) -> intmat.Matrix:
+        """adj(phi) = det * phi^-1, an integer matrix."""
+        return intmat.adjugate(self.phi)
+
     def zero(self) -> Point:
         return (0,) * self.n
 
@@ -61,11 +70,6 @@ def apply_phi(inst: LatticeInstance, p, k: int = 1) -> Point:
     return out
 
 
-@lru_cache(maxsize=None)
-def _adjugate_det(inst: LatticeInstance) -> tuple[intmat.Matrix, int]:
-    return intmat.adjugate(inst.phi), inst.det
-
-
 def solve_divisibility(inst: LatticeInstance, p, k: int = 1) -> Point | None:
     """The unique q with phi^k(q) = p, or None when p is not divisible.
 
@@ -76,7 +80,7 @@ def solve_divisibility(inst: LatticeInstance, p, k: int = 1) -> Point | None:
     if k < 0:
         raise ValueError("k must be nonnegative")
     cur = inst.check_point(p)
-    adj, det = _adjugate_det(inst)
+    adj, det = inst.adjugate, inst.det
     for _ in range(k):
         nxt = intmat.mat_vec(adj, cur)
         if any(v % det for v in nxt):
@@ -85,7 +89,6 @@ def solve_divisibility(inst: LatticeInstance, p, k: int = 1) -> Point | None:
     return cur
 
 
-@lru_cache(maxsize=None)
 def residue_structure(inst: LatticeInstance, k: int):
     """Smith normal form data for Z^n modulo phi^k(Z^n).
 
@@ -135,13 +138,11 @@ def residue_system(inst: LatticeInstance, k: int) -> tuple[Point, ...]:
             return tuple(reps)
 
 
-@lru_cache(maxsize=None)
 def char_poly(inst: LatticeInstance) -> tuple[int, ...]:
     """det(xI - phi), ascending coefficients, monic."""
     return intmat.char_poly(inst.phi)
 
 
-@lru_cache(maxsize=None)
 def is_expanding(inst: LatticeInstance) -> bool:
     """True iff every eigenvalue of phi has modulus strictly above 1.
 

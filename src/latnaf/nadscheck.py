@@ -22,9 +22,7 @@ from .digitset import (
     DigitSet,
     FAMILY_INTERVAL,
     Geometry,
-    geometry,
     max_digit_norm_sq_upper,
-    norm_context,
 )
 from .errors import ConsistencyError, PrecisionCapError
 from .exactreal import CReal, sqrt_upper
@@ -74,8 +72,7 @@ def invariant_ball_bound(ds: DigitSet) -> Fraction:
     and never leaves the ball of norm M. One division step maps norm b to
     at most u * (b + max digit norm), so the fixed point is
     u / (1 - u) * (max digit norm)."""
-    geo = geometry(ds.source)
-    u_hi = _u_hi(geo)
+    u_hi = _u_hi(ds.geo)
     md_hi = sqrt_upper(max_digit_norm_sq_upper(ds), 64)
     return u_hi * md_hi / (1 - u_hi)
 
@@ -89,7 +86,7 @@ def certify(ds: DigitSet) -> NadsVerdict | None:
     construction for the balanced interval, whose inradius and
     circumradius agree, so its certificate is the covering-ratio bound.
     """
-    geo = geometry(ds.source)
+    geo = ds.geo
     cap = geo.precision_cap_bits
     upow = geo.u.pow(ds.w)
     half = CReal.from_rational(Fraction(1, 2))
@@ -102,7 +99,7 @@ def certify(ds: DigitSet) -> NadsVerdict | None:
         return None
     if upow.compare(half, cap) < 0:
         return NadsVerdict(STATUS_CERTIFIED, bound_used=CERT_MINIMAL_NORM)
-    if upow.compare(norm_context(ds.source).tiling_ratio, cap) < 0:
+    if upow.compare(geo.norm_context.tiling_ratio, cap) < 0:
         return NadsVerdict(STATUS_CERTIFIED, bound_used=CERT_TILING)
     return None
 
@@ -112,9 +109,8 @@ def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
     ball. Deterministic: starting points in lexicographic order, first
     nonzero cycle reported, rotated to start at its smallest point."""
     m_hi = invariant_ball_bound(ds)
-    geo = geometry(ds.source)
     zero = ds.inst.zero()
-    starts = geo.ball(m_hi * m_hi, ball_cap)
+    starts = ds.geo.ball(m_hi * m_hi, ball_cap)
     status: dict[Point, bool] = {zero: True}
     for start in starts:
         if start in status:

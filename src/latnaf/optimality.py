@@ -23,10 +23,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from . import lattice
-from .digitset import DigitSet, geometry, norm_context
+from .digitset import DigitSet
 from .errors import InstanceError, LatnafError, NormCapError
 from .exactreal import CReal, Interval, QuadExt
 from .expansion import CycleReport, expand
@@ -75,9 +74,9 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
         raise InstanceError(
             "optimality hypotheses apply to minimal-norm digit sets only"
         )
-    geo = geometry(ds.source)
+    geo = ds.geo
     cap = geo.precision_cap_bits
-    ctx = norm_context(ds.source)
+    ctx = geo.norm_context
     u = geo.u
     u_sq = u * u
     r_over_R = CReal.from_quadext(QuadExt.sqrt_rational(ctx.r_sq / ctx.R_sq))
@@ -103,21 +102,6 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
     )
 
 
-def _congruent_digits(ds: DigitSet, p: Point) -> list[Point]:
-    """Digits usable as the least significant position for p: zero when
-    the base divides p, every digit congruent to p modulo the base image
-    otherwise."""
-    inst = ds.inst
-    if lattice.solve_divisibility(inst, p, 1) is not None:
-        return [inst.zero()]
-    out = []
-    for d in ds.nonzero_digits:
-        shifted = tuple(a - b for a, b in zip(p, d))
-        if lattice.solve_divisibility(inst, shifted, 1) is not None:
-            out.append(d)
-    return out
-
-
 def default_norm_cap(ds: DigitSet) -> Fraction:
     """Twice the invariant-ball radius: minimum-weight paths provably
     stay inside the ball itself, so the default has slack."""
@@ -140,7 +124,7 @@ def min_weight_oracle(
     zero = inst.zero()
     if start == zero:
         return 0
-    geo = geometry(ds.source)
+    geo = ds.geo
     if norm_cap is None:
         norm_cap = default_norm_cap(ds)
     start_norm_hi = geo.norm_sq_interval(start).hi
@@ -153,10 +137,7 @@ def min_weight_oracle(
         base = dist[cur]
         if cur == zero:
             return base
-        for d in _congruent_digits(ds, cur):
-            shifted = tuple(a - b for a, b in zip(cur, d))
-            nxt = lattice.solve_divisibility(inst, shifted, 1)
-            assert nxt is not None
+        for d, nxt in ds.divisions(cur):
             cost = 0 if d == zero else 1
             if nxt in dist and dist[nxt] <= base + cost:
                 continue
@@ -172,13 +153,12 @@ def min_weight_oracle(
     raise LatnafError(f"no digit word represents {start} within the cap")
 
 
-@lru_cache(maxsize=8)
 def _distance_table(ds: DigitSet, bound: Fraction) -> dict:
     """Minimum word weight for every lattice point of norm <= bound, by
     one zero-one sweep outward from zero: the reverse of a division step
     maps s to (base * s + digit). Restricting states to the ball is
     complete because forward minimum paths never leave it."""
-    geo = geometry(ds.source)
+    geo = ds.geo
     inst = ds.inst
     zero = inst.zero()
     points = geo.ball(Fraction(bound) ** 2)
@@ -228,7 +208,7 @@ def verify_empirically(
     lattice point of norm up to radius (or a seeded sample when the ball
     is larger than sample_threshold). Zero violations is the certified
     expectation whenever check_hypotheses passes."""
-    geo = geometry(ds.source)
+    geo = ds.geo
     radius = Fraction(radius)
     if radius < 0:
         return VerifyReport(0)

@@ -13,7 +13,7 @@ from math import floor, isqrt, lcm
 import sympy
 
 from . import intmat
-from .errors import BallSizeError
+from .errors import BallSizeError, ConsistencyError
 from .exactreal import CReal, Interval, isolated_roots, sqrt_upper
 
 Gram = tuple[tuple[Fraction, ...], ...]
@@ -148,7 +148,8 @@ def shortest_nonzero_norm_sq(g: Gram) -> Fraction:
         v = eval_quadratic(g, x)
         if best is None or v < best:
             best = v
-    assert best is not None
+    if best is None:
+        raise ConsistencyError("no nonzero lattice point within the diagonal bound")
     return best
 
 
@@ -224,7 +225,8 @@ def _covering_radius_sq_2d(g: Gram) -> Fraction:
                     best = nv
     # constraints from vectors outside the candidate ball cannot cut the
     # cell: their bisectors stay farther out than every vertex found
-    assert best <= Fraction(bound, 4)
+    if best > Fraction(bound, 4):
+        raise ConsistencyError("Voronoi vertex beyond the candidate ball")
     return best
 
 
@@ -254,9 +256,10 @@ def covering_radius_sq_upper(g: Gram) -> Fraction:
     return total * total / 4
 
 
-def min_eigenvalue_real(mat) -> CReal:
+def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
     """Smallest eigenvalue of a symmetric rational matrix as a certified
-    real; exact rational whenever that eigenvalue is rational."""
+    real; exact rational whenever that eigenvalue is rational. Candidate
+    eigenvalues are compared up to cap_bits of precision."""
     rows = [[Fraction(v) for v in row] for row in mat]
     n = len(rows)
     den = 1
@@ -290,6 +293,6 @@ def min_eigenvalue_real(mat) -> CReal:
         candidates.append(CReal.from_refinable(atom))
     best = candidates[0]
     for c in candidates[1:]:
-        if c.compare(best, 4096) < 0:
+        if c.compare(best, cap_bits) < 0:
             best = c
     return best

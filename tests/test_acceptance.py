@@ -60,7 +60,7 @@ def test_gate_2_quadratic_window_threshold():
     certify outright and width 2 still verifies by search."""
     t0 = time.monotonic()
     source = nfm.build([2, -1, 1])
-    assert dsm.w0_bound(source) == 3
+    assert dsm.geometry(source).w0_bound == 3
     for w in (3, 4, 5, 6):
         v = ncm.certify(dsm.build_minimal_norm(source, w))
         assert v is not None and v.status == ncm.STATUS_CERTIFIED, w

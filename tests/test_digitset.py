@@ -109,7 +109,7 @@ def dsm_preimage(source, w, p):
     """Rational coordinates of the w-fold preimage of p."""
     from latnaf import intmat
 
-    inst = dsm.lattice_of(source)
+    inst = dsm.geometry(source).inst
     pw = intmat.mat_pow(inst.phi, w)
     return intmat.solve_exact(pw, p)
 
@@ -165,26 +165,26 @@ def test_matrix_source_requires_coordinate_contraction():
 
 
 def test_w0_values():
-    assert dsm.w0_bound(nf([-2, 1])) == 2
-    assert dsm.w0_bound(nf([-3, 1])) == 1
-    assert dsm.w0_bound(nf([2, -1, 1])) == 3
-    assert dsm.tiling_w_bound(nf([2, -1, 1])) == 3
+    assert dsm.geometry(nf([-2, 1])).w0_bound == 2
+    assert dsm.geometry(nf([-3, 1])).w0_bound == 1
+    assert dsm.geometry(nf([2, -1, 1])).w0_bound == 3
+    assert dsm.geometry(nf([2, -1, 1])).tiling_w_bound == 3
 
 
 def test_norm_context_values():
-    ctx = dsm.norm_context(nf([2, -1, 1]))
+    ctx = dsm.geometry(nf([2, -1, 1])).norm_context
     assert ctx.r_sq == Fraction(1, 2) and ctx.r_exact
     assert ctx.R_sq == Fraction(8, 7) and ctx.R_exact
-    ctx2 = dsm.norm_context(nf([2, -2, 1]))
+    ctx2 = dsm.geometry(nf([2, -2, 1])).norm_context
     assert ctx2.r_sq == Fraction(1, 2)
     assert ctx2.R_sq == 1
-    ctx1 = dsm.norm_context(nf([-2, 1]))
+    ctx1 = dsm.geometry(nf([-2, 1])).norm_context
     assert ctx1.r_sq == Fraction(1, 4)
     assert ctx1.R_sq == Fraction(1, 4)
 
 
 def test_norm_context_enclosure_brackets():
-    ctx = dsm.norm_context(nf([-2, 0, 0, 0, 1]))  # x^4 - 2
+    ctx = dsm.geometry(nf([-2, 0, 0, 0, 1])).norm_context  # x^4 - 2
     assert not ctx.r_exact
     assert ctx.r_sq > 0
     assert ctx.R_sq >= ctx.r_sq

@@ -1,5 +1,6 @@
 """Module layout: no module of the package reaches into a sibling's
-private names, whether by import or by attribute access."""
+private names, whether by import or by attribute access; no function
+memoizes through a functools cache; no check rests on an assertion."""
 
 import ast
 from pathlib import Path
@@ -56,4 +57,67 @@ def test_layout_check_catches_both_patterns(tmp_path):
     assert private_cross_module_uses(tmp_path) == [
         "b.py: from a import _hidden",
         "b.py: a._hidden",
+    ]
+
+
+def _decorator_name(dec) -> str | None:
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return getattr(target, "id", None)
+
+
+def memo_caches(pkg: Path) -> list[str]:
+    """Functions decorated with functools.lru_cache or functools.cache:
+    precomputed data belongs to the object that owns it. Root isolation,
+    keyed on small tuples of ints, is the one exception."""
+    hits = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list
+            ):
+                hits.append(f"{path.name}: {node.name}")
+    return [h for h in hits if h != "exactreal.py: isolated_roots"]
+
+
+def assertion_checks(pkg: Path) -> list[str]:
+    """`assert` statements (stripped by python -O) and `raise
+    AssertionError` (not a package error, so no clean exit code)."""
+    hits = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                hits.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    hits.append(f"{path.name}:{node.lineno}: raise AssertionError")
+    return hits
+
+
+def test_no_memo_caches():
+    assert memo_caches(PKG) == []
+
+
+def test_no_assertion_checks():
+    assert assertion_checks(PKG) == []
+
+
+def test_layout_checks_catch_caches_and_asserts(tmp_path):
+    (tmp_path / "exactreal.py").write_text(
+        "from functools import lru_cache\n\n@lru_cache(maxsize=None)\n"
+        "def isolated_roots(c):\n    return c\n"
+    )
+    (tmp_path / "m.py").write_text(
+        "import functools\nfrom functools import cache\n\n"
+        "@functools.lru_cache\ndef a(x):\n    assert x\n    return x\n\n"
+        "@cache\ndef b(x):\n    raise AssertionError('no')\n\n"
+        "def c(x):\n    raise AssertionError\n"
+    )
+    assert memo_caches(tmp_path) == ["m.py: a", "m.py: b"]
+    assert assertion_checks(tmp_path) == [
+        "m.py:6: assert",
+        "m.py:11: raise AssertionError",
+        "m.py:14: raise AssertionError",
     ]

@@ -97,7 +97,7 @@ def test_invariant_ball_is_forward_invariant():
         ds = ds_int(tau, w)
         m = ncm.invariant_ball_bound(ds)
         m_sq = m * m
-        geo = dsm.geometry(ds.source)
+        geo = ds.geo
         bound = int(m) + 1
         for x in range(-bound, bound + 1):
             p = (x,)

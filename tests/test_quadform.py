@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
+
+import pytest
 
 from latnaf import quadform as qf
+from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS as CAP
+from latnaf.exactreal import PrecisionCapError
 
 
 def F(a, b=1):
@@ -145,14 +150,28 @@ def test_covering_radius_upper_bound():
 
 
 def test_min_eigenvalue():
-    assert qf.min_eigenvalue_real(G_ID).compare(1) == 0
+    assert qf.min_eigenvalue_real(G_ID, CAP).compare(1) == 0
     diag = ((F(2), F(0)), (F(0), F(3)))
-    assert qf.min_eigenvalue_real(diag).compare(2) == 0
+    assert qf.min_eigenvalue_real(diag, CAP).compare(2) == 0
     # eigenvalues of G_COMPLEX are 3 +- sqrt(2)
-    ev = qf.min_eigenvalue_real(G_COMPLEX)
+    ev = qf.min_eigenvalue_real(G_COMPLEX, CAP)
     iv = ev.interval(96)
     from latnaf.exactreal import sqrt_lower, sqrt_upper
 
     assert iv.lo <= 3 - sqrt_lower(F(2), 96)
     assert iv.hi >= 3 - sqrt_upper(F(2), 96)
     assert iv.width() < F(1, 2**48)
+
+
+def test_min_eigenvalue_honours_the_cap():
+    # r is a continued-fraction convergent of (5 - sqrt 5) / 2, the small
+    # eigenvalue of the upper 2x2 block, just above it: separating the two
+    # takes more than 64 bits even after the scaling by r's denominator
+    lam = (5 - F(isqrt(5 * 10**200), 10**100)) / 2
+    r = lam.limit_denominator(10**25)
+    assert 0 < r - lam < F(1, 10**30)
+    near_tie = ((F(2), F(1), F(0)), (F(1), F(3), F(0)), (F(0), F(0), r))
+    with pytest.raises(PrecisionCapError):
+        qf.min_eigenvalue_real(near_tie, 64)
+    ev = qf.min_eigenvalue_real(near_tie, CAP)
+    assert ev.interval(256).hi < r
