@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import intmat, lattice, numberfield, quadform
 from .errors import (
@@ -114,10 +115,22 @@ class Geometry:
         _, mid, kappa = self.enclosure()
         return quadform.enumerate_ball(mid, bound_sq / (1 - kappa), cap)
 
+    @cached_property
+    def _scaled_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, den * gram) with den the least common denominator, so
+        exact norms of lattice points are summed in integers."""
+        den = lcm(*(v.denominator for row in self.gram for v in row))
+        return den, tuple(tuple(int(v * den) for v in row) for row in self.gram)
+
     def norm_sq_exact(self, p) -> Fraction | None:
         if self.gram is None:
             return None
-        return quadform.eval_quadratic(self.gram, p)
+        den, g = self._scaled_gram
+        total = 0
+        for vi, row in zip(p, g):
+            if vi:
+                total += vi * sum(a * b for a, b in zip(row, p))
+        return Fraction(total, den)
 
     def norm_sq_interval(self, p, bits: int = 64) -> Interval:
         """Certified enclosure of the squared norm of p (conjugate pairs

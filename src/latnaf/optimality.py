@@ -24,11 +24,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import lattice
+from . import intmat, lattice
 from .digitset import DigitSet
-from .errors import InstanceError, LatnafError, NormCapError
+from .errors import InstanceError, LatnafError, MalformedDigitSetError, NormCapError
 from .exactreal import CReal, Interval, QuadExt
-from .expansion import CycleReport, expand
+from .expansion import CycleReport, default_step_limit, expand
 from .nadscheck import invariant_ball_bound
 
 Point = lattice.Point
@@ -155,34 +155,77 @@ def min_weight_oracle(
 
 def _distance_table(ds: DigitSet, bound: Fraction) -> dict:
     """Minimum word weight for every lattice point of norm <= bound, by
-    one zero-one sweep outward from zero: the reverse of a division step
-    maps s to (base * s + digit). Restricting states to the ball is
-    complete because forward minimum paths never leave it."""
-    geo = ds.geo
+    one zero-one sweep outward from zero over reversed division steps:
+    s is reached from p = base * s + digit at cost one for a nonzero
+    digit and zero otherwise. Restricting states to the ball is complete
+    because forward minimum paths never leave it.
+
+    The cost-one edges come from the forward division of each ball point
+    (only digits congruent to it can strip it), recorded as references
+    to the ball's own tuples; the single cost-zero edge, base * s, is
+    computed when s is reached."""
     inst = ds.inst
+    phi = inst.phi
     zero = inst.zero()
-    points = geo.ball(Fraction(bound) ** 2)
-    inside = set(points)
+    points = ds.geo.ball(Fraction(bound) ** 2)
+    own = {p: p for p in points}
+    preds: dict[Point, list[Point]] = {}
+    for p in points:
+        for d, q in ds.divisions(p):
+            if d != zero and (q := own.get(q)) is not None:
+                preds.setdefault(q, []).append(p)
     dist: dict[Point, int] = {zero: 0}
     queue: deque[Point] = deque([zero])
-    digits = ds.digits
     while queue:
         cur = queue.popleft()
         base = dist[cur]
-        phi_cur = lattice.apply_phi(inst, cur)
-        for d in digits:
-            pred = tuple(a + b for a, b in zip(phi_cur, d))
-            if pred not in inside:
-                continue
-            cost = 0 if d == zero else 1
-            if pred in dist and dist[pred] <= base + cost:
-                continue
-            dist[pred] = base + cost
-            if cost == 0:
-                queue.appendleft(pred)
-            else:
+        pred = own.get(intmat.mat_vec(phi, cur))
+        if pred is not None and dist.get(pred, base + 1) > base:
+            dist[pred] = base
+            queue.appendleft(pred)
+        for pred in preds.get(cur, ()):
+            if dist.get(pred, base + 2) > base + 1:
+                dist[pred] = base + 1
                 queue.append(pred)
     return dist
+
+
+def _known_word_weight(ds: DigitSet, words: dict, p: Point) -> int | None:
+    """Weight of expand(ds, p), computed by walking the orbit of p only
+    up to the first point whose word is known: word(p) = digit .
+    word(quotient). words maps each point walked to the weight, length
+    and leading zero digits of its word, zero to (0, 0, w - 1) since any
+    digit may precede the empty word; every point of the walk is added.
+
+    Returns None wherever expand would not return an Expansion, so the
+    caller runs expand to report the fault: no known word within the
+    step cap (a cycle among others), a class no digit covers, a nonzero
+    digit whose quotient's word starts with fewer than w - 1 zeros, or a
+    word longer than the cap."""
+    limit = default_step_limit(ds, p)
+    zero = (0,) * len(p)
+    path = []
+    cur = p
+    try:
+        while cur not in words:
+            if len(path) >= limit:
+                return None
+            d, nxt = ds.divide(cur)
+            path.append((cur, d != zero))
+            cur = nxt
+    except MalformedDigitSetError:
+        return None
+    weight, length, lead = words[cur]
+    for x, nonzero in reversed(path):
+        if nonzero:
+            if lead < ds.w - 1:
+                return None
+            weight, lead = weight + 1, 0
+        else:
+            lead += 1
+        length += 1
+        words[x] = (weight, length, lead)
+    return weight if length <= limit else None
 
 
 @dataclass(frozen=True)
@@ -224,16 +267,20 @@ def verify_empirically(
         sampled = True
     sweep_bound = max(radius, invariant_ball_bound(ds))
     table = _distance_table(ds, sweep_bound)
+    words = {ds.inst.zero(): (0, 0, ds.w - 1)}
     violations = []
     for p in pts:
-        result = expand(ds, p)
-        if isinstance(result, CycleReport):
-            raise LatnafError(
-                f"digit system is not terminating at {p}; "
-                "verify requires a decided instance"
-            )
+        weight = _known_word_weight(ds, words, p)
+        if weight is None:
+            result = expand(ds, p)
+            if isinstance(result, CycleReport):
+                raise LatnafError(
+                    f"digit system is not terminating at {p}; "
+                    "verify requires a decided instance"
+                )
+            weight = result.weight
         if p not in table:
             raise LatnafError(f"oracle found no digit word for {p}")
-        if result.weight != table[p]:
-            violations.append((p, result.weight, table[p]))
+        if weight != table[p]:
+            violations.append((p, weight, table[p]))
     return VerifyReport(len(pts), tuple(violations), sampled)

@@ -90,7 +90,10 @@ def enumerate_with_offset(g: Gram, t, bound: Fraction, cap: int | None = None):
     """All integer x with Q(t + x) <= bound, sorted lexicographically.
 
     t is a rational point of the ambient space; bound is a rational.
-    Raises BallSizeError as soon as more than cap points are found.
+    Each coordinate range [lo, hi] is exact: it holds the integers x_i
+    with d_i (y_i + shift)^2 within the remaining budget and no others,
+    so the innermost level emits its whole row without evaluating the
+    form. Raises BallSizeError before a row would take the count past cap.
     """
     n = len(g)
     decomp = ldl(g)
@@ -113,21 +116,19 @@ def enumerate_with_offset(g: Gram, t, bound: Fraction, cap: int | None = None):
         center = -(tt[i] + shift)
         hi = _floor_shift_sqrt(center, rad)
         lo = -_floor_shift_sqrt(-center, rad)
+        if i == 0:
+            if cap is not None and len(out) + (hi - lo + 1) > cap:
+                raise BallSizeError(
+                    f"search ball holds more than {cap} points", cap
+                )
+            rest = tuple(xs[1:])
+            out.extend((xi, *rest) for xi in range(lo, hi + 1))
+            return
         for xi in range(lo, hi + 1):
             yi = tt[i] + xi
-            used = d[i] * (yi + shift) * (yi + shift)
-            if used > budget:
-                continue
             xs[i] = xi
             ys[i] = yi
-            if i == 0:
-                out.append(tuple(xs))
-                if cap is not None and len(out) > cap:
-                    raise BallSizeError(
-                        f"search ball holds more than {cap} points", cap
-                    )
-            else:
-                recurse(i - 1, budget - used)
+            recurse(i - 1, budget - d[i] * (yi + shift) * (yi + shift))
 
     recurse(n - 1, bound)
     out.sort()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -139,3 +140,22 @@ def test_default_step_limit_monotone():
 def test_word_weight():
     assert em.word_weight(()) == 0
     assert em.word_weight(((0,), (1,), (-1,))) == 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, w", [([-2, 1], 2), ([-2, 1], 4), ([-3, 1], 3), ([5, -4, 1], 3), ([2, -1, 1], 3)]
+)
+def test_nonzero_digit_density(coeffs, w):
+    """Nonzero digits make up 1 / (w + 1 / (|det| - 1)) of a long width-w
+    expansion: 1 / (w + 1) for base 2 (Muir-Stinson), the same closed form
+    for imaginary quadratic bases (Heuberger-Krenn)."""
+    ds = dsm.build_minimal_norm(nfm.build(coeffs), w)
+    rng = random.Random(f"density/{coeffs}/{w}")
+    nonzero = steps = 0
+    for _ in range(40):
+        p = tuple(rng.randint(-(10**200), 10**200) for _ in range(ds.inst.n))
+        e = em.expand(ds, p)
+        nonzero += e.weight
+        steps += len(e.word)
+    want = 1 / (w + Fraction(1, abs(ds.inst.det) - 1))
+    assert abs(Fraction(nonzero, steps) - want) <= Fraction(1, 100)

@@ -1,8 +1,10 @@
 """Property tests of the division kernel ``DigitSet.divide`` /
 ``DigitSet.divisions`` against the reference path of ``lattice``
-(``solve_divisibility`` and ``residue_key``), and of the expansions and
-weights built on it."""
+(``solve_divisibility`` and ``residue_key``), of the expansions and
+weights built on it, and of the integer-scaled exact norm against
+``quadform.eval_quadratic``."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -14,6 +16,7 @@ from latnaf import expansion as em
 from latnaf import lattice
 from latnaf import numberfield as nfm
 from latnaf import optimality as om
+from latnaf import quadform as qf
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -105,6 +108,26 @@ def test_expansion_is_a_wnaf_of_its_point(case):
     assert isinstance(e, em.Expansion)
     assert em.value(ds.inst, e.word) == p
     assert em.is_wnaf(e)
+
+
+# a Gram matrix with denominators, so the common-denominator scaling shows
+RATIONAL_GEO = dsm.Geometry(
+    lattice.LatticeInstance.from_matrix([[2, 1], [0, 3]]),
+    None,
+    qf.as_gram([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 4)]]),
+    64,
+)
+
+
+@SETTINGS
+@given(st.one_of(COORDS, st.tuples(st.just("rational"), st.tuples(*[st.integers(-10**30, 10**30)] * 2))))
+def test_integer_scaled_norm_matches_rational_form(case):
+    name, p = case
+    geo = RATIONAL_GEO if name == "rational" else system(name).geo
+    if geo.gram is None:
+        assert geo.norm_sq_exact(p) is None
+    else:
+        assert geo.norm_sq_exact(p) == qf.eval_quadratic(geo.gram, p)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -1,12 +1,21 @@
 import random
+from collections import deque
+from fractions import Fraction
 
 import pytest
 
 from latnaf import digitset as dsm
 from latnaf import expansion as em
+from latnaf import nadscheck as ncm
 from latnaf import numberfield as nfm
 from latnaf import optimality as om
-from latnaf.errors import InstanceError, LatnafError, NormCapError
+from latnaf.errors import (
+    ConsistencyError,
+    InstanceError,
+    LatnafError,
+    MalformedDigitSetError,
+    NormCapError,
+)
 
 
 def ds_int(tau, w):
@@ -132,8 +141,6 @@ def test_oracle_unreachable_point_raises():
 def test_default_norm_cap_generous():
     ds = ds_int(3, 2)
     cap = om.default_norm_cap(ds)
-    from latnaf import nadscheck as ncm
-
     assert cap >= 2 * ncm.invariant_ball_bound(ds)
 
 
@@ -175,3 +182,150 @@ def test_verify_sampling_deterministic():
     assert a == b
     c = om.verify_empirically(ds, 400, seed=6, sample_threshold=50)
     assert c.ok
+
+
+# --- forward oracle vs reverse table, and the sweep vs its reference loop ---
+
+
+def _reference_distance_table(ds, bound):
+    """Reference: the reverse zero-one BFS that tries every digit from
+    every state, pred = base * cur + digit, kept inside the ball."""
+    inst = ds.inst
+    zero = inst.zero()
+    inside = set(ds.geo.ball(Fraction(bound) ** 2))
+    dist = {zero: 0}
+    queue = deque([zero])
+    while queue:
+        cur = queue.popleft()
+        base = dist[cur]
+        phi_cur = em.lattice.apply_phi(inst, cur)
+        for d in ds.digits:
+            pred = tuple(a + b for a, b in zip(phi_cur, d))
+            if pred not in inside:
+                continue
+            cost = 0 if d == zero else 1
+            if pred in dist and dist[pred] <= base + cost:
+                continue
+            dist[pred] = base + cost
+            if cost == 0:
+                queue.appendleft(pred)
+            else:
+                queue.append(pred)
+    return dist
+
+
+def _reference_sweep(ds, radius):
+    """Reference: the sweep with one full expand per point, in ball order."""
+    geo = ds.geo
+    radius = Fraction(radius)
+    pts = geo.ball(radius * radius)
+    if geo.gram is None:
+        pts = [p for p in pts if geo.norm_sq_interval(p).hi <= radius * radius]
+    table = _reference_distance_table(ds, max(radius, ncm.invariant_ball_bound(ds)))
+    violations = []
+    for p in pts:
+        result = em.expand(ds, p)
+        if isinstance(result, em.CycleReport):
+            raise LatnafError(
+                f"digit system is not terminating at {p}; "
+                "verify requires a decided instance"
+            )
+        if p not in table:
+            raise LatnafError(f"oracle found no digit word for {p}")
+        if result.weight != table[p]:
+            violations.append((p, result.weight, table[p]))
+    return om.VerifyReport(len(pts), tuple(violations), False)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatnafError as e:
+        return type(e), str(e)
+
+
+def _moved_digit_set(coeffs, w, old, shift, c):
+    """The minimal-norm set with digit old moved to old + c * shift, shift
+    a multiple of base^w: same classes, a digit farther out."""
+    source = nfm.build(list(coeffs))
+    base = dsm.build_minimal_norm(source, w)
+    new = tuple(a + c * b for a, b in zip(old, shift))
+    return dsm.from_digits(source, w, [new if d == old else d for d in base.digits])
+
+
+DIFFERENTIAL = {
+    "t3w2": (lambda: ds_int(3, 2), 12),
+    "q541w3": (lambda: dsm.build_minimal_norm(nfm.build([5, -4, 1]), 3), 6),
+    "c3101w4": (lambda: dsm.build_minimal_norm(nfm.build([3, 1, 0, 1]), 4), 4),
+    "custom541": (lambda: _moved_digit_set((5, -4, 1), 2, (-6, 3), (-75, 45), 2), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_table_matches_oracle_and_reference_bfs(name):
+    build, radius = DIFFERENTIAL[name]
+    ds = build()
+    bound = max(Fraction(radius), ncm.invariant_ball_bound(ds))
+    table = om._distance_table(ds, bound)
+    assert table == _reference_distance_table(ds, bound)
+    small = ds.geo.ball(Fraction(radius) ** 2)
+    assert len(small) >= 13
+    for p in small:
+        assert table[p] == om.min_weight_oracle(ds, p), p
+
+
+# the enclosure cubic's tables are compared above; its sweep adds 5 s
+@pytest.mark.parametrize("name", sorted(set(DIFFERENTIAL) - {"c3101w4"}))
+def test_sweep_matches_reference_sweep(name):
+    build, radius = DIFFERENTIAL[name]
+    ds = build()
+    got = om.verify_empirically(ds, radius)
+    assert got == _reference_sweep(ds, radius)
+    assert got.ok == (name != "custom541")
+
+
+def test_sweep_non_terminating_set_raises_as_reference():
+    # (-1, 1) -> (-1, 1) + 3 * (0, 12) leaves a nonzero cycle
+    ds = _moved_digit_set((2, -1, 1), 3, (-1, 1), (0, 12), 3)
+    want = _outcome(_reference_sweep, ds, 20)
+    assert want[0] is LatnafError and "not terminating" in want[1]
+    assert _outcome(om.verify_empirically, ds, 20) == want
+
+
+def test_sweep_step_cap_raises_at_the_reference_point(monkeypatch):
+    """A cap of 3 steps at 27 alone: its word 0001 is four long, and all
+    but its first step is already known when the sweep reaches it."""
+    default = em.default_step_limit
+
+    def limit(ds, p):
+        return 3 if p == (27,) else default(ds, p)
+
+    monkeypatch.setattr(em, "default_step_limit", limit)
+    monkeypatch.setattr(om, "default_step_limit", limit)
+    ds = ds_int(3, 2)
+    want = _outcome(_reference_sweep, ds, 40)
+    assert want == (LatnafError, "expansion exceeded 3 steps")
+    assert _outcome(om.verify_empirically, ds, 40) == want
+
+
+@pytest.mark.parametrize(
+    "broken, fault", [((-30,), MalformedDigitSetError), ((35,), ConsistencyError)]
+)
+def test_sweep_kernel_faults_raise_at_the_reference_point(monkeypatch, broken, fault):
+    """Two faults planted in the division: a nonzero digit reported at 9
+    breaks the window of every word reaching 9 through a nonzero digit
+    (first swept: 23), and a failure at the broken point stops every orbit
+    through it. The fault met first in sweep order is the one raised."""
+    ds = ds_int(3, 2)
+    divide = dsm.DigitSet.divide
+
+    def faulty(self, p):
+        if p == broken:
+            raise MalformedDigitSetError(f"no digit covers the residue class of {p}")
+        d, q = divide(self, p)
+        return ((1,), q) if p == (9,) else (d, q)
+
+    monkeypatch.setattr(dsm.DigitSet, "divide", faulty)
+    want = _outcome(_reference_sweep, ds, 40)
+    assert want[0] is fault
+    assert _outcome(om.verify_empirically, ds, 40) == want

@@ -1,11 +1,16 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latnaf import quadform as qf
 from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS as CAP
+from latnaf.errors import BallSizeError
 from latnaf.exactreal import PrecisionCapError
 
 
@@ -85,6 +90,74 @@ def test_enumerate_matches_brute_force():
 
         rec([])
         assert got == want
+
+
+def _det(m):
+    if not m:
+        return F(1)
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _box_filter(g, t, bound):
+    """Every integer x with Q(t + x) <= bound, by testing each point of
+    the box |t_i + x_i| <= sqrt(bound * (G^-1)_ii) that holds the ellipsoid
+    (cofactors for the inverse, nothing shared with the LDL path)."""
+    n = len(g)
+    if bound < 0:
+        return []
+    det = _det([list(row) for row in g])
+    ranges = []
+    for i in range(n):
+        minor = [[g[a][b] for b in range(n) if b != i] for a in range(n) if a != i]
+        half = bound * _det(minor) / det
+        r = isqrt(floor(half)) + 1
+        ranges.append(range(ceil(-t[i]) - r, floor(-t[i]) + r + 1))
+    return sorted(
+        x
+        for x in itertools.product(*ranges)
+        if qf.eval_quadratic(g, [a + b for a, b in zip(t, x)]) <= bound
+    )
+
+
+@st.composite
+def _offset_balls(draw):
+    """(G, t, bound): G = A^T A + c I positive definite with rational A
+    and c >= 1/2, a rational offset, a rational bound that may be < 0."""
+    n = draw(st.integers(1, 3))
+    q = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    a = [[draw(q) for _ in range(n)] for _ in range(n)]
+    c = draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=6))
+    g = tuple(
+        tuple(sum(a[k][i] * a[k][j] for k in range(n)) + (c if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+    t = tuple(
+        draw(st.fractions(min_value=-5, max_value=5, max_denominator=6)) for _ in range(n)
+    )
+    bound = draw(st.fractions(min_value=-1, max_value=6, max_denominator=5))
+    return g, t, bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_offset_balls())
+def test_enumerate_with_offset_matches_box_filter(case):
+    g, t, bound = case
+    assert qf.enumerate_with_offset(g, t, bound) == _box_filter(g, t, bound)
+
+
+def test_enumerate_cap_fires_before_the_row_is_built():
+    # 2 * 10^8 + 1 points in one row: the cap must stop it unbuilt
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallSizeError):
+            qf.enumerate_ball(((1,),), 10**16, cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_shortest_nonzero():
