@@ -15,16 +15,18 @@ Three levels cooperate here:
 
 ``isolated_roots`` supplies those atoms: certified enclosures of the
 roots of an integer polynomial at any precision.
+
+sympy is imported only where it does work: root isolation, and the
+factorisations that trial division cannot settle (``prime_factors``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 from typing import Callable
-
-import sympy
 
 from .errors import PrecisionCapError
 
@@ -216,6 +218,8 @@ def isolated_roots(coeffs: tuple[int, ...], bits: int):
     same initial isolation at every precision, so the k-th entry encloses
     the same root at every bits value.
     """
+    import sympy
+
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(coeffs)), x)
     eps = sympy.Rational(1, 1 << max(bits, 8))
@@ -246,14 +250,58 @@ def isolated_roots(coeffs: tuple[int, ...], bits: int):
     return tuple(reals), tuple(pairs)
 
 
-def _squarefree_decompose(m: int) -> tuple[int, int]:
-    """m = s*s*d with d squarefree. Requires m >= 0."""
+_TRIAL_LIMIT = 1 << 16
+
+
+def prime_factors(m: int, fallback: bool = True) -> dict[int, int] | None:
+    """Prime factorisation {p: e} of m >= 1.
+
+    Trial division below 2^16 leaves a cofactor c with no prime factor
+    below 2^16, so c < 2^32 is 1 or a prime, and a perfect square
+    c < 2^64 is the square of a prime. Any other cofactor goes to
+    sympy.factorint, or, with fallback off, makes the result None.
+    """
+    if m < 1:
+        raise ValueError("prime factorisation needs a positive integer")
+    out: dict[int, int] = {}
+    for p in chain((2,), range(3, _TRIAL_LIMIT, 2)):
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out[p] = e
+    if m == 1:
+        return out
+    if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        out[m] = 1
+        return out
+    r = isqrt(m)
+    if r * r == m and r < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        out[r] = 2
+        return out
+    if not fallback:
+        return None
+    import sympy
+
+    out.update((int(p), int(e)) for p, e in sympy.factorint(m).items())
+    return out
+
+
+def _squarefree_decompose(m: int, fallback: bool = True) -> tuple[int, int] | None:
+    """m = s*s*d with d squarefree. Requires m >= 0. None when fallback
+    is off and prime_factors cannot settle m without it."""
     if m < 0:
         raise ValueError("negative radicand")
     if m in (0, 1):
         return m, 1
+    factors = prime_factors(m, fallback)
+    if factors is None:
+        return None
     s, d = 1, 1
-    for p, e in sympy.factorint(m).items():
+    for p, e in factors.items():
         s *= p ** (e // 2)
         if e % 2:
             d *= p
@@ -278,11 +326,17 @@ class QuadExt:
         return cls({1: Fraction(q)})
 
     @classmethod
-    def sqrt_rational(cls, q) -> "QuadExt":
+    def sqrt_rational(cls, q, fallback: bool = True) -> "QuadExt | None":
+        """Exact sqrt(q) for a rational q >= 0. With fallback off, None
+        when trial division cannot factor q's numerator times its
+        denominator (see ``prime_factors``)."""
         q = Fraction(q)
         if q < 0:
             raise ValueError("negative radicand")
-        s, d = _squarefree_decompose(q.numerator * q.denominator)
+        sd = _squarefree_decompose(q.numerator * q.denominator, fallback)
+        if sd is None:
+            return None
+        s, d = sd
         return cls({d: Fraction(s, q.denominator)})
 
     def __repr__(self) -> str:
@@ -336,9 +390,7 @@ class QuadExt:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return QuadExt({1: 1 / self.terms[1]})
-        p = min(
-            min(sympy.factorint(d)) for d in self.terms if d != 1
-        )
+        p = min(min(prime_factors(d)) for d in self.terms if d != 1)
         plain: dict[int, Fraction] = {}
         radical: dict[int, Fraction] = {}
         for d, c in self.terms.items():
@@ -367,12 +419,12 @@ class QuadExt:
         return out
 
     def sqrt_exact(self) -> "QuadExt | None":
-        """Exact square root when the element is a nonnegative rational."""
-        if self.is_zero():
-            return QuadExt()
-        if self.is_rational() and self.terms[1] > 0:
-            return QuadExt.sqrt_rational(self.terms[1])
-        return None
+        """Exact square root when the element is a nonnegative rational
+        that trial division settles (``sqrt_rational`` without the
+        fallback); None otherwise, and the caller encloses the root."""
+        if not self.is_rational() or self.rational_value() < 0:
+            return None
+        return QuadExt.sqrt_rational(self.rational_value(), fallback=False)
 
     def interval(self, bits: int) -> Interval:
         out = Interval.point(0)

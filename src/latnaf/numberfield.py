@@ -18,6 +18,9 @@ exactly as rationals whenever the root structure allows it:
 Exactness matters because digit-set construction must resolve exact
 norm ties; enclosure-only instances fall back to interval comparisons
 with a precision cap.
+
+Bases of degree at most 2 are settled by their discriminant alone;
+sympy is imported only for the root structure of higher degrees.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
+from math import isqrt
 
 from . import intmat, lattice
 from .errors import NotExpandingError
@@ -110,8 +112,16 @@ def _power_sums(coeffs: tuple[int, ...], upto: int) -> list[int]:
 
 
 def _int_root(x: int, n: int) -> int | None:
-    root, exact = sympy.integer_nthroot(x, n)
-    return int(root) if exact else None
+    """The integer r with r^n == x (x >= 0), or None when there is none."""
+    lo, hi = 0, 1 << (x.bit_length() // n + 1)
+    while lo < hi:
+        # invariant: lo^n <= x < (hi + 1)^n
+        mid = (lo + hi + 1) // 2
+        if mid**n <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo**n == x else None
 
 
 def _equal_modulus_candidate(coeffs: tuple[int, ...]) -> int | None:
@@ -159,6 +169,32 @@ def _certify_equal_modulus(min_poly: tuple[int, ...], m: int) -> bool:
     return False
 
 
+def _signature(coeffs: tuple[int, ...]) -> tuple[int, int]:
+    """(s, t): the numbers of real roots and of conjugate pairs. Raises
+    on a repeated root and warns when the polynomial is reducible; the
+    discriminant decides all three up to degree 2."""
+    if len(coeffs) == 2:
+        return 1, 0
+    if len(coeffs) == 3:
+        c, b = coeffs[0], coeffs[1]
+        disc = b * b - 4 * c
+        if disc == 0:
+            raise ValueError("repeated roots degenerate the embedding norm")
+        if disc > 0 and isqrt(disc) ** 2 == disc:
+            warnings.warn("minimal polynomial is reducible; treating the product ring")
+        return (2, 0) if disc > 0 else (0, 1)
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    if sympy.degree(sympy.gcd(poly, poly.diff(x)), x) > 0:
+        raise ValueError("repeated roots degenerate the embedding norm")
+    if not poly.is_irreducible:
+        warnings.warn("minimal polynomial is reducible; treating the product ring")
+    reals, pairs = isolated_roots(coeffs, 32)
+    return len(reals), len(pairs)
+
+
 def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstance:
     """Validate a monic integer minimal polynomial and assemble the instance.
 
@@ -173,16 +209,8 @@ def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstanc
         raise ValueError("minimal polynomial must be monic")
     if coeffs[0] == 0:
         raise ValueError("constant term must be nonzero (the base must be invertible)")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x)
-    if sympy.degree(sympy.gcd(poly, poly.diff(x)), x) > 0:
-        raise ValueError("repeated roots degenerate the embedding norm")
-    if len(coeffs) > 2 and not poly.is_irreducible:
-        warnings.warn("minimal polynomial is reducible; treating the product ring")
-
+    s, t = _signature(coeffs)
     inst = lattice.LatticeInstance.from_matrix(_companion(coeffs))
-    reals, pairs = isolated_roots(coeffs, 32)
-    s, t = len(reals), len(pairs)
     n = len(coeffs) - 1
 
     gram_kind = GRAM_ENCLOSURE
@@ -195,8 +223,9 @@ def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstanc
             tuple(Fraction(p[i + k]) for k in range(n)) for i in range(n)
         )
     else:
+        # a quadratic's conjugate pair has |z|^2 = z * conj(z) = c exactly
         m = _equal_modulus_candidate(coeffs)
-        if m is not None and _certify_equal_modulus(coeffs, m):
+        if m is not None and (n == 2 or _certify_equal_modulus(coeffs, m)):
             gram_kind = GRAM_EQUAL_MODULUS
             m_sq = Fraction(m)
             p = _power_sums(coeffs, n - 1)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import intmat, lattice
 from .digitset import DigitSet
 from .errors import InstanceError, LatnafError, MalformedDigitSetError, NormCapError
-from .exactreal import CReal, Interval, QuadExt
+from .exactreal import CReal, Interval
 from .expansion import CycleReport, default_step_limit, expand
 from .nadscheck import invariant_ball_bound
 
@@ -79,7 +79,7 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
     ctx = geo.norm_context
     u = geo.u
     u_sq = u * u
-    r_over_R = CReal.from_quadext(QuadExt.sqrt_rational(ctx.r_sq / ctx.R_sq))
+    r_over_R = CReal.from_rational(ctx.r_sq / ctx.R_sq).sqrt()
 
     # u * R <= r, compared through squares to stay in exact territory
     within = (
@@ -141,7 +141,10 @@ def min_weight_oracle(
             cost = 0 if d == zero else 1
             if nxt in dist and dist[nxt] <= base + cost:
                 continue
-            if geo.norm_sq_interval(nxt).lo > cap_sq:
+            norm_lo = geo.norm_sq_exact(nxt)
+            if norm_lo is None:
+                norm_lo = geo.norm_sq_interval(nxt).lo
+            if norm_lo > cap_sq:
                 raise NormCapError(
                     f"state {nxt} escapes the norm cap {norm_cap}", nxt
                 )

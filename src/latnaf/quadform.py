@@ -10,11 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
-import sympy
-
 from . import intmat
 from .errors import BallSizeError, ConsistencyError
-from .exactreal import CReal, Interval, isolated_roots, sqrt_upper
+from .exactreal import CReal, Interval, isolated_roots, sqrt_lower, sqrt_upper
 
 Gram = tuple[tuple[Fraction, ...], ...]
 
@@ -259,8 +257,10 @@ def covering_radius_sq_upper(g: Gram) -> Fraction:
 
 def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
     """Smallest eigenvalue of a symmetric rational matrix as a certified
-    real; exact rational whenever that eigenvalue is rational. Candidate
-    eigenvalues are compared up to cap_bits of precision."""
+    real; exact rational whenever that eigenvalue is rational. Up to
+    2 x 2 the quadratic formula gives it; larger matrices factor the
+    characteristic polynomial (with sympy) and compare the candidate
+    eigenvalues up to cap_bits of precision."""
     rows = [[Fraction(v) for v in row] for row in mat]
     n = len(rows)
     den = 1
@@ -270,6 +270,24 @@ def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
     a = tuple(
         tuple(int(v * den) for v in row) for row in rows
     )
+    if n == 1:
+        return CReal.from_rational(rows[0][0])
+    if n == 2:
+        # den * lambda solves x^2 - tr x + det; symmetric, so disc >= 0
+        tr = a[0][0] + a[1][1]
+        disc = tr * tr - 4 * (a[0][0] * a[1][1] - a[0][1] * a[1][0])
+        root = isqrt(disc)
+        if root * root == disc:
+            return CReal.from_rational(Fraction(tr - root, 2 * den))
+        disc_q = Fraction(disc)
+        return CReal.from_refinable(
+            lambda bits: Interval(
+                Fraction(tr - sqrt_upper(disc_q, bits), 2 * den),
+                Fraction(tr - sqrt_lower(disc_q, bits), 2 * den),
+            )
+        )
+    import sympy
+
     coeffs = intmat.char_poly(a)
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(coeffs)), x)

@@ -1,8 +1,14 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from latnaf import cli
+from latnaf import digitset as dsm
+from latnaf import numberfield as nfm
+from latnaf.expansion import CycleReport
+from latnaf.nadscheck import validate_cycle
 
 
 def write(tmp_path, name, obj):
@@ -289,3 +295,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "info" in proc.stdout
+
+
+# x^3 + x + 3 has an enclosure Gram matrix, and R^2 / r^2 is a rational of
+# about 560 digits: its square root must be enclosed, not factored.
+CUBIC = [3, 1, 0, 1]
+
+
+def run_module(tmp_path, command, w, fmt="text"):
+    path = write(tmp_path, f"cubic{w}.json", {"base": {"minpoly": CUBIC}, "w": w})
+    return subprocess.run(
+        [sys.executable, "-m", "latnaf", command, "--instance", path, "--format", fmt],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_info_enclosure_cubic_finishes(tmp_path):
+    proc = run_module(tmp_path, "info", 4)
+    assert proc.returncode == 0, proc.stderr
+    out = dict(line.split(" = ", 1) for line in proc.stdout.splitlines())
+    assert out["w0"] == "4"
+    # r / (r + R) <= 1/2, so the tiling bound is never below w0
+    assert int(out["tiling_w"]) >= 4
+
+
+def test_check_nads_enclosure_cubic_finds_a_checked_cycle(tmp_path):
+    proc = run_module(tmp_path, "check-nads", 3, "json")
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["status"] == "counterexample"
+    cycle = tuple(
+        tuple(int(c) for c in tok.strip("()").split(","))
+        for tok in out["cycle"].split()
+    )
+    ds = dsm.build_minimal_norm(nfm.build(CUBIC), 3)
+    validate_cycle(ds, CycleReport(cycle[0], cycle))

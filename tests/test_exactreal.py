@@ -125,3 +125,21 @@ def test_creal_sqrt_squares_back():
     iv = (s * s).interval(256)
     assert iv.lo <= Fraction(8, 7) <= iv.hi
     assert iv.width() <= Fraction(1, 2**200)
+
+
+def test_creal_sqrt_encloses_what_trial_division_cannot_factor():
+    # the product of the Mersenne primes 2^31 - 1 and 2^61 - 1 is beyond
+    # trial division
+    q = Fraction((2**31 - 1) * (2**61 - 1), 12)
+    s = xr.CReal.from_rational(q).sqrt()
+    assert not s.is_exact()
+    iv = s.interval(128)
+    assert iv.lo * iv.lo <= q <= iv.hi * iv.hi
+    assert iv.width() <= Fraction(1, 2**127)
+    # the exact radical of the same value still takes the sympy fallback
+    exact = xr.QuadExt.sqrt_rational(q)
+    assert exact.terms == {3 * (2**31 - 1) * (2**61 - 1): Fraction(1, 6)}
+    assert xr.QuadExt.sqrt_rational(q, fallback=False) is None
+    settled = xr.CReal.from_rational(Fraction(8, 9) * 65537**2).sqrt()
+    assert settled.is_exact()
+    assert settled.exact.terms == {2: Fraction(2 * 65537, 3)}

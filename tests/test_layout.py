@@ -1,8 +1,12 @@
 """Module layout: no module of the package reaches into a sibling's
 private names, whether by import or by attribute access; no function
-memoizes through a functools cache; no check rests on an assertion."""
+memoizes through a functools cache; no check rests on an assertion;
+sympy is imported only inside the functions that need it."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "latnaf"
@@ -121,3 +125,95 @@ def test_layout_checks_catch_caches_and_asserts(tmp_path):
         "m.py:11: raise AssertionError",
         "m.py:14: raise AssertionError",
     ]
+
+
+def module_level_sympy_imports(pkg: Path) -> list[str]:
+    """`import sympy` or `from sympy ...` that runs when the module is
+    imported, i.e. outside every function body. sympy takes about ten
+    times as long to import as the rest of the package, and only root
+    isolation above degree 2, eigenvalues above 2 x 2 and factorisations
+    beyond trial division use it."""
+    hits = []
+    for path in sorted(pkg.glob("*.py")):
+        found = []
+        stack = [ast.parse(path.read_text(encoding="utf-8"))]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(n.split(".")[0] == "sympy" for n in names):
+                found.append(node.lineno)
+            stack.extend(ast.iter_child_nodes(node))
+        hits += [f"{path.name}:{line}: sympy" for line in sorted(found)]
+    return hits
+
+
+def test_no_module_level_sympy_import():
+    assert module_level_sympy_imports(PKG) == []
+
+
+def test_layout_check_catches_module_level_sympy(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import sympy\n"
+        "from sympy.polys import Poly\n"
+        "if True:\n    import os, sympy as sp\n"
+        "class A:\n    from sympy import Symbol\n"
+        "def f():\n    import sympy\n    return sympy\n"
+        "g = lambda: __import__('sympy')\n"
+        "import sympyish\n"
+    )
+    assert module_level_sympy_imports(tmp_path) == [
+        "m.py:1: sympy",
+        "m.py:2: sympy",
+        "m.py:4: sympy",
+        "m.py:6: sympy",
+    ]
+
+
+SYMPY_FREE_INSTANCES = {
+    "q541": {"base": {"minpoly": [5, -4, 1]}, "w": 3},
+    "t3": {"base": {"minpoly": [-3, 1]}, "w": 2},
+    "m31": {"base": {"matrix": [[3, 1], [-1, 3]]}, "w": 2},
+}
+
+_PROBE = """
+import contextlib, io, json, sys
+import latnaf
+from latnaf import cli
+print("import", "sympy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[0], argv[2], code, "sympy" in sys.modules)
+"""
+
+
+def test_common_paths_leave_sympy_unimported(tmp_path):
+    """Bases of degree at most 2 and 2 x 2 matrices need no sympy: not to
+    import the package, nor to expand, decide or check optimality."""
+    calls = []
+    for name, obj in SYMPY_FREE_INSTANCES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        point = ",".join(["17"] * (1 if name == "t3" else 2))
+        calls += [
+            ["expand", "--instance", str(path), "--point", point],
+            ["check-nads", "--instance", str(path)],
+            ["check-optimality", "--instance", str(path), "--radius", "10"],
+        ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import False"
+    assert lines[1:] == [f"{c[0]} {c[2]} 0 False" for c in calls]
