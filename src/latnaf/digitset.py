@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
+from operator import floordiv, mul, sub
 
 from . import intmat, lattice, numberfield, quadform
 from .errors import (
@@ -248,8 +249,8 @@ class DigitSet:
     sorted, with the zero digit included.
 
     Construction validates the digits (one per residue class modulo
-    phi^w outside the image of phi) and tabulates them for the division
-    map: the digit d with adj(phi) d per class modulo phi^w, and the digits
+    phi^w outside the image of phi) and builds the division kernel: the
+    digit d with adj(phi) d per class index modulo phi^w, and the digits
     grouped by class modulo phi, keyed on adj(phi) d mod det (p - d lies
     in the image of phi exactly when adj(phi) (p - d) is divisible by det).
     """
@@ -269,7 +270,8 @@ class DigitSet:
         got = sum(1 for d in self.digits if d != zero)
         if got != want:
             raise MalformedDigitSetError(f"expected {want} nonzero digits, got {got}")
-        table: dict = {}
+        rows = [(row, m, prod(diag[i + 1:])) for i, (row, m) in enumerate(zip(u, diag))]
+        table: list = [None] * prod(diag)
         by_class: dict = {}
         for d in self.digits:
             ad = intmat.mat_vec(adj, d)
@@ -280,13 +282,13 @@ class DigitSet:
                 raise MalformedDigitSetError(
                     f"digit {d} lies in the image of the base map"
                 )
-            key = tuple(x % m for x, m in zip(intmat.mat_vec(u, d), diag))
-            if key in table:
+            i = sum(sum(map(mul, row, d)) % m * s for row, m, s in rows)
+            if table[i] is not None:
                 raise MalformedDigitSetError(
-                    f"digits {table[key][0]} and {d} share a residue class"
+                    f"digits {table[i][0]} and {d} share a residue class"
                 )
-            table[key] = (d, ad)
-        object.__setattr__(self, "_kernel", (adj, det, u, diag, zero, table, by_class))
+            table[i] = (d, ad)
+        object.__setattr__(self, "_kernel", _division_kernel(adj, det, rows, table, by_class, zero))
 
     @property
     def inst(self) -> lattice.LatticeInstance:
@@ -300,33 +302,14 @@ class DigitSet:
     def divide(self, p: Point) -> tuple[Point, Point]:
         """One division step: (digit, (p - digit) / phi), the digit being
         zero when phi divides p and the one congruent to p modulo phi^w
-        otherwise. One adjugate product; the residue key only when phi
-        does not divide p."""
-        adj, det, u, diag, zero, table, _ = self._kernel
-        ap = intmat.mat_vec(adj, p)
-        if not any(v % det for v in ap):
-            return zero, tuple(v // det for v in ap)
-        key = tuple(x % m for x, m in zip(intmat.mat_vec(u, p), diag))
-        if key not in table:
-            raise MalformedDigitSetError(f"no digit covers the residue class of {p}")
-        d, ad = table[key]
-        rest = tuple(a - b for a, b in zip(ap, ad))
-        if any(v % det for v in rest):
-            raise MalformedDigitSetError(
-                f"digit {d} is not congruent to {p} modulo the base image"
-            )
-        return d, tuple(v // det for v in rest)
+        otherwise."""
+        return self._kernel[0](p)
 
     def divisions(self, p: Point) -> list[tuple[Point, Point]]:
         """Every (digit, (p - digit) / phi) with the digit congruent to p
         modulo phi, in digit order: the zero digit alone when phi
         divides p."""
-        adj, det, *_, by_class = self._kernel
-        ap = intmat.mat_vec(adj, p)
-        return [
-            (d, tuple((a - b) // det for a, b in zip(ap, ad)))
-            for d, ad in by_class.get(tuple(v % det for v in ap), ())
-        ]
+        return self._kernel[1](p)
 
     @cached_property
     def is_minimal_norm(self) -> bool:
@@ -338,6 +321,102 @@ class DigitSet:
             return False
         pw = intmat.mat_pow(self.inst.phi, self.w)
         return all(d in _minimizers_exact(self.geo, pw, d) for d in self.nonzero_digits)
+
+
+def _fault(entry, p) -> MalformedDigitSetError:
+    if entry is None:
+        return MalformedDigitSetError(f"no digit covers the residue class of {p}")
+    return MalformedDigitSetError(f"digit {entry[0]} is not congruent to {p} modulo the base image")
+
+
+def _division_kernel(adj, det, rows, table, by_class, zero):
+    """(divide, divisions) of a digit set: divide reads the table entry at
+    the class index of p modulo phi^w, None standing for the zero digit
+    (a class inside phi Z^n). Written out for n <= 3 (divisions: n <= 2)."""
+    n = len(adj)
+    dets = [det] * n
+
+    def divisions(p):  # n >= 3
+        ap = intmat.mat_vec(adj, p)
+        cls = by_class.get(tuple(v % det for v in ap), ())
+        return [(d, tuple(map(floordiv, map(sub, ap, ad), dets))) for d, ad in cls]
+
+    if n == 1:  # adj(phi) = (1)
+        (((k,), m, _),) = rows
+
+        def divide(p):
+            (x,) = p
+            entry = table[k * x % m]
+            if entry is not None:
+                x -= entry[1][0]
+            q, r = divmod(x, det)
+            if r:
+                raise _fault(entry, p)
+            return (zero if entry is None else entry[0]), (q,)
+
+        def divisions(p):
+            (x,) = p
+            return [(d, ((x - u) // det,)) for d, (u,) in by_class.get((x % det,), ())]
+
+    elif n == 2:
+        (a, b), (c, e) = adj
+        ((f, g), m0, s0), ((h, k), m1, _) = rows
+
+        def divide(p):
+            x, y = p
+            s, t = a * x + b * y, c * x + e * y
+            i = (h * x + k * y) % m1
+            entry = table[i + (f * x + g * y) % m0 * s0 if m0 > 1 else i]
+            if entry is not None:
+                u, v = entry[1]
+                s, t = s - u, t - v
+            (qs, rs), (qt, rt) = divmod(s, det), divmod(t, det)
+            if rs or rt:
+                raise _fault(entry, p)
+            return (zero if entry is None else entry[0]), (qs, qt)
+
+        def divisions(p):
+            x, y = p
+            s, t = a * x + b * y, c * x + e * y
+            cls = by_class.get((s % det, t % det), ())
+            return [(d, ((s - u) // det, (t - v) // det)) for d, (u, v) in cls]
+
+    elif n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = adj
+        ((f0, f1, f2), m0, s0), ((g0, g1, g2), m1, s1), ((h0, h1, h2), m2, _) = rows
+
+        def divide(p):
+            x, y, z = p
+            s = a0 * x + a1 * y + a2 * z
+            t = b0 * x + b1 * y + b2 * z
+            o = c0 * x + c1 * y + c2 * z
+            i = (h0 * x + h1 * y + h2 * z) % m2
+            if m1 > 1:
+                i += (g0 * x + g1 * y + g2 * z) % m1 * s1
+                if m0 > 1:
+                    i += (f0 * x + f1 * y + f2 * z) % m0 * s0
+            entry = table[i]
+            if entry is not None:
+                u, v, r = entry[1]
+                s, t, o = s - u, t - v, o - r
+            (qs, rs), (qt, rt), (qo, ro) = divmod(s, det), divmod(t, det), divmod(o, det)
+            if rs or rt or ro:
+                raise _fault(entry, p)
+            return (zero if entry is None else entry[0]), (qs, qt, qo)
+
+    else:
+
+        def divide(p):
+            ap = intmat.mat_vec(adj, p)
+            entry = table[sum(sum(map(mul, row, p)) % m * s for row, m, s in rows)]
+            if entry is not None:
+                ap = map(sub, ap, entry[1])
+            qr = [divmod(v, det) for v in ap]
+            if any(r for _, r in qr):
+                raise _fault(entry, p)
+            return (zero if entry is None else entry[0]), tuple(q for q, _ in qr)
+
+    return divide, divisions
 
 
 def _finish(geo: Geometry, w: int, nonzero: list[Point], family: str) -> DigitSet:

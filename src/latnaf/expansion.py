@@ -2,16 +2,17 @@
 
 Repeatedly strip a digit (the unique one congruent to the point modulo
 the w-th power of the base, or zero when the point is divisible) and
-apply the inverse base map; ``DigitSet.divide`` does both in one step,
-and ``digit_of`` and ``step`` are its two halves. The digit words are
-least significant first. A word produced this way automatically
-satisfies the window property: after a nonzero digit the next w - 1
-steps see a point divisible by the base and emit zeros.
+apply the inverse base map. ``DigitSet.divide`` does both in one step on
+the set's kernel (one class index and one adjugate product, written out
+for n <= 3); ``digit_of`` and ``step`` are its halves, ``value`` is Horner's
+rule back. Words are least significant first; after a nonzero digit the
+next w - 1 steps see a point divisible by the base, hence the window form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import lattice
 from .digitset import DigitSet
@@ -76,21 +77,20 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     zero = inst.zero()
-    path: list[Point] = []
-    seen: dict[Point, int] = {}
+    divide = ds.divide
+    seen: dict[Point, int] = {}  # orbit points in visiting order
     cur = start
     digits: list[Point] = []
     quiet = 0
     while cur != zero:
         if cur in seen:
-            cyc = tuple(path[seen[cur]:])
+            cyc = tuple(seen)[seen[cur]:]
             k = min(range(len(cyc)), key=lambda i: cyc[i])
             return CycleReport(start, cyc[k:] + cyc[:k])
-        if len(path) >= max_steps:
+        if len(seen) >= max_steps:
             raise LatnafError(f"expansion exceeded {max_steps} steps")
-        seen[cur] = len(path)
-        path.append(cur)
-        d, nxt = ds.divide(cur)
+        seen[cur] = len(seen)
+        d, nxt = divide(cur)
         if d != zero:
             if quiet:
                 raise ConsistencyError(
@@ -105,11 +105,12 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
 
 
 def value(inst: lattice.LatticeInstance, word) -> Point:
-    """Evaluate a digit word (least significant first) back to a point."""
+    """Evaluate a digit word (least significant first) by Horner's rule."""
+    phi = inst.phi
     acc = inst.zero()
     for d in reversed(tuple(word)):
         acc = tuple(
-            a + b for a, b in zip(lattice.apply_phi(inst, acc), inst.check_point(d))
+            sum(map(mul, row, acc), c) for row, c in zip(phi, inst.check_point(d))
         )
     return acc
 

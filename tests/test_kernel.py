@@ -2,28 +2,45 @@
 ``DigitSet.divisions`` against the reference path of ``lattice``
 (``solve_divisibility`` and ``residue_key``), of the expansions and
 weights built on it, and of the integer-scaled exact norm against
-``quadform.eval_quadratic``."""
+``quadform.eval_quadratic``. The systems cover the kernel written out
+for n = 1, 2, 3, with cyclic and non-cyclic Z^n / phi^w Z^n, and the
+generic path of n = 4."""
 
+import inspect
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latnaf import digitset as dsm
 from latnaf import expansion as em
-from latnaf import lattice
+from latnaf import intmat, lattice
 from latnaf import numberfield as nfm
 from latnaf import optimality as om
 from latnaf import quadform as qf
+from latnaf.errors import LatnafError, MalformedDigitSetError
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
 # a minimal-norm digit moved within its class modulo phi^w: d -> d + 2 * (-75, 45)
 CUSTOM = ((5, -4, 1), 2, (-6, 3), (-156, 93))
 
-SYSTEMS = ["t2w2", "t3w3", "q541w3", "m31w2", "c3101w4", "custom541", "interval3w2"]
+# Z^n / phi^w Z^n: m31w2 is Z/2 x Z/50, m3w3 (Z[i] times 2Z) is Z/2 x Z/4 x
+# Z/8 and m4w3 (two copies of Z[i] with base 1+i) is (Z/2 x Z/4)^2; the
+# others are cyclic
+MATRICES = {
+    "m31w2": ([[3, 1], [-1, 3]], 2),
+    "m23w2": ([[2, 0], [0, 3]], 2),
+    "m3w3": ([[1, -1, 0], [1, 1, 0], [0, 0, 2]], 3),
+    "m4w3": ([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], 3),
+}
+
+SYSTEMS = [
+    "t2w2", "t3w3", "q541w3", "m31w2", "c3101w4", "custom541", "interval3w2", "m3w3", "m4w3",
+]
 
 
 def _custom_digits():
@@ -34,12 +51,19 @@ def _custom_digits():
 
 @lru_cache(maxsize=None)
 def system(name):
-    if name == "m31w2":
-        return dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix([[3, 1], [-1, 3]]), 2)
+    if name in MATRICES:
+        rows, w = MATRICES[name]
+        return dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix(rows), w)
     if name == "custom541":
         return dsm.from_digits(nfm.build(list(CUSTOM[0])), CUSTOM[1], _custom_digits())
     if name == "interval3w2":
         return dsm.build_rational_interval(nfm.build([-3, 1]), 2)
+    if name == "cycle211w3":
+        # [2,-1,1] w3 with the digit (-1, 1) moved to (-1, 1) + 3 * (0, 12):
+        # the orbit of (5, 8) closes the cycle (-26, -3), (-16, 13), (5, 8)
+        source = nfm.build([2, -1, 1])
+        digits = dsm.build_minimal_norm(source, 3).digits
+        return dsm.from_digits(source, 3, [(-1, 37) if d == (-1, 1) else d for d in digits])
     coeffs, w = {
         "t2w2": ([-2, 1], 2),
         "t3w3": ([-3, 1], 3),
@@ -49,10 +73,10 @@ def system(name):
     return dsm.build_minimal_norm(nfm.build(coeffs), w)
 
 
-def points(bound):
+def points(bound, names=SYSTEMS):
     """Strategy: (system name, point with coordinates of absolute value
     at most bound)."""
-    return st.sampled_from(SYSTEMS).flatmap(
+    return st.sampled_from(names).flatmap(
         lambda name: st.tuples(
             st.just(name),
             st.lists(
@@ -67,14 +91,39 @@ def points(bound):
 COORDS = st.one_of(points(10**6), points(10**60))
 
 
+@lru_cache(maxsize=None)
+def _reference_keys(ds):
+    return [(lattice.residue_key(ds.inst, ds.w, e), e) for e in ds.nonzero_digits]
+
+
 def _reference_divide(ds, p):
     inst = ds.inst
     if lattice.solve_divisibility(inst, p, 1) is not None:
         d = inst.zero()
     else:
         key = lattice.residue_key(inst, ds.w, p)
-        (d,) = [e for e in ds.nonzero_digits if lattice.residue_key(inst, ds.w, e) == key]
+        (d,) = [e for k, e in _reference_keys(ds) if k == key]
     return d, lattice.solve_divisibility(inst, tuple(a - b for a, b in zip(p, d)), 1)
+
+
+def _reference_expand(ds, p, max_steps):
+    """expand through _reference_divide: the word, the nonzero cycle the
+    orbit closes (rotated to its smallest point), or the step-cap error."""
+    if max_steps is None:
+        max_steps = em.default_step_limit(ds, p)
+    zero = ds.inst.zero()
+    path, digits, cur = [], [], p
+    while cur != zero:
+        if cur in path:
+            cyc = path[path.index(cur):]
+            k = cyc.index(min(cyc))
+            return em.CycleReport(p, tuple(cyc[k:] + cyc[:k]))
+        if len(path) >= max_steps:
+            return LatnafError, f"expansion exceeded {max_steps} steps"
+        path.append(cur)
+        d, cur = _reference_divide(ds, cur)
+        digits.append(d)
+    return em.Expansion(p, tuple(digits), ds.w)
 
 
 @SETTINGS
@@ -108,6 +157,74 @@ def test_expansion_is_a_wnaf_of_its_point(case):
     assert isinstance(e, em.Expansion)
     assert em.value(ds.inst, e.word) == p
     assert em.is_wnaf(e)
+
+
+@SETTINGS
+@given(points(10**6, SYSTEMS + ["cycle211w3"] * 3), st.one_of(st.none(), st.integers(1, 40)))
+@example(("cycle211w3", (5, 8)), None)
+@example(("cycle211w3", (-16, 13)), 3)
+@example(("cycle211w3", (-16, 13)), 2)
+def test_expand_matches_reference_loop(case, max_steps):
+    name, p = case
+    ds = system(name)
+    try:
+        got = em.expand(ds, p, max_steps)
+    except LatnafError as exc:
+        got = type(exc), str(exc)
+    assert got == _reference_expand(ds, p, max_steps)
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ["m23w2"])
+def test_divide_on_a_corrupted_table_raises(name):
+    """Every digit's class emptied, and every class inside phi Z^n given
+    that digit: each remainder coordinate of adj(phi) (p - digit) mod det
+    is checked (m23w2 has digits whose first coordinate divides and whose
+    second does not)."""
+    ds = system(name)
+    ds = dsm.DigitSet(ds.geo, ds.w, ds.digits, ds.family)  # a table of its own
+    table = inspect.getclosurevars(ds._kernel[0]).nonlocals["table"]
+    intact = list(table)
+    p = intmat.mat_vec(ds.inst.phi, (1,) + (0,) * (ds.inst.n - 1))
+    for i, entry in enumerate(intact):
+        if entry is None:
+            continue
+        d = entry[0]
+        table[:] = intact
+        table[i] = None
+        with pytest.raises(MalformedDigitSetError, match=re.escape(
+            f"no digit covers the residue class of {d}"
+        )):
+            ds.divide(d)
+        table[:] = [e or entry for e in intact]
+        with pytest.raises(MalformedDigitSetError, match=re.escape(
+            f"digit {d} is not congruent to {p} modulo the base image"
+        )):
+            ds.divide(p)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_points_of_the_wrong_dimension_raise(name):
+    ds = system(name)
+    for p in [(1,) * (ds.inst.n - 1), (1,) * (ds.inst.n + 1)]:
+        for division in (ds.divide, ds.divisions):
+            with pytest.raises(ValueError):
+                division(p)
+
+
+def test_expand_makes_no_generic_matrix_products(monkeypatch):
+    """The five systems of the expand-stream benchmark expand without a
+    single intmat.mat_vec call: the step stays on the written-out kernel."""
+    systems = [system(name) for name in ("t2w2", "t3w3", "q541w3", "m31w2", "c3101w4")]
+    calls = []
+    mat_vec = intmat.mat_vec
+    monkeypatch.setattr(intmat, "mat_vec", lambda a, v: calls.append(v) or mat_vec(a, v))
+    for ds in systems:
+        n = ds.inst.n
+        for p in [(7,) * n, tuple(10**6 - 3 * i for i in range(n)), (10**100 + 1,) * n]:
+            assert em.value(ds.inst, em.expand(ds, p).word) == p
+    assert calls == []
+    lattice.solve_divisibility(systems[0].inst, (7,))  # the counter sees module calls
+    assert calls == [(7,)]
 
 
 # a Gram matrix with denominators, so the common-denominator scaling shows
