@@ -13,17 +13,15 @@ Three levels cooperate here:
   (for algebraic atoms that are not multi-quadratic). Comparisons refine
   in rounds and raise ``PrecisionCapError`` rather than guess.
 
-``isolated_roots`` supplies those atoms: certified enclosures of the
-roots of an integer polynomial at any precision.
-
-sympy is imported only where it does work: root isolation, and the
-factorisations that trial division cannot settle (``prime_factors``).
+The atoms themselves (roots of integer polynomials) come from
+``roots.PolyRoots``. Everything here is stdlib arithmetic: exact radicals
+need only trial division (``prime_factors``), and a radicand that trial
+division cannot settle is enclosed instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt
 from typing import Callable
@@ -207,59 +205,17 @@ class ComplexBox:
         )
 
 
-@lru_cache(maxsize=None)
-def isolated_roots(coeffs: tuple[int, ...], bits: int):
-    """Disjoint certified enclosures of all roots of the squarefree
-    integer polynomial with ascending coefficients coeffs.
-
-    Returns (reals, pairs): real roots as Intervals (ascending) and one
-    ComplexBox per conjugate pair, keeping the one with positive imaginary
-    part. Indices follow the isolation output order, which refines the
-    same initial isolation at every precision, so the k-th entry encloses
-    the same root at every bits value.
-    """
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x)
-    eps = sympy.Rational(1, 1 << max(bits, 8))
-    real_iv, cplx_iv = poly.intervals(all=True, eps=eps)
-    reals = []
-    for (lo, hi), mult in real_iv:
-        if mult != 1:
-            raise ValueError("repeated root in isolation")
-        reals.append(Interval(Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)))
-    pairs = []
-    for (c1, c2), mult in cplx_iv:
-        if mult != 1:
-            raise ValueError("repeated root in isolation")
-        r1, i1 = c1.as_real_imag()
-        r2, i2 = c2.as_real_imag()
-        re = Interval(
-            min(Fraction(r1.p, r1.q), Fraction(r2.p, r2.q)),
-            max(Fraction(r1.p, r1.q), Fraction(r2.p, r2.q)),
-        )
-        im = Interval(
-            min(Fraction(i1.p, i1.q), Fraction(i2.p, i2.q)),
-            max(Fraction(i1.p, i1.q), Fraction(i2.p, i2.q)),
-        )
-        if im.lo >= 0:
-            pairs.append(ComplexBox(re, im))
-    if len(reals) + 2 * len(pairs) != len(coeffs) - 1:
-        raise ValueError("conjugate pairing of isolated roots failed")
-    return tuple(reals), tuple(pairs)
-
-
 _TRIAL_LIMIT = 1 << 16
 
 
-def prime_factors(m: int, fallback: bool = True) -> dict[int, int] | None:
-    """Prime factorisation {p: e} of m >= 1.
+def prime_factors(m: int) -> dict[int, int] | None:
+    """Prime factorisation {p: e} of m >= 1, or None when trial division
+    cannot settle it.
 
     Trial division below 2^16 leaves a cofactor c with no prime factor
     below 2^16, so c < 2^32 is 1 or a prime, and a perfect square
-    c < 2^64 is the square of a prime. Any other cofactor goes to
-    sympy.factorint, or, with fallback off, makes the result None.
+    c < 2^64 is the square of a prime. Any other cofactor makes the
+    result None.
     """
     if m < 1:
         raise ValueError("prime factorisation needs a positive integer")
@@ -282,22 +238,17 @@ def prime_factors(m: int, fallback: bool = True) -> dict[int, int] | None:
     if r * r == m and r < _TRIAL_LIMIT * _TRIAL_LIMIT:
         out[r] = 2
         return out
-    if not fallback:
-        return None
-    import sympy
-
-    out.update((int(p), int(e)) for p, e in sympy.factorint(m).items())
-    return out
+    return None
 
 
-def _squarefree_decompose(m: int, fallback: bool = True) -> tuple[int, int] | None:
-    """m = s*s*d with d squarefree. Requires m >= 0. None when fallback
-    is off and prime_factors cannot settle m without it."""
+def _squarefree_decompose(m: int) -> tuple[int, int] | None:
+    """m = s*s*d with d squarefree. Requires m >= 0. None when
+    prime_factors cannot settle m."""
     if m < 0:
         raise ValueError("negative radicand")
     if m in (0, 1):
         return m, 1
-    factors = prime_factors(m, fallback)
+    factors = prime_factors(m)
     if factors is None:
         return None
     s, d = 1, 1
@@ -326,14 +277,14 @@ class QuadExt:
         return cls({1: Fraction(q)})
 
     @classmethod
-    def sqrt_rational(cls, q, fallback: bool = True) -> "QuadExt | None":
-        """Exact sqrt(q) for a rational q >= 0. With fallback off, None
-        when trial division cannot factor q's numerator times its
-        denominator (see ``prime_factors``)."""
+    def sqrt_rational(cls, q) -> "QuadExt | None":
+        """Exact sqrt(q) for a rational q >= 0, or None when trial
+        division cannot factor q's numerator times its denominator (see
+        ``prime_factors``)."""
         q = Fraction(q)
         if q < 0:
             raise ValueError("negative radicand")
-        sd = _squarefree_decompose(q.numerator * q.denominator, fallback)
+        sd = _squarefree_decompose(q.numerator * q.denominator)
         if sd is None:
             return None
         s, d = sd
@@ -390,7 +341,15 @@ class QuadExt:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return QuadExt({1: 1 / self.terms[1]})
-        p = min(min(prime_factors(d)) for d in self.terms if d != 1)
+        # a radicand p > 1 that every radicand is a multiple of or coprime
+        # to (a prime would do; gcds find one without factoring), so
+        # self = a + sqrt(p) b with sqrt(p) absent from a and b
+        p = min(d for d in self.terms if d != 1)
+        while True:
+            g = next((g for g in (gcd(p, d) for d in self.terms) if 1 < g < p), p)
+            if g == p:
+                break
+            p = g
         plain: dict[int, Fraction] = {}
         radical: dict[int, Fraction] = {}
         for d, c in self.terms.items():
@@ -420,11 +379,11 @@ class QuadExt:
 
     def sqrt_exact(self) -> "QuadExt | None":
         """Exact square root when the element is a nonnegative rational
-        that trial division settles (``sqrt_rational`` without the
-        fallback); None otherwise, and the caller encloses the root."""
+        that trial division settles (``sqrt_rational``); None otherwise,
+        and the caller encloses the root."""
         if not self.is_rational() or self.rational_value() < 0:
             return None
-        return QuadExt.sqrt_rational(self.rational_value(), fallback=False)
+        return QuadExt.sqrt_rational(self.rational_value())
 
     def interval(self, bits: int) -> Interval:
         out = Interval.point(0)

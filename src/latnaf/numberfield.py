@@ -19,16 +19,21 @@ Exactness matters because digit-set construction must resolve exact
 norm ties; enclosure-only instances fall back to interval comparisons
 with a precision cap.
 
-Bases of degree at most 2 are settled by their discriminant alone;
-sympy is imported only for the root structure of higher degrees.
+Every instance owns one ``roots.PolyRoots`` for its minimal polynomial
+(``NumberFieldInstance.roots``): it isolates once and refines in place,
+and every root enclosure of the instance (signature, reducibility,
+equal-modulus certificate, Gram enclosure, embedding moduli) comes from
+it. Bases of degree at most 2 are settled by their discriminant alone
+and make theirs only if the Gram enclosure is asked for.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from . import intmat, lattice
 from .errors import NotExpandingError
@@ -38,9 +43,10 @@ from .exactreal import (
     CReal,
     IndeterminateInterval,
     Interval,
-    QuadExt,
-    isolated_roots,
 )
+
+if TYPE_CHECKING:
+    from .roots import PolyRoots
 
 GRAM_POWER_SUMS = "power-sums"
 GRAM_EQUAL_MODULUS = "equal-modulus"
@@ -59,6 +65,17 @@ class NumberFieldInstance:
     gram: tuple[tuple[Fraction, ...], ...] | None
     equal_modulus_sq: Fraction | None
     precision_cap_bits: int
+    # the one PolyRoots of the instance, once made (see ``roots``)
+    _kernel: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def roots(self) -> PolyRoots:
+        """The root kernel of the minimal polynomial. ``build`` makes it
+        for degree >= 3; below that only the Gram enclosure needs it, and
+        it is made on first use."""
+        if not self._kernel:
+            self._kernel.append(_root_kernel(self.min_poly))
+        return self._kernel[0]
 
     @property
     def degree(self) -> int:
@@ -78,7 +95,16 @@ class NumberFieldInstance:
             self.gram,
             self.equal_modulus_sq,
             bits,
+            self._kernel,
         )
+
+
+def _root_kernel(coeffs: tuple[int, ...]) -> PolyRoots:
+    # imported on first use: roots is the package's largest module, and
+    # bases of degree <= 2 need it only for the Gram enclosure
+    from .roots import PolyRoots
+
+    return PolyRoots(coeffs)
 
 
 def _companion(coeffs: tuple[int, ...]) -> intmat.Matrix:
@@ -138,13 +164,13 @@ def _equal_modulus_candidate(coeffs: tuple[int, ...]) -> int | None:
     return m
 
 
-def _certify_equal_modulus(min_poly: tuple[int, ...], m: int) -> bool:
+def _certify_equal_modulus(roots: PolyRoots, m: int) -> bool:
     """Certify |root|^2 == m for every root: the map z -> m / conj(z)
     permutes the roots (reversal identity), so if the image of each root
     box meets only that same box, every root is a fixed point."""
     bits = 32
     while bits <= (1 << 14):
-        reals, pairs = isolated_roots(min_poly, bits)
+        reals, pairs = roots.boxes(bits)
         boxes = [ComplexBox(iv, Interval.point(0)) for iv in reals]
         for box in pairs:
             boxes.append(box)
@@ -169,10 +195,12 @@ def _certify_equal_modulus(min_poly: tuple[int, ...], m: int) -> bool:
     return False
 
 
-def _signature(coeffs: tuple[int, ...]) -> tuple[int, int]:
+def _signature(coeffs: tuple[int, ...], roots: PolyRoots | None) -> tuple[int, int]:
     """(s, t): the numbers of real roots and of conjugate pairs. Raises
-    on a repeated root and warns when the polynomial is reducible; the
-    discriminant decides all three up to degree 2."""
+    on a repeated root and warns when the polynomial is reducible. The
+    discriminant decides all three up to degree 2; above, ``PolyRoots``
+    has already rejected a repeated root, Sturm counts give s and
+    ``proper_factor`` decides reducibility."""
     if len(coeffs) == 2:
         return 1, 0
     if len(coeffs) == 3:
@@ -183,16 +211,9 @@ def _signature(coeffs: tuple[int, ...]) -> tuple[int, int]:
         if disc > 0 and isqrt(disc) ** 2 == disc:
             warnings.warn("minimal polynomial is reducible; treating the product ring")
         return (2, 0) if disc > 0 else (0, 1)
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x)
-    if sympy.degree(sympy.gcd(poly, poly.diff(x)), x) > 0:
-        raise ValueError("repeated roots degenerate the embedding norm")
-    if not poly.is_irreducible:
+    if roots.proper_factor() is not None:
         warnings.warn("minimal polynomial is reducible; treating the product ring")
-    reals, pairs = isolated_roots(coeffs, 32)
-    return len(reals), len(pairs)
+    return roots.s, roots.t
 
 
 def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstance:
@@ -209,9 +230,10 @@ def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstanc
         raise ValueError("minimal polynomial must be monic")
     if coeffs[0] == 0:
         raise ValueError("constant term must be nonzero (the base must be invertible)")
-    s, t = _signature(coeffs)
-    inst = lattice.LatticeInstance.from_matrix(_companion(coeffs))
     n = len(coeffs) - 1
+    roots = _root_kernel(coeffs) if n >= 3 else None
+    s, t = _signature(coeffs, roots)
+    inst = lattice.LatticeInstance.from_matrix(_companion(coeffs))
 
     gram_kind = GRAM_ENCLOSURE
     gram = None
@@ -225,7 +247,7 @@ def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstanc
     else:
         # a quadratic's conjugate pair has |z|^2 = z * conj(z) = c exactly
         m = _equal_modulus_candidate(coeffs)
-        if m is not None and (n == 2 or _certify_equal_modulus(coeffs, m)):
+        if m is not None and (n == 2 or _certify_equal_modulus(roots, m)):
             gram_kind = GRAM_EQUAL_MODULUS
             m_sq = Fraction(m)
             p = _power_sums(coeffs, n - 1)
@@ -250,37 +272,39 @@ def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstanc
             if precision_cap_bits is None
             else int(precision_cap_bits)
         ),
+        _kernel=[] if roots is None else [roots],
     )
 
 
 def gram_enclosure(nf: NumberFieldInstance, bits: int) -> list[list[Interval]]:
-    """Interval Gram matrix straight from isolated roots. Works for every
-    instance; used as the fallback and as an independent cross-check of
-    the exact constructions."""
+    """Interval Gram matrix straight from the root enclosures. Works for
+    every instance; used as the fallback and as an independent cross-check
+    of the exact constructions."""
     n = nf.degree
-    reals, pairs = isolated_roots(nf.min_poly, bits)
+    reals, pairs = nf.roots.boxes(bits)
+    # interval conjugation commutes with products, so conj(z)^k is the
+    # conjugate of z^k
+    real_pows = [[iv.pow(e) for e in range(2 * n - 1)] for iv in reals]
+    pair_pows = [[box.pow(e) for e in range(n)] for box in pairs]
     out = [[Interval.point(0)] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
             acc = Interval.point(0)
-            for iv in reals:
-                acc = acc + iv.pow(i + k)
-            for box in pairs:
-                prod = box.pow(i) * box.conj().pow(k)
+            for pows in real_pows:
+                acc = acc + pows[i + k]
+            for pows in pair_pows:
+                prod = pows[i] * pows[k].conj()
                 acc = acc + prod.re.scaled(2)
             out[i][k] = acc
     return out
 
 
-def _quadratic_roots(coeffs: tuple[int, ...]) -> tuple[QuadExt, QuadExt]:
-    # monic x^2 + b x + c with real roots; exact radicals
-    c, b = Fraction(coeffs[0]), Fraction(coeffs[1])
-    disc = b * b - 4 * c
-    root = QuadExt.sqrt_rational(disc)
-    half = Fraction(1, 2)
-    lo = (QuadExt.rational(-b) - root).scaled(half)
-    hi = (QuadExt.rational(-b) + root).scaled(half)
-    return lo, hi
+def _quadratic_roots(coeffs: tuple[int, ...]) -> tuple[CReal, CReal]:
+    """The roots of a monic x^2 + b x + c with real roots: exact radicals
+    when trial division settles the discriminant, enclosures otherwise."""
+    c, b = coeffs[0], coeffs[1]
+    root = CReal.from_rational(b * b - 4 * c).sqrt()
+    return (root + b) * Fraction(-1, 2), (root - b) * Fraction(1, 2)
 
 
 def embedding_moduli_sq(nf: NumberFieldInstance) -> list[CReal]:
@@ -295,18 +319,16 @@ def embedding_moduli_sq(nf: NumberFieldInstance) -> list[CReal]:
         return [CReal.from_rational(Fraction(coeffs[0]) ** 2)]
     if n == 2 and nf.t == 0:
         lo, hi = _quadratic_roots(coeffs)
-        return [CReal.from_quadext(lo * lo), CReal.from_quadext(hi * hi)]
+        return [lo * lo, hi * hi]
     out: list[CReal] = []
     for j in range(nf.s):
         def fn(bits: int, idx: int = j) -> Interval:
-            reals, _ = isolated_roots(coeffs, bits)
-            return reals[idx].sq()
+            return nf.roots.boxes(bits)[0][idx].sq()
 
         out.append(CReal.from_refinable(fn))
     for j in range(nf.t):
         def fn(bits: int, idx: int = j) -> Interval:
-            _, pairs = isolated_roots(coeffs, bits)
-            return pairs[idx].modulus_sq()
+            return nf.roots.boxes(bits)[1][idx].modulus_sq()
 
         out.append(CReal.from_refinable(fn))
     return out

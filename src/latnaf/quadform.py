@@ -2,17 +2,19 @@
 
 Everything here is rational arithmetic: enumeration bounds come from an
 LDL decomposition with integer range endpoints computed through isqrt,
-so no floating point is involved anywhere on a decision path.
+so no floating point is involved anywhere on a decision path. The
+smallest eigenvalue of a symmetric matrix comes from Sturm counts on its
+characteristic polynomial (``min_eigenvalue_real``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 
 from . import intmat
-from .errors import BallSizeError, ConsistencyError
-from .exactreal import CReal, Interval, isolated_roots, sqrt_lower, sqrt_upper
+from .errors import BallSizeError, ConsistencyError, PrecisionCapError
+from .exactreal import CReal, Interval, sqrt_lower, sqrt_upper
 
 Gram = tuple[tuple[Fraction, ...], ...]
 
@@ -257,10 +259,22 @@ def covering_radius_sq_upper(g: Gram) -> Fraction:
 
 def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
     """Smallest eigenvalue of a symmetric rational matrix as a certified
-    real; exact rational whenever that eigenvalue is rational. Up to
-    2 x 2 the quadratic formula gives it; larger matrices factor the
-    characteristic polynomial (with sympy) and compare the candidate
-    eigenvalues up to cap_bits of precision."""
+    real; exact rational whenever that eigenvalue is rational.
+
+    With den the common denominator of the entries, den * lambda is a
+    root of the monic integer characteristic polynomial of den * mat. Up
+    to 2 x 2 the quadratic formula gives it. Larger matrices take the
+    squarefree part q of that polynomial (all its roots are real) and
+    bisect from its Cauchy bound with Sturm counts until a bracket
+    (lo, hi] narrower than 1 holds the smallest root and no other. A
+    rational root of a monic integer polynomial is an integer, so the
+    eigenvalue is rational exactly when the bracket's integer is a root
+    of q. Raises PrecisionCapError when isolating the smallest
+    eigenvalue from the next one needs brackets narrower than
+    2^-cap_bits. The interval at b bits is the bracket refined in place
+    to width 2^-(b + 1), rounded outward to multiples of 2^-(b + 2): at
+    most 2^-b wide whatever den is.
+    """
     rows = [[Fraction(v) for v in row] for row in mat]
     n = len(rows)
     den = 1
@@ -286,32 +300,44 @@ def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
                 Fraction(tr - sqrt_lower(disc_q, bits), 2 * den),
             )
         )
-    import sympy
+    # imported on first use: the package's largest module, needed here
+    # only above 2 x 2
+    from . import roots
 
-    coeffs = intmat.char_poly(a)
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x)
-    poly = sympy.quo(poly, sympy.gcd(poly, poly.diff(x)))
-    factors = sympy.factor_list(poly)[1]
-    scale = Fraction(1, den)
-    candidates: list[CReal] = []
-    for fac, _exp in factors:
-        fac = sympy.Poly(fac, x)
-        if fac.degree() == 1:
-            c0, c1 = fac.all_coeffs()[1], fac.all_coeffs()[0]
-            candidates.append(
-                CReal.from_rational(Fraction(-int(c0), int(c1)) * scale)
+    q = roots.squarefree_part(intmat.char_poly(a))
+    chain = roots.sturm_chain(q)
+    lo = Fraction(-roots.root_bound(q))
+    hi = -lo
+    v_lo, v_hi = roots.variations(chain, lo), roots.variations(chain, hi)
+    floor_width = Fraction(den, 1 << cap_bits)
+    # invariant: no root <= lo, at least one in (lo, hi]
+    while v_lo - v_hi > 1 or hi - lo >= 1:
+        if v_lo - v_hi > 1 and hi - lo < floor_width:
+            raise PrecisionCapError(
+                f"smallest eigenvalue not isolated at {cap_bits} precision bits"
             )
-            continue
-        fc = tuple(int(v) for v in reversed(fac.all_coeffs()))
+        mid = (lo + hi) / 2
+        v_mid = roots.variations(chain, mid)
+        if v_lo - v_mid >= 1:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo = mid, v_mid
+    for k in range(ceil(lo), floor(hi) + 1):
+        if roots.sign_at(q, Fraction(k)) == 0:
+            return CReal.from_rational(Fraction(k, den))
+    dq = roots.derivative(q)
+    s_lo = roots.sign_at(q, lo)
+    state = [lo, hi]
+    memo: dict[int, Interval] = {}
 
-        def atom(bits: int, fcoeffs=fc) -> Interval:
-            reals, _ = isolated_roots(fcoeffs, bits)
-            return reals[0].scaled(scale)
+    def atom(bits: int) -> Interval:
+        if bits not in memo:
+            state[:] = roots.narrow(q, dq, *state, s_lo, Fraction(den, 1 << (bits + 1)))
+            g = 1 << (bits + 2)
+            memo[bits] = Interval(
+                Fraction(floor(state[0] * g / den), g),
+                Fraction(ceil(state[1] * g / den), g),
+            )
+        return memo[bits]
 
-        candidates.append(CReal.from_refinable(atom))
-    best = candidates[0]
-    for c in candidates[1:]:
-        if c.compare(best, cap_bits) < 0:
-            best = c
-    return best
+    return CReal.from_refinable(atom)

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -319,6 +321,71 @@ def test_info_enclosure_cubic_finishes(tmp_path):
     assert out["w0"] == "4"
     # r / (r + R) <= 1/2, so the tiling bound is never below w0
     assert int(out["tiling_w"]) >= 4
+
+
+# printed by the earlier sympy-based isolation; R_sq and search_radius are
+# built from enclosure endpoints, so they are pinned to 2^-50 relative
+CUBIC_W4_INFO = {
+    "n": "3",
+    "char_poly": "[3, 1, 0, 1]",
+    "det": "-3",
+    "expanding": "true",
+    "embedding_modulus_1": "[1.213411662762, 1.213411662763]",
+    "embedding_modulus_2": "[1.572376501772, 1.572376501773]",
+    "inv_norm": "[0.824122621109, 0.824122621110]",
+    "w0": "4",
+    "r_sq": "3/4",
+    "r": "[0.866025403784, 0.866025403785]",
+    "R": "[4.029535710702, 4.029535710703]",
+    "tiling_w": "9",
+}
+CUBIC_W4_R_SQ = Fraction(
+    "142205076042549630269956574332451414492808218369313814570791145475213170790523476651045877782739617366834544426921178260226445286706800739047805012357419144738450717400713558565740342064074631227018351636669212505007763769931025653805486711084033948825457161490695897922725328436225/8758002826522135939799809988309698920265490040801024674860275876118509344241502869152662049656493694701814866395455623562955301974467527009363961164996301274428346893087729394980159599010460887798905493870622879664204418173965283879824133839034919851851286465129343481820873752576"
+)
+CUBIC_W3_SEARCH_RADIUS = Fraction(
+    "948754192156741214459722258277497277993183238196396546706631363583895028367010470380799773388869815910052253586541513431033983054244764114929346106424912453390608164371/36821587573991713064236925452164849604805082765709336983226600351340006663745387284276149077706676130386185131761661735809702703504252624899074619507648615493905940480"
+)
+CUBIC_W3_CYCLE = "(-3,1,-1) (2,-1,1) (-3,2,-1) (3,-1,1) (-2,1,-1) (3,-2,1)"
+
+
+def _close(text, want):
+    return abs(Fraction(text) - want) <= want / 2**50
+
+
+def test_info_enclosure_cubic_pinned(tmp_path):
+    proc = run_module(tmp_path, "info", 4)
+    assert proc.returncode == 0, proc.stderr
+    out = dict(line.split(" = ", 1) for line in proc.stdout.splitlines())
+    assert _close(out.pop("R_sq"), CUBIC_W4_R_SQ)
+    assert out == CUBIC_W4_INFO
+
+
+def test_check_nads_enclosure_cubic_pinned(tmp_path):
+    proc = run_module(tmp_path, "check-nads", 3)
+    assert proc.returncode == 1, proc.stderr
+    out = dict(line.split(" = ", 1) for line in proc.stdout.splitlines())
+    assert out["status"] == "counterexample"
+    assert out["cycle"] == CUBIC_W3_CYCLE
+    assert _close(out["search_radius"], CUBIC_W3_SEARCH_RADIUS)
+
+
+def test_info_large_discriminant_quadratic_returns(tmp_path):
+    # x^2 - (2^89 - 1)(2^107 - 1): trial division cannot factor the
+    # discriminant, so the roots are enclosed instead of written as radicals
+    path = write(
+        tmp_path, "bigdisc.json", {"base": {"minpoly": [-(2**89 - 1) * (2**107 - 1), 0, 1]}, "w": 1}
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latnaf", "info", "--instance", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    out = dict(line.split(" = ", 1) for line in proc.stdout.splitlines())
+    assert out["expanding"] == "true"
 
 
 def test_check_nads_enclosure_cubic_finds_a_checked_cycle(tmp_path):

@@ -136,10 +136,8 @@ def test_creal_sqrt_encloses_what_trial_division_cannot_factor():
     iv = s.interval(128)
     assert iv.lo * iv.lo <= q <= iv.hi * iv.hi
     assert iv.width() <= Fraction(1, 2**127)
-    # the exact radical of the same value still takes the sympy fallback
-    exact = xr.QuadExt.sqrt_rational(q)
-    assert exact.terms == {3 * (2**31 - 1) * (2**61 - 1): Fraction(1, 6)}
-    assert xr.QuadExt.sqrt_rational(q, fallback=False) is None
+    # no exact radical either: trial division cannot settle the radicand
+    assert xr.QuadExt.sqrt_rational(q) is None
     settled = xr.CReal.from_rational(Fraction(8, 9) * 65537**2).sqrt()
     assert settled.is_exact()
     assert settled.exact.terms == {2: Fraction(2 * 65537, 3)}

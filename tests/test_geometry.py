@@ -1,11 +1,17 @@
 """The certified enclosure path of Geometry, forced on bases whose Gram
-matrix is exact, against the exact path as the reference."""
+matrix is exact, against the exact path as the reference; and the exact
+Gram matrix of random totally real and equal-modulus bases against the
+enclosure built from their roots."""
 
+import warnings
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latnaf import intmat, lattice
+from latnaf import intmat, lattice, roots
 from latnaf import digitset as dsm
 from latnaf import numberfield as nfm
 
@@ -61,3 +67,92 @@ def test_enclosure_minimizers_match_exact(coeffs, w):
         assert dsm._minimizers_enclosure(forced, pw, rep) == want, rep
         compared += 1
     assert compared >= 3
+
+
+# Hypothesis: the exact Gram matrix of random totally real and random
+# equal-modulus bases lies inside the enclosure built from the roots
+def _poly_product(factors):
+    out = (1,)
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = tuple(prod)
+    return out
+
+
+def _symmetric_char_poly(vals):
+    n = 3 if len(vals) == 6 else 4
+    it = iter(vals)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(it)
+    return intmat.char_poly(m)
+
+
+def _equal_modulus_poly(m, bs, quartic_c, reals):
+    """Monic, every root of squared modulus m: quadratics x^2 - b x + m
+    with b^2 < 4 m, optionally x^4 + c x^2 + m^2 with c^2 < 4 m^2, and
+    x -+ s when m = s^2."""
+    factors = [(m, -b, 1) for b in bs]
+    if quartic_c is not None:
+        factors.append((m * m, 0, quartic_c, 0, 1))
+    s = isqrt(m)
+    if s * s == m:
+        factors += [(-s, 1), (s, 1)][:reals]
+    return _poly_product(factors)
+
+
+def _usable(coeffs):
+    return (
+        len(coeffs) > 2
+        and coeffs[0] != 0
+        and len(roots.poly_gcd(coeffs, roots.derivative(coeffs))) == 1
+    )
+
+
+TOTALLY_REAL = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+    st.lists(st.integers(-3, 3), min_size=10, max_size=10),
+).map(_symmetric_char_poly).filter(_usable)
+
+EQUAL_MODULUS = (
+    st.integers(2, 9)
+    .flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.sets(st.integers(-(isqrt(4 * m - 1)), isqrt(4 * m - 1)), max_size=2),
+            st.one_of(st.none(), st.integers(-2 * m + 1, 2 * m - 1)),
+            st.integers(0, 2),
+        )
+    )
+    .map(lambda args: _equal_modulus_poly(*args))
+    .filter(_usable)
+)
+
+
+def _check_gram_inside_enclosure(coeffs, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        nf = nfm.build(list(coeffs))
+    assert nf.gram_kind == kind
+    n = nf.degree
+    for bits in (64, 256):
+        enc = nfm.gram_enclosure(nf, bits)
+        for i in range(n):
+            for k in range(n):
+                assert enc[i][k].contains(nf.gram[i][k]), (bits, i, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(TOTALLY_REAL)
+def test_power_sum_gram_inside_enclosure(coeffs):
+    _check_gram_inside_enclosure(coeffs, nfm.GRAM_POWER_SUMS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(EQUAL_MODULUS)
+def test_equal_modulus_gram_inside_enclosure(coeffs):
+    _check_gram_inside_enclosure(coeffs, nfm.GRAM_EQUAL_MODULUS)

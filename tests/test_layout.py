@@ -1,7 +1,7 @@
 """Module layout: no module of the package reaches into a sibling's
 private names, whether by import or by attribute access; no function
 memoizes through a functools cache; no check rests on an assertion;
-sympy is imported only inside the functions that need it."""
+nothing imports sympy, which is a test-only dependency."""
 
 import ast
 import json
@@ -73,8 +73,7 @@ def _decorator_name(dec) -> str | None:
 
 def memo_caches(pkg: Path) -> list[str]:
     """Functions decorated with functools.lru_cache or functools.cache:
-    precomputed data belongs to the object that owns it. Root isolation,
-    keyed on small tuples of ints, is the one exception."""
+    precomputed data belongs to the object that owns it."""
     hits = []
     for path in sorted(pkg.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -82,7 +81,7 @@ def memo_caches(pkg: Path) -> list[str]:
                 _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list
             ):
                 hits.append(f"{path.name}: {node.name}")
-    return [h for h in hits if h != "exactreal.py: isolated_roots"]
+    return hits
 
 
 def assertion_checks(pkg: Path) -> list[str]:
@@ -119,7 +118,7 @@ def test_layout_checks_catch_caches_and_asserts(tmp_path):
         "@cache\ndef b(x):\n    raise AssertionError('no')\n\n"
         "def c(x):\n    raise AssertionError\n"
     )
-    assert memo_caches(tmp_path) == ["m.py: a", "m.py: b"]
+    assert memo_caches(tmp_path) == ["exactreal.py: isolated_roots", "m.py: a", "m.py: b"]
     assert assertion_checks(tmp_path) == [
         "m.py:6: assert",
         "m.py:11: raise AssertionError",
@@ -130,9 +129,7 @@ def test_layout_checks_catch_caches_and_asserts(tmp_path):
 def module_level_sympy_imports(pkg: Path) -> list[str]:
     """`import sympy` or `from sympy ...` that runs when the module is
     imported, i.e. outside every function body. sympy takes about ten
-    times as long to import as the rest of the package, and only root
-    isolation above degree 2, eigenvalues above 2 x 2 and factorisations
-    beyond trial division use it."""
+    times as long to import as the rest of the package."""
     hits = []
     for path in sorted(pkg.glob("*.py")):
         found = []
@@ -176,28 +173,84 @@ def test_layout_check_catches_module_level_sympy(tmp_path):
     ]
 
 
+def sympy_imports(pkg: Path) -> list[str]:
+    """Every import of sympy, at module level or inside a function, by
+    statement or through `__import__` / `importlib.import_module`."""
+    hits = []
+    for path in sorted(pkg.glob("*.py")):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            elif (
+                isinstance(node, ast.Call)
+                and _decorator_name(node) in ("__import__", "import_module")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                names = [str(node.args[0].value)]
+            else:
+                continue
+            if any(n.split(".")[0] == "sympy" for n in names):
+                found.append(node.lineno)
+        hits += [f"{path.name}:{line}: sympy" for line in sorted(found)]
+    return hits
+
+
+def test_no_sympy_import_anywhere():
+    assert sympy_imports(PKG) == []
+
+
+def test_layout_check_catches_sympy_anywhere(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import os\n"
+        "def f():\n    import sympy\n    return sympy\n"
+        "class A:\n    def g(self):\n        from sympy.polys import Poly\n"
+        "h = lambda: __import__('sympy')\n"
+        "import importlib\nk = importlib.import_module('sympy.core')\n"
+        "import sympyish\n"
+    )
+    assert sympy_imports(tmp_path) == [
+        "m.py:3: sympy",
+        "m.py:7: sympy",
+        "m.py:8: sympy",
+        "m.py:10: sympy",
+    ]
+
+
 SYMPY_FREE_INSTANCES = {
     "q541": {"base": {"minpoly": [5, -4, 1]}, "w": 3},
     "t3": {"base": {"minpoly": [-3, 1]}, "w": 2},
     "m31": {"base": {"matrix": [[3, 1], [-1, 3]]}, "w": 2},
 }
+ENCLOSURE_CUBICS = {
+    "c3101w4": {"base": {"minpoly": [3, 1, 0, 1]}, "w": 4},
+    "c3101w3": {"base": {"minpoly": [3, 1, 0, 1]}, "w": 3},
+}
 
+# sys.modules["sympy"] = None makes every import of sympy fail; the
+# last column says whether the root kernel module has been loaded
 _PROBE = """
 import contextlib, io, json, sys
+sys.modules["sympy"] = None
 import latnaf
 from latnaf import cli
-print("import", "sympy" in sys.modules)
+print("import", "latnaf.roots" in sys.modules)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    print(argv[0], argv[2], code, "sympy" in sys.modules)
+    print(argv[0], argv[2], code, "latnaf.roots" in sys.modules)
 """
 
 
 def test_common_paths_leave_sympy_unimported(tmp_path):
-    """Bases of degree at most 2 and 2 x 2 matrices need no sympy: not to
-    import the package, nor to expand, decide or check optimality."""
-    calls = []
+    """No path needs sympy: not to import the package, nor to expand,
+    decide or check optimality, on quadratic, integer and 2 x 2 matrix
+    bases and on the enclosure cubic x^3 + x + 3. Only the cubic loads
+    the root kernel."""
+    calls, want = [], []
     for name, obj in SYMPY_FREE_INSTANCES.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
@@ -207,6 +260,18 @@ def test_common_paths_leave_sympy_unimported(tmp_path):
             ["check-nads", "--instance", str(path)],
             ["check-optimality", "--instance", str(path), "--radius", "10"],
         ]
+        want += [0, 0, 0]
+    for name, obj in ENCLOSURE_CUBICS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        calls += [
+            ["info", "--instance", str(path)],
+            ["digit-set", "--instance", str(path)],
+            ["expand", "--instance", str(path), "--point", "17,-5,3"],
+            ["check-nads", "--instance", str(path)],
+        ]
+        # w3 is not a NADS: check-nads reports a cycle, and so may expand
+        want += [0, 0, None, 0 if name == "c3101w4" else 1]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(calls)],
         capture_output=True,
@@ -216,4 +281,10 @@ def test_common_paths_leave_sympy_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "import False"
-    assert lines[1:] == [f"{c[0]} {c[2]} 0 False" for c in calls]
+    assert len(lines) == len(calls) + 1
+    light = 3 * len(SYMPY_FREE_INSTANCES)
+    for k, (line, call, code) in enumerate(zip(lines[1:], calls, want)):
+        got = line.split()
+        assert got[:2] == [call[0], call[2]]
+        assert int(got[2]) in ((0, 1) if code is None else (code,)), line
+        assert got[3] == str(k >= light), line

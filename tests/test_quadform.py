@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latnaf import digitset as dsm
+from latnaf import lattice
 from latnaf import quadform as qf
 from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS as CAP
 from latnaf.errors import BallSizeError
-from latnaf.exactreal import PrecisionCapError
+from latnaf.exactreal import PrecisionCapError, QuadExt
 
 
 def F(a, b=1):
@@ -248,3 +250,38 @@ def test_min_eigenvalue_honours_the_cap():
         qf.min_eigenvalue_real(near_tie, 64)
     ev = qf.min_eigenvalue_real(near_tie, CAP)
     assert ev.interval(256).hi < r
+
+
+def _near_tie_matrix():
+    lam = (5 - F(isqrt(5 * 10**200), 10**100)) / 2
+    r = lam.limit_denominator(10**25)
+    return ((F(2), F(1), F(0)), (F(1), F(3), F(0)), (F(0), F(0), r)), r
+
+
+def test_min_eigenvalue_width_follows_the_request():
+    # den is about 2^83 here; the interval at b bits is 2^-b wide or a
+    # little less, not 2^-(b + 83) as a bracket on the scaled matrix
+    mat, r = _near_tie_matrix()
+    ev = qf.min_eigenvalue_real(mat, CAP)
+    for bits in (64, 100, 256):
+        iv = ev.interval(bits)
+        assert F(1, 2 ** (2 * bits)) < iv.width() <= F(1, 2**bits), bits
+    # the eigenvalue sits 6e-51 below r
+    assert ev.interval(256).hi < r
+    with pytest.raises(PrecisionCapError):
+        qf.min_eigenvalue_real(mat, 100)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, -1, 0], [1, 1, 0], [0, 0, 2]],
+        [[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
+    ],
+)
+def test_matrix_kernel_systems_keep_an_exact_u(rows):
+    # phi^T phi = diag(2, 2, 4) and 2 I: the smallest eigenvalue is the
+    # integer 2, so u = 1 / sqrt 2 exactly
+    geo = dsm.geometry(lattice.LatticeInstance.from_matrix(rows))
+    assert geo.u.is_exact()
+    assert geo.u.exact.compare(QuadExt.sqrt_rational(F(1, 2))) == 0
