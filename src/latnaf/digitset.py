@@ -11,10 +11,13 @@ represented by the digit zero). Three families are provided:
   half-open interval (-|tau|^w / 2, |tau|^w / 2] not divisible by tau;
 * custom: caller-provided representatives, validated.
 
-``Geometry`` owns the working norm: the exact Gram matrix when one
-exists, otherwise the one certified enclosure path (interval Gram
-matrices cached per precision, balls enumerated on a midpoint Gram
-matrix inflated by a certified factor). Every norm evaluation, ball and
+``Geometry`` owns the working norm and evaluates it with one integer
+kernel: per precision level, the Gram matrix over a common denominator
+as an integer midpoint matrix and an entrywise half-width matrix, which
+bracket the norm of a lattice point in integers. An exact Gram matrix is
+the one level without half-widths, where the bracket is the norm itself;
+balls are enumerated on the midpoint matrix to a bound inflated by a
+certified factor (none when exact). Every norm evaluation, ball and
 window bound of the package goes through it, and it caches the
 geometric context (packing radius, covering radius, contraction factor
 of the inverse map) that the termination and optimality arguments
@@ -57,29 +60,79 @@ FAMILY_CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class Geometry:
-    """Working norm of an instance: exact Gram matrix when available,
-    certified interval fallback otherwise, and the contraction factor of
-    the inverse base map in that norm."""
+    """Working norm of an instance, and the contraction factor of the
+    inverse base map in that norm.
+
+    One integer kernel evaluates the norm. At each precision level the
+    Gram matrix is held over a common denominator D as an integer
+    midpoint matrix M and an entrywise half-width matrix H, and the
+    squared norm of an integer vector v lies in (Q_M(v) -+ |v|^T H |v|) / D.
+    Entry by entry that is the interval sum of the enclosure: [lo, hi]
+    times v_i v_k has the ends mid v_i v_k -+ hw |v_i v_k|. An exact Gram
+    matrix is the one level, with no H, where the bracket is a point.
+    """
 
     inst: lattice.LatticeInstance
     nf: numberfield.NumberFieldInstance | None
     gram: quadform.Gram | None
     precision_cap_bits: int
-    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _midpoints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def gram_intervals(self, bits: int) -> tuple[tuple[Interval, ...], ...]:
-        """Interval enclosure of the Gram matrix at the given precision."""
-        if bits not in self._grams:
-            self._grams[bits] = tuple(
-                map(tuple, numberfield.gram_enclosure(self.nf, bits))
-            )
-        return self._grams[bits]
+    def _level(self, bits: int) -> tuple[int, intmat.Matrix, intmat.Matrix | None]:
+        """(D, M, H) at the given precision; exact Gram matrices have one
+        level, whatever bits is, with H None."""
+        key = None if self.gram is not None else bits
+        if key not in self._levels:
+            if key is None:
+                mid, half = self.gram, None
+            else:
+                enc = numberfield.gram_enclosure(self.nf, bits)
+                mid = [[(e.lo + e.hi) / 2 for e in row] for row in enc]
+                half = [[(e.hi - e.lo) / 2 for e in row] for row in enc]
+            den = lcm(*(v.denominator for a in (mid, half or ()) for row in a for v in row))
+
+            def scaled(a):
+                return tuple(tuple(int(v * den) for v in row) for row in a)
+
+            self._levels[key] = (den, scaled(mid), half and scaled(half))
+        return self._levels[key]
+
+    def norm_sq_interval(self, p, bits: int = 64) -> tuple[int, int, int]:
+        """(lo, hi, den): the squared norm of the integer vector p
+        (conjugate pairs counted twice) lies in [lo / den, hi / den], with
+        lo == hi when the Gram matrix is exact. den depends on bits only."""
+        den, m, h = self._level(bits)
+        q = 0
+        for vi, row in zip(p, m):
+            if vi:
+                q += vi * sum(map(mul, row, p))
+        if h is None:
+            return q, q, den
+        a = tuple(map(abs, p))
+        e = 0
+        for vi, row in zip(a, h):
+            if vi:
+                e += vi * sum(map(mul, row, a))
+        return q - e, q + e, den
+
+    def norm_sq_real(self, p) -> CReal:
+        """The squared norm of the integer vector p as a comparable
+        certified real: a rational when its bracket is a point."""
+        lo, hi, den = self.norm_sq_interval(p)
+        if lo == hi:
+            return CReal.from_rational(Fraction(lo, den))
+
+        def bracket(bits: int) -> Interval:
+            lo, hi, den = self.norm_sq_interval(p, bits)
+            return Interval(Fraction(lo, den), Fraction(hi, den))
+
+        return CReal.from_refinable(bracket)
 
     def enclosure(self, start: int = 64) -> tuple[int, quadform.Gram, Fraction]:
         """(bits, mid, kappa) at the first precision start, 2 start, ...
         where the rational midpoint Gram matrix mid is positive definite
-        and kappa <= 1/2.
+        and kappa <= 1/2; (start, gram, 0) for an exact Gram matrix.
 
         For any vector v, |Q_true(v) - Q_mid(v)| is at most
         eps * (sum |v_i|)^2 <= eps * n * Q_mid(v) / lambda_min(mid), with
@@ -87,21 +140,21 @@ class Geometry:
         Q_mid(v) <= C / (1 - kappa) with kappa = eps * n / lambda_min, and
         enumerating mid to the inflated bound provably covers the ball.
         """
+        if self.gram is not None:
+            return start, self.gram, Fraction(0)
         bits = start
         while True:
             if bits not in self._midpoints:
-                giv = self.gram_intervals(bits)
+                den, m, h = self._level(bits)
                 # conjugate symmetry makes the enclosure entrywise symmetric
-                mid = quadform.as_gram(
-                    [[(e.lo + e.hi) / 2 for e in row] for row in giv]
-                )
-                eps = max(e.width() for row in giv for e in row) / 2
+                mid = quadform.as_gram([[Fraction(v, den) for v in row] for row in m])
+                eps = Fraction(max(map(max, h)), den)
                 found = None
                 if quadform.ldl(mid) is not None:
                     lam = quadform.min_eigenvalue_real(mid, self.precision_cap_bits)
                     lam_lo = lam.interval(64).lo
-                    if lam_lo > 0 and eps * len(giv) <= lam_lo / 2:
-                        found = (mid, eps * len(giv) / lam_lo)
+                    if lam_lo > 0 and eps * len(m) <= lam_lo / 2:
+                        found = (mid, eps * len(m) / lam_lo)
                 self._midpoints[bits] = found
             if self._midpoints[bits] is not None:
                 return (bits, *self._midpoints[bits])
@@ -111,50 +164,8 @@ class Geometry:
         """Lattice points of squared norm at most bound_sq: exactly that
         ball with an exact Gram matrix, a certified superset otherwise.
         Raises BallSizeError once more than cap points are found."""
-        if self.gram is not None:
-            return quadform.enumerate_ball(self.gram, bound_sq, cap)
         _, mid, kappa = self.enclosure()
         return quadform.enumerate_ball(mid, bound_sq / (1 - kappa), cap)
-
-    @cached_property
-    def _scaled_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, den * gram) with den the least common denominator, so
-        exact norms of lattice points are summed in integers."""
-        den = lcm(*(v.denominator for row in self.gram for v in row))
-        return den, tuple(tuple(int(v * den) for v in row) for row in self.gram)
-
-    def norm_sq_exact(self, p) -> Fraction | None:
-        if self.gram is None:
-            return None
-        den, g = self._scaled_gram
-        total = 0
-        for vi, row in zip(p, g):
-            if vi:
-                total += vi * sum(a * b for a, b in zip(row, p))
-        return Fraction(total, den)
-
-    def norm_sq_interval(self, p, bits: int = 64) -> Interval:
-        """Certified enclosure of the squared norm of p (conjugate pairs
-        counted twice); a point interval when the Gram matrix is exact."""
-        exact = self.norm_sq_exact(p)
-        if exact is not None:
-            return Interval.point(exact)
-        g = self.gram_intervals(bits)
-        acc = Interval.point(0)
-        for i, vi in enumerate(p):
-            if vi == 0:
-                continue
-            for k, vk in enumerate(p):
-                if vk:
-                    acc = acc + g[i][k].scaled(vi * vk)
-        return acc
-
-    def norm_sq_real(self, p) -> CReal:
-        """The squared norm of p as a comparable certified real."""
-        exact = self.norm_sq_exact(p)
-        if exact is not None:
-            return CReal.from_rational(exact)
-        return CReal.from_refinable(lambda bits: self.norm_sq_interval(p, bits))
 
     @cached_property
     def u(self) -> CReal:
@@ -184,29 +195,33 @@ class Geometry:
 
     @cached_property
     def norm_context(self) -> NormContext:
-        """Packing and covering radii of the working norm, with u."""
-        if self.gram is not None:
-            r_sq = quadform.shortest_nonzero_norm_sq(self.gram) / 4
-            exact_R = quadform.covering_radius_sq_exact(self.gram)
-            if exact_R is not None:
-                return NormContext(r_sq, True, exact_R, True, self.u)
-            return NormContext(
-                r_sq, True, quadform.covering_radius_sq_upper(self.gram), False, self.u
-            )
-        # enclosure instances: certified lower bound on the shortest vector
-        # from a ball that provably holds it; retry finer until positive
+        """Packing and covering radii of the working norm, with u.
+
+        The packing radius comes from the shortest nonzero vector, found
+        in a ball that provably holds it: the least lower bracket end
+        there, at finer precision until positive (exact on an exact Gram
+        matrix). The covering radius is exact where quadform computes it
+        for an exact Gram matrix; otherwise it is the half-diameter bound
+        (rounding coordinates one at a time strays at most half the sum of
+        the basis-vector lengths) from the diagonal's upper bracket ends."""
+        n = self.inst.n
+        units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
         bits = 64
         while True:
             bits, mid, kappa = self.enclosure(bits)
-            giv = self.gram_intervals(bits)
-            c = min(row[i].hi for i, row in enumerate(giv))
-            cands = [x for x in quadform.enumerate_ball(mid, c / (1 - kappa)) if any(x)]
-            r_lo = min(self.norm_sq_interval(x, bits).lo for x in cands)
-            if r_lo > 0:
+            den = self._level(bits)[0]
+            diag = [Fraction(self.norm_sq_interval(e, bits)[1], den) for e in units]
+            ball = quadform.enumerate_ball(mid, min(diag) / (1 - kappa))
+            r_sq = Fraction(min(self.norm_sq_interval(x, bits)[0] for x in ball if any(x)), den)
+            if r_sq > 0:
                 break
             bits *= 2
-        total = sum((sqrt_upper(row[i].hi, 64) for i, row in enumerate(giv)), Fraction(0))
-        return NormContext(r_lo / 4, False, total * total / 4, False, self.u)
+        if self.gram is not None:
+            R_sq = quadform.covering_radius_sq_exact(self.gram)
+            if R_sq is not None:
+                return NormContext(r_sq / 4, True, R_sq, True, self.u)
+        total = sum((sqrt_upper(c, 64) for c in diag), Fraction(0))
+        return NormContext(r_sq / 4, self.gram is not None, total * total / 4, False, self.u)
 
     @cached_property
     def w0_bound(self) -> int:
@@ -320,7 +335,7 @@ class DigitSet:
         if self.geo.gram is None:
             return False
         pw = intmat.mat_pow(self.inst.phi, self.w)
-        return all(d in _minimizers_exact(self.geo, pw, d) for d in self.nonzero_digits)
+        return all(d in _minimizers(self.geo, pw, d) for d in self.nonzero_digits)
 
 
 def _fault(entry, p) -> MalformedDigitSetError:
@@ -419,104 +434,93 @@ def _division_kernel(adj, det, rows, table, by_class, zero):
     return divide, divisions
 
 
-def _finish(geo: Geometry, w: int, nonzero: list[Point], family: str) -> DigitSet:
-    # a non-expanding base never terminates the division, so the digit
-    # system would be vacuous; reject it at construction
+def _expanding_geometry(source, w: int) -> Geometry:
+    """The geometry a width-w digit set is built on. A non-expanding base
+    never terminates the division, so the digit system would be vacuous:
+    it is rejected before any residue class is formed."""
+    if w < 1:
+        raise ValueError("window width must be at least 1")
+    geo = geometry(source)
     if not lattice.is_expanding(geo.inst):
         raise NotExpandingError(
             "digit sets require an expanding base "
             "(every eigenvalue outside the closed unit disk)"
         )
+    return geo
+
+
+def _finish(geo: Geometry, w: int, nonzero: list[Point], family: str) -> DigitSet:
     return DigitSet(geo, w, tuple(sorted([*nonzero, geo.inst.zero()])), family)
 
 
-def _minimizers_exact(
-    geo: Geometry, pw: intmat.Matrix, rep: Point
-) -> list[Point]:
+def _minimizers(geo: Geometry, pw: intmat.Matrix, rep: Point) -> list[Point]:
     """All representatives of rep's class minimizing the norm of the
     class member pulled back through the w-th power of the base: the
-    digit candidates with Phi^-w(digit) in the Voronoi cell."""
-    t = intmat.solve_exact(pw, rep)
-    winners, _ = quadform.closest_lattice_points(geo.gram, t)
-    return sorted(
-        tuple(r + s for r, s in zip(rep, intmat.mat_vec(pw, x))) for x in winners
-    )
+    digit candidates with Phi^-w(digit) in the Voronoi cell.
 
-
-def _minimizers_enclosure(
-    geo: Geometry, pw: intmat.Matrix, rep: Point
-) -> list[Point]:
-    """Same minimization over the class, for instances where the Gram
-    matrix is only known by enclosure.
-
-    Candidates are enumerated on the midpoint Gram matrix of
-    ``Geometry.enclosure`` to the inflated norm of the Babai point, which
-    provably contains every minimizer. Finalists are then compared as
-    certified reals; a tie between candidates that are not mirror images
-    raises the precision cap error.
+    The pullbacks are t + x with t = Phi^-w(rep) and x integral. They are
+    enumerated on the midpoint Gram matrix of ``Geometry.enclosure`` to
+    the inflated norm of the Babai point, which provably contains every
+    minimizer, and compared by the integer brackets of q (t + x), q the
+    denominator of t. Overlapping brackets are compared as certified
+    reals: an exact tie on an exact Gram matrix, while on an enclosure a
+    tie between candidates that are not mirror images raises the
+    precision cap error.
     """
     t = intmat.solve_exact(pw, rep)
+    q = lcm(*(c.denominator for c in t))
     bits, mid, kappa = geo.enclosure()
-    seed = tuple(a + b for a, b in zip(t, quadform.babai_point(mid, t)))
-    bound = geo.norm_sq_interval(seed, bits).hi / (1 - kappa)
-    cands = sorted(
-        tuple(a + b for a, b in zip(t, x))
-        for x in quadform.enumerate_with_offset(mid, t, bound)
-    )
+    seed = [int(q * (a + b)) for a, b in zip(t, quadform.babai_point(mid, t))]
+    _, hi, den = geo.norm_sq_interval(seed, bits)
+    bound = Fraction(hi, den * q * q) / (1 - kappa)
     cap = geo.precision_cap_bits
-    best: list[tuple[Fraction, ...]] = []
-    best_val: CReal | None = None
-    for vec in cands:
-        if best and any(vec == tuple(-c for c in b) for b in best):
+    best: list[Point] = []
+    for x in quadform.enumerate_with_offset(mid, t, bound):
+        vec = tuple(int(q * a) + q * b for a, b in zip(t, x))
+        if best and tuple(-c for c in vec) in best:
             best.append(vec)
             continue
-        val = geo.norm_sq_real(vec)
-        if best_val is None:
-            best, best_val = [vec], val
-            continue
-        rel = val.compare(best_val, cap)
+        lo, hi, _ = geo.norm_sq_interval(vec, bits)
+        if not best or hi < best_lo:
+            rel = -1
+        elif lo > best_hi:
+            rel = 1
+        else:
+            rel = geo.norm_sq_real(vec).compare(geo.norm_sq_real(best[0]), cap)
         if rel < 0:
-            best, best_val = [vec], val
+            best, best_lo, best_hi = [vec], lo, hi
         elif rel == 0:
             best.append(vec)
     digits = []
     for vec in best:
         pt = intmat.mat_vec(pw, vec)
-        if any(c.denominator != 1 for c in pt):
-            raise ConsistencyError(f"minimizer {pt} of the class of {rep} is not integral")
-        digits.append(tuple(int(c) for c in pt))
+        if any(c % q for c in pt):
+            raise ConsistencyError(f"minimizer {pt} / {q} of the class of {rep} is not integral")
+        digits.append(tuple(c // q for c in pt))
     return sorted(digits)
 
 
 def build_minimal_norm(source, w: int) -> DigitSet:
     """One digit of least working norm per admissible residue class."""
-    if w < 1:
-        raise ValueError("window width must be at least 1")
-    geo = geometry(source)
+    geo = _expanding_geometry(source, w)
     inst = geo.inst
+    reps = lattice.residue_system(inst, w)  # checks the class cap first
     pw = intmat.mat_pow(inst.phi, w)
-    nonzero = []
-    for rep in lattice.residue_system(inst, w):
-        if rep == inst.zero():
-            continue
-        if lattice.solve_divisibility(inst, rep, 1) is not None:
-            continue
-        if geo.gram is not None:
-            mins = _minimizers_exact(geo, pw, rep)
-        else:
-            mins = _minimizers_enclosure(geo, pw, rep)
-        nonzero.append(mins[0])
+    nonzero = [
+        _minimizers(geo, pw, rep)[0]
+        for rep in reps
+        if rep != inst.zero() and lattice.solve_divisibility(inst, rep, 1) is None
+    ]
     return _finish(geo, w, nonzero, FAMILY_MINIMAL_NORM)
 
 
 def build_rational_interval(source, w: int) -> DigitSet:
     """Balanced-interval digits for an integer base (degree 1 only)."""
-    if w < 1:
-        raise ValueError("window width must be at least 1")
-    geo = geometry(source)
+    geo = _expanding_geometry(source, w)
     inst = geo.inst
     if inst.n != 1:
         raise InstanceError("interval digits require an integer base")
+    lattice.residue_structure(inst, w)  # raises before |tau|^w is formed past the cap
     tau = inst.phi[0][0]
     m = abs(tau) ** w
     start = -(m // 2) + (1 if m % 2 == 0 else 0)
@@ -529,9 +533,7 @@ def build_rational_interval(source, w: int) -> DigitSet:
 def from_digits(source, w: int, points) -> DigitSet:
     """Validate caller-supplied digits: one representative per residue
     class outside the image of the base map, zero digit optional."""
-    if w < 1:
-        raise ValueError("window width must be at least 1")
-    geo = geometry(source)
+    geo = _expanding_geometry(source, w)
     inst = geo.inst
     zero = inst.zero()
     nonzero = []
@@ -546,16 +548,11 @@ def from_digits(source, w: int, points) -> DigitSet:
     return _finish(geo, w, nonzero, FAMILY_CUSTOM)
 
 
-def max_digit_norm_sq_upper(ds: DigitSet, bits: int = 64) -> Fraction:
+def max_digit_norm_sq_upper(ds: DigitSet) -> Fraction:
     """Rational upper bound on the squared working norm of the digits;
     exact for instances with an exact Gram matrix."""
-    geo = ds.geo
-    best = Fraction(0)
-    for d in ds.nonzero_digits:
-        hi = geo.norm_sq_interval(d, bits).hi
-        if hi > best:
-            best = hi
-    return best
+    brackets = [ds.geo.norm_sq_interval(d) for d in ds.nonzero_digits]
+    return max((Fraction(hi, den) for _, hi, den in brackets), default=Fraction(0))
 
 
 @dataclass(frozen=True)

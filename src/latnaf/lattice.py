@@ -94,10 +94,18 @@ def residue_structure(inst: LatticeInstance, k: int):
 
     Returns (u, diag, u_inv) with u unimodular and diag the invariant
     factors; the class key of a point p is (u @ p) mod diag, and the
-    canonical representative of key e is u_inv @ e.
+    canonical representative of key e is u_inv @ e. Raises BallSizeError
+    before phi^k is formed when its |det|^k classes exceed the cap.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    d = abs(inst.det)
+    # d >= 2 puts d^k past the cap once k reaches the cap's bit length,
+    # so the power is only taken of small k
+    if d ** min(k, _RESIDUE_CAP.bit_length()) > _RESIDUE_CAP:
+        raise BallSizeError(
+            f"residue system has {d}^{k} classes, above the cap", _RESIDUE_CAP
+        )
     a = inst.phi
     for _ in range(k - 1):
         a = intmat.mat_mul(a, inst.phi)
@@ -116,13 +124,6 @@ def residue_system(inst: LatticeInstance, k: int) -> tuple[Point, ...]:
     """One representative per class of Z^n modulo phi^k(Z^n), in a
     deterministic order (mixed-radix over the invariant factor keys)."""
     u, diag, u_inv = residue_structure(inst, k)
-    count = 1
-    for d in diag:
-        count *= d
-    if count > _RESIDUE_CAP:
-        raise BallSizeError(
-            f"residue system has {count} classes, above the cap", _RESIDUE_CAP
-        )
     reps = []
     key = [0] * inst.n
     while True:

@@ -23,13 +23,13 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor
 
-from . import intmat, lattice
+from . import intmat, lattice, nadscheck
 from .digitset import DigitSet
 from .errors import InstanceError, LatnafError, MalformedDigitSetError, NormCapError
 from .exactreal import CReal, Interval
 from .expansion import CycleReport, default_step_limit, expand
-from .nadscheck import invariant_ball_bound
 
 Point = lattice.Point
 
@@ -105,7 +105,7 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
 def default_norm_cap(ds: DigitSet) -> Fraction:
     """Twice the invariant-ball radius: minimum-weight paths provably
     stay inside the ball itself, so the default has slack."""
-    return 2 * invariant_ball_bound(ds)
+    return 2 * nadscheck.invariant_ball_bound(ds)
 
 
 def min_weight_oracle(
@@ -127,8 +127,11 @@ def min_weight_oracle(
     geo = ds.geo
     if norm_cap is None:
         norm_cap = default_norm_cap(ds)
-    start_norm_hi = geo.norm_sq_interval(start).hi
-    cap_sq = max(Fraction(norm_cap) ** 2, start_norm_hi)
+    _, hi, den = geo.norm_sq_interval(start)
+    cap_sq = max(Fraction(norm_cap) ** 2, Fraction(hi, den))
+    # every bracket shares den: a state escapes once its lower end,
+    # an integer over den, exceeds cap_sq
+    limit = floor(cap_sq * den)
 
     dist: dict[Point, int] = {start: 0}
     queue: deque[Point] = deque([start])
@@ -141,10 +144,7 @@ def min_weight_oracle(
             cost = 0 if d == zero else 1
             if nxt in dist and dist[nxt] <= base + cost:
                 continue
-            norm_lo = geo.norm_sq_exact(nxt)
-            if norm_lo is None:
-                norm_lo = geo.norm_sq_interval(nxt).lo
-            if norm_lo > cap_sq:
+            if geo.norm_sq_interval(nxt)[0] > limit:
                 raise NormCapError(
                     f"state {nxt} escapes the norm cap {norm_cap}", nxt
                 )
@@ -170,7 +170,7 @@ def _distance_table(ds: DigitSet, bound: Fraction) -> dict:
     inst = ds.inst
     phi = inst.phi
     zero = inst.zero()
-    points = ds.geo.ball(Fraction(bound) ** 2)
+    points = ds.geo.ball(Fraction(bound) ** 2, nadscheck.DEFAULT_BALL_CAP)
     own = {p: p for p in points}
     preds: dict[Point, list[Point]] = {}
     for p in points:
@@ -258,17 +258,17 @@ def verify_empirically(
     radius = Fraction(radius)
     if radius < 0:
         return VerifyReport(0)
-    pts = geo.ball(radius * radius)
-    if geo.gram is None:
-        pts = [
-            p for p in pts if geo.norm_sq_interval(p).hi <= radius * radius
-        ]
+    r_sq = radius * radius
+    pts = geo.ball(r_sq, nadscheck.DEFAULT_BALL_CAP)
+    if geo.gram is None:  # an enclosure ball is a superset: trim it
+        brackets = map(geo.norm_sq_interval, pts)
+        pts = [p for p, (_, hi, den) in zip(pts, brackets) if hi <= r_sq * den]
     sampled = False
     if len(pts) > sample_threshold:
         rng = random.Random(seed)
         pts = sorted(rng.sample(pts, sample_threshold))
         sampled = True
-    sweep_bound = max(radius, invariant_ball_bound(ds))
+    sweep_bound = max(radius, nadscheck.invariant_ball_bound(ds))
     table = _distance_table(ds, sweep_bound)
     words = {ds.inst.zero(): (0, 0, ds.w - 1)}
     violations = []

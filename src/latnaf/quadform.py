@@ -174,7 +174,8 @@ def closest_lattice_points(g: Gram, t):
 
     Returns (points sorted lex, min_value). The Babai nearest-plane point
     seeds the search radius, so the enumeration provably contains every
-    minimizer.
+    minimizer. The rational reference for the minimizer of
+    ``digitset``, which compares integer norm brackets instead.
     """
     tt = tuple(Fraction(v) for v in t)
     seed = babai_point(g, tt)
@@ -241,20 +242,6 @@ def covering_radius_sq_exact(g: Gram) -> Fraction | None:
     if n == 2:
         return _covering_radius_sq_2d(g)
     return None
-
-
-def covering_radius_sq_upper(g: Gram) -> Fraction:
-    """Rational upper bound on the squared covering radius. Exact in the
-    cases covering_radius_sq_exact handles; otherwise the half-diameter
-    bound: rounding coordinates one at a time strays at most half the sum
-    of the basis-vector lengths."""
-    exact = covering_radius_sq_exact(g)
-    if exact is not None:
-        return exact
-    total = Fraction(0)
-    for i in range(len(g)):
-        total += sqrt_upper(Fraction(g[i][i]), 64)
-    return total * total / 4
 
 
 def min_eigenvalue_real(mat, cap_bits: int) -> CReal:

@@ -8,6 +8,7 @@ import pytest
 
 from latnaf import cli
 from latnaf import digitset as dsm
+from latnaf import nadscheck as ncm
 from latnaf import numberfield as nfm
 from latnaf.expansion import CycleReport
 from latnaf.nadscheck import validate_cycle
@@ -399,3 +400,29 @@ def test_check_nads_enclosure_cubic_finds_a_checked_cycle(tmp_path):
     )
     ds = dsm.build_minimal_norm(nfm.build(CUBIC), 3)
     validate_cycle(ds, CycleReport(cycle[0], cycle))
+
+
+@pytest.mark.parametrize(
+    "base", [{"minpoly": [5, -4, 1]}, {"matrix": [[2, 1], [1, 1]]}], ids=["q541", "fib"]
+)
+def test_digit_set_huge_width_exits_2_quickly(tmp_path, base):
+    # no base power is formed first: the residue class cap stops the
+    # expanding quadratic, the expanding test stops the matrix
+    path = write(tmp_path, "wide.json", {"base": base, "w": 100_000})
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latnaf", "digit-set", "--instance", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+
+
+def test_check_optimality_ball_cap_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(ncm, "DEFAULT_BALL_CAP", 50)
+    path = write(tmp_path, "q541.json", {"base": {"minpoly": [5, -4, 1]}, "w": 3})
+    code, out, err = run(capsys, "check-optimality", "--instance", path, "--radius", "3000")
+    assert code == 2
+    assert "more than 50 points" in err

@@ -4,6 +4,7 @@ import pytest
 
 from latnaf import digitset as dsm
 from latnaf import lattice, numberfield as nfm
+from latnaf import quadform as qf
 from latnaf.errors import InstanceError, MalformedDigitSetError
 
 
@@ -89,7 +90,7 @@ def test_minimal_digits_minimize_preimage_norm():
     ds = dsm.build_minimal_norm(source, w)
     inst = ds.inst
     for d in ds.nonzero_digits:
-        dn = dsm.geometry(source).norm_sq_exact(dsm_preimage(source, w, d))
+        dn = qf.eval_quadratic(ds.geo.gram, dsm_preimage(source, w, d))
         for shift in lattice.residue_system(inst, 1):
             # walk a few other members of the class
             for mul in (-2, -1, 1, 2):
@@ -99,9 +100,7 @@ def test_minimal_digits_minimize_preimage_norm():
                 )
                 if other == d:
                     continue
-                on = dsm.geometry(source).norm_sq_exact(
-                    dsm_preimage(source, w, other)
-                )
+                on = qf.eval_quadratic(ds.geo.gram, dsm_preimage(source, w, other))
                 assert dn <= on
 
 
@@ -121,14 +120,12 @@ def test_totally_real_tie_break_uses_preimage_norm():
     ds = dsm.build_minimal_norm(source, 1)
     assert len(ds.nonzero_digits) == 4
     for d in ds.nonzero_digits:
-        dn = dsm.geometry(source).norm_sq_exact(dsm_preimage(source, 1, d))
+        dn = qf.eval_quadratic(ds.geo.gram, dsm_preimage(source, 1, d))
         for shift in ((1, 0), (0, 1), (1, 1), (-1, 2)):
             base = lattice.apply_phi(ds.inst, shift, 1)
             for mul in (-2, -1, 1, 2):
                 other = tuple(a + mul * b for a, b in zip(d, base))
-                on = dsm.geometry(source).norm_sq_exact(
-                    dsm_preimage(source, 1, other)
-                )
+                on = qf.eval_quadratic(ds.geo.gram, dsm_preimage(source, 1, other))
                 assert dn <= on
 
 
@@ -153,7 +150,7 @@ def test_matrix_source_geometry():
     geo = dsm.geometry(inst)
     assert geo.nf is None
     # identity working norm
-    assert geo.norm_sq_exact((3, -4)) == 25
+    assert geo.norm_sq_interval((3, -4)) == (25, 25, 1)
 
 
 def test_matrix_source_requires_coordinate_contraction():
@@ -194,8 +191,12 @@ def test_max_digit_norm_upper():
     source = nf([2, -1, 1])
     ds = dsm.build_minimal_norm(source, 2)
     bound = dsm.max_digit_norm_sq_upper(ds)
+    norms = []
     for d in ds.digits:
-        assert dsm.geometry(source).norm_sq_exact(d) <= bound
+        lo, hi, den = ds.geo.norm_sq_interval(d)
+        assert lo == hi
+        norms.append(Fraction(lo, den))
+    assert max(norms) == bound
 
 
 def test_digit_set_frozen_and_ordered():

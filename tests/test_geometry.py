@@ -1,7 +1,9 @@
-"""The certified enclosure path of Geometry, forced on bases whose Gram
-matrix is exact, against the exact path as the reference; and the exact
-Gram matrix of random totally real and equal-modulus bases against the
-enclosure built from their roots."""
+"""The integer norm kernel of Geometry with its enclosure level forced
+on bases whose Gram matrix is exact, against the exact level and the
+rational references of quadform; and, on random totally real and
+equal-modulus bases, the exact Gram matrix against the enclosure built
+from their roots, and the kernel's brackets against the interval sum
+over that enclosure."""
 
 import warnings
 from fractions import Fraction
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from latnaf import intmat, lattice, roots
 from latnaf import digitset as dsm
 from latnaf import numberfield as nfm
+from latnaf import quadform as qf
+from latnaf.exactreal import Interval, sqrt_upper
 
 BASES = [[5, -5, 1], [2, -1, 1], [5, -4, 1]]  # power sums, equal modulus twice
 
@@ -26,11 +30,17 @@ def _pair(coeffs):
     return exact, forced
 
 
+def _exact_norm_sq(geo, p):
+    lo, hi, den = geo.norm_sq_interval(p)
+    assert lo == hi
+    return Fraction(lo, den)
+
+
 @pytest.mark.parametrize("coeffs", BASES)
 def test_enclosure_ball_contains_exact_ball(coeffs):
     exact, forced = _pair(coeffs)
     # bounds on exact norms put lattice points on the boundary sphere
-    norms = sorted({exact.norm_sq_exact(p) for p in exact.ball(Fraction(40))})
+    norms = sorted({_exact_norm_sq(exact, p) for p in exact.ball(Fraction(40))})
     for bound in [Fraction(7, 2), *norms[:8]]:
         inner = exact.ball(bound)
         assert set(inner) <= set(forced.ball(bound)), bound
@@ -41,10 +51,38 @@ def test_enclosure_ball_contains_exact_ball(coeffs):
 def test_enclosure_norm_brackets_exact_norm(coeffs):
     exact, forced = _pair(coeffs)
     for p in exact.ball(Fraction(30)):
-        want = exact.norm_sq_exact(p)
+        want = _exact_norm_sq(exact, p)
+        assert want == qf.eval_quadratic(exact.gram, p)
         for bits in (64, 256):
-            assert forced.norm_sq_interval(p, bits).contains(want), (p, bits)
-        assert forced.norm_sq_interval(p, 256).width() < Fraction(1, 2**100)
+            lo, hi, den = forced.norm_sq_interval(p, bits)
+            assert Fraction(lo, den) <= want <= Fraction(hi, den), (p, bits)
+        assert Fraction(hi - lo, den) < Fraction(1, 2**100)
+
+
+@pytest.mark.parametrize("coeffs", BASES)
+def test_enclosure_norm_context_brackets_exact(coeffs):
+    exact, forced = _pair(coeffs)
+    ctx, loose = exact.norm_context, forced.norm_context
+    assert ctx.r_sq == qf.shortest_nonzero_norm_sq(exact.gram) / 4
+    assert ctx.r_exact and ctx.R_exact and not (loose.r_exact or loose.R_exact)
+    assert loose.r_sq <= ctx.r_sq <= ctx.R_sq <= loose.R_sq
+
+
+def test_norm_context_covering_radius_upper_bound():
+    """Exact where quadform computes the covering radius, otherwise the
+    half-diameter bound: rounding coordinates one at a time strays at
+    most half the sum of the basis-vector lengths."""
+
+    def ctx(rows):
+        n = len(rows)
+        inst = lattice.LatticeInstance.from_matrix([[2 * (i == k) for k in range(n)] for i in range(n)])
+        return dsm.Geometry(inst, None, qf.as_gram(rows), 256).norm_context
+
+    exact = ctx([[2, 1], [1, 4]])
+    assert (exact.R_sq, exact.R_exact) == (Fraction(8, 7), True)
+    loose = ctx([[2 if i == k else 1 for k in range(4)] for i in range(4)])
+    assert (loose.r_sq, loose.r_exact, loose.R_exact) == (Fraction(1, 2), True, False)
+    assert loose.R_sq == (4 * sqrt_upper(Fraction(2), 64)) ** 2 / 4
 
 
 def _mirror_ties_only(pre):
@@ -60,17 +98,21 @@ def test_enclosure_minimizers_match_exact(coeffs, w):
     for rep in lattice.residue_system(inst, w):
         if rep == inst.zero() or lattice.solve_divisibility(inst, rep, 1) is not None:
             continue
-        want = dsm._minimizers_exact(exact, pw, rep)
+        t = intmat.solve_exact(pw, rep)
+        winners, _ = qf.closest_lattice_points(exact.gram, t)
+        want = sorted(tuple(r + s for r, s in zip(rep, intmat.mat_vec(pw, x))) for x in winners)
+        assert dsm._minimizers(exact, pw, rep) == want, rep
         pre = [intmat.solve_exact(pw, d) for d in want]
         if not _mirror_ties_only(pre):
             continue  # a non-mirror tie cannot be separated by enclosures
-        assert dsm._minimizers_enclosure(forced, pw, rep) == want, rep
+        assert dsm._minimizers(forced, pw, rep) == want, rep
         compared += 1
     assert compared >= 3
 
 
 # Hypothesis: the exact Gram matrix of random totally real and random
-# equal-modulus bases lies inside the enclosure built from the roots
+# equal-modulus bases lies inside the enclosure built from the roots, and
+# at random points the kernel's brackets are the interval sums over it
 def _poly_product(factors):
     out = (1,)
     for f in factors:
@@ -133,26 +175,48 @@ EQUAL_MODULUS = (
 )
 
 
-def _check_gram_inside_enclosure(coeffs, kind):
+def _interval_sum(enc, p):
+    """Reference bracket: the sum of the enclosure entries scaled by
+    p_i p_k, in interval arithmetic."""
+    acc = Interval.point(0)
+    for i, vi in enumerate(p):
+        for k, vk in enumerate(p):
+            if vi and vk:
+                acc = acc + enc[i][k].scaled(vi * vk)
+    return acc
+
+
+def _check_gram_inside_enclosure(coeffs, kind, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         nf = nfm.build(list(coeffs))
     assert nf.gram_kind == kind
     n = nf.degree
+    exact = dsm.geometry(nf)
+    forced = dsm.Geometry(nf.lattice, nf, None, nf.precision_cap_bits)
+    coords = st.tuples(*[st.integers(-10**6, 10**6) | st.integers(-3, 3)] * n)
+    points = data.draw(st.lists(coords, min_size=1, max_size=6))
     for bits in (64, 256):
         enc = nfm.gram_enclosure(nf, bits)
         for i in range(n):
             for k in range(n):
                 assert enc[i][k].contains(nf.gram[i][k]), (bits, i, k)
+        for p in points:
+            want = _exact_norm_sq(exact, p)
+            assert want == qf.eval_quadratic(nf.gram, p)
+            lo, hi, den = forced.norm_sq_interval(p, bits)
+            ref = _interval_sum(enc, p)
+            assert (Fraction(lo, den), Fraction(hi, den)) == (ref.lo, ref.hi), (bits, p)
+            assert ref.contains(want), (bits, p)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(TOTALLY_REAL)
-def test_power_sum_gram_inside_enclosure(coeffs):
-    _check_gram_inside_enclosure(coeffs, nfm.GRAM_POWER_SUMS)
+@given(TOTALLY_REAL, st.data())
+def test_power_sum_gram_inside_enclosure(coeffs, data):
+    _check_gram_inside_enclosure(coeffs, nfm.GRAM_POWER_SUMS, data)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(EQUAL_MODULUS)
-def test_equal_modulus_gram_inside_enclosure(coeffs):
-    _check_gram_inside_enclosure(coeffs, nfm.GRAM_EQUAL_MODULUS)
+@given(EQUAL_MODULUS, st.data())
+def test_equal_modulus_gram_inside_enclosure(coeffs, data):
+    _check_gram_inside_enclosure(coeffs, nfm.GRAM_EQUAL_MODULUS, data)

@@ -1,8 +1,8 @@
 """Property tests of the division kernel ``DigitSet.divide`` /
 ``DigitSet.divisions`` against the reference path of ``lattice``
 (``solve_divisibility`` and ``residue_key``), of the expansions and
-weights built on it, and of the integer-scaled exact norm against
-``quadform.eval_quadratic``. The systems cover the kernel written out
+weights built on it, and of the integer norm brackets against
+``quadform.eval_quadratic`` on the midpoint Gram matrix. The systems cover the kernel written out
 for n = 1, 2, 3, with cyclic and non-cyclic Z^n / phi^w Z^n, and the
 generic path of n = 4."""
 
@@ -241,10 +241,14 @@ RATIONAL_GEO = dsm.Geometry(
 def test_integer_scaled_norm_matches_rational_form(case):
     name, p = case
     geo = RATIONAL_GEO if name == "rational" else system(name).geo
+    # an exact Gram matrix is its own midpoint, and its bracket a point
+    bits, mid, _ = geo.enclosure()
+    lo, hi, den = geo.norm_sq_interval(p, bits)
+    want = qf.eval_quadratic(mid, p)
     if geo.gram is None:
-        assert geo.norm_sq_exact(p) is None
+        assert Fraction(lo, den) <= want <= Fraction(hi, den)
     else:
-        assert geo.norm_sq_exact(p) == qf.eval_quadratic(geo.gram, p)
+        assert Fraction(lo, den) == Fraction(hi, den) == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

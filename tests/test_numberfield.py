@@ -66,10 +66,10 @@ def test_gram_values_equal_modulus():
 
 def test_minkowski_norm_examples():
     geo = geometry(nfm.build([2, -1, 1]))
-    assert geo.norm_sq_exact((1, 0)) == 2
-    assert geo.norm_sq_exact((0, 1)) == 4
-    assert geo.norm_sq_exact((1, 1)) == 8
-    assert geometry(nfm.build([-2, 1])).norm_sq_exact((3,)) == 9
+    assert geo.norm_sq_interval((1, 0)) == (2, 2, 1)
+    assert geo.norm_sq_interval((0, 1)) == (4, 4, 1)
+    assert geo.norm_sq_interval((1, 1)) == (8, 8, 1)
+    assert geometry(nfm.build([-2, 1])).norm_sq_interval((3,)) == (9, 9, 1)
 
 
 def test_norm_enclosure_contains_exact():

@@ -220,7 +220,7 @@ def _reference_sweep(ds, radius):
     radius = Fraction(radius)
     pts = geo.ball(radius * radius)
     if geo.gram is None:
-        pts = [p for p in pts if geo.norm_sq_interval(p).hi <= radius * radius]
+        pts = [p for p in pts if Fraction(*geo.norm_sq_interval(p)[1:]) <= radius * radius]
     table = _reference_distance_table(ds, max(radius, ncm.invariant_ball_bound(ds)))
     violations = []
     for p in pts:

@@ -214,16 +214,6 @@ def test_covering_radius_deep_hole_is_attained():
             assert d <= r_sq
 
 
-def test_covering_radius_upper_bound():
-    up = qf.covering_radius_sq_upper(G_COMPLEX)
-    assert up == F(8, 7)
-    big = tuple(
-        tuple(F(2) if i == j else F(1) for j in range(4)) for i in range(4)
-    )
-    loose = qf.covering_radius_sq_upper(big)
-    assert loose is not None and loose > 0
-
-
 def test_min_eigenvalue():
     assert qf.min_eigenvalue_real(G_ID, CAP).compare(1) == 0
     diag = ((F(2), F(0)), (F(0), F(3)))
