@@ -245,6 +245,10 @@ def _cmd_check_nads(source, make_digits, args):
 
 
 def _cmd_check_optimality(source, make_digits, args):
+    if args.radius < 0:
+        # the library reads a negative radius as an empty sweep; on the
+        # command line it is a typo, not a clean result
+        raise ValueError("--radius must be at least 0")
     ds = make_digits()
     cert = om.check_hypotheses(ds)
     pairs: list[tuple[str, object]] = [

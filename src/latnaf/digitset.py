@@ -129,10 +129,11 @@ class Geometry:
 
         return CReal.from_refinable(bracket)
 
-    def enclosure(self, start: int = 64) -> tuple[int, quadform.Gram, Fraction]:
-        """(bits, mid, kappa) at the first precision start, 2 start, ...
-        where the rational midpoint Gram matrix mid is positive definite
-        and kappa <= 1/2; (start, gram, 0) for an exact Gram matrix.
+    def enclosure(self, start: int = 64) -> tuple[int, quadform.LDL, Fraction]:
+        """(bits, form, kappa) at the first precision start, 2 start, ...
+        where the midpoint Gram matrix M / D is positive definite and
+        kappa <= 1/2, form being the integer LDL of M / D kept for that
+        level; (start, the LDL of the Gram matrix, 0) for an exact one.
 
         For any vector v, |Q_true(v) - Q_mid(v)| is at most
         eps * (sum |v_i|)^2 <= eps * n * Q_mid(v) / lambda_min(mid), with
@@ -140,32 +141,36 @@ class Geometry:
         Q_mid(v) <= C / (1 - kappa) with kappa = eps * n / lambda_min, and
         enumerating mid to the inflated bound provably covers the ball.
         """
-        if self.gram is not None:
-            return start, self.gram, Fraction(0)
         bits = start
         while True:
-            if bits not in self._midpoints:
+            key = None if self.gram is not None else bits
+            if key not in self._midpoints:
                 den, m, h = self._level(bits)
-                # conjugate symmetry makes the enclosure entrywise symmetric
-                mid = quadform.as_gram([[Fraction(v, den) for v in row] for row in m])
-                eps = Fraction(max(map(max, h)), den)
+                form = quadform.ldl(m, den)
                 found = None
-                if quadform.ldl(mid) is not None:
+                if h is None:
+                    if form is None:
+                        raise ConsistencyError("the Gram matrix is not positive definite")
+                    found = (form, Fraction(0))
+                elif form is not None:
+                    # conjugate symmetry makes the enclosure entrywise symmetric
+                    mid = quadform.as_gram([[Fraction(v, den) for v in row] for row in m])
+                    eps = Fraction(max(map(max, h)), den)
                     lam = quadform.min_eigenvalue_real(mid, self.precision_cap_bits)
                     lam_lo = lam.interval(64).lo
                     if lam_lo > 0 and eps * len(m) <= lam_lo / 2:
-                        found = (mid, eps * len(m) / lam_lo)
-                self._midpoints[bits] = found
-            if self._midpoints[bits] is not None:
-                return (bits, *self._midpoints[bits])
+                        found = (form, eps * len(m) / lam_lo)
+                self._midpoints[key] = found
+            if self._midpoints[key] is not None:
+                return (bits, *self._midpoints[key])
             bits *= 2
 
     def ball(self, bound_sq: Fraction, cap: int | None = None) -> list[Point]:
         """Lattice points of squared norm at most bound_sq: exactly that
         ball with an exact Gram matrix, a certified superset otherwise.
         Raises BallSizeError once more than cap points are found."""
-        _, mid, kappa = self.enclosure()
-        return quadform.enumerate_ball(mid, bound_sq / (1 - kappa), cap)
+        _, form, kappa = self.enclosure()
+        return quadform.enumerate_ball(form, bound_sq / (1 - kappa), cap)
 
     @cached_property
     def u(self) -> CReal:
@@ -208,10 +213,10 @@ class Geometry:
         units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
         bits = 64
         while True:
-            bits, mid, kappa = self.enclosure(bits)
-            den = self._level(bits)[0]
+            bits, form, kappa = self.enclosure(bits)
+            den = form.den
             diag = [Fraction(self.norm_sq_interval(e, bits)[1], den) for e in units]
-            ball = quadform.enumerate_ball(mid, min(diag) / (1 - kappa))
+            ball = quadform.enumerate_ball(form, min(diag) / (1 - kappa))
             r_sq = Fraction(min(self.norm_sq_interval(x, bits)[0] for x in ball if any(x)), den)
             if r_sq > 0:
                 break
@@ -335,7 +340,8 @@ class DigitSet:
         if self.geo.gram is None:
             return False
         pw = intmat.mat_pow(self.inst.phi, self.w)
-        return all(d in _minimizers(self.geo, pw, d) for d in self.nonzero_digits)
+        pullback = _pullback(pw)
+        return all(d in _minimizers(self.geo, pw, pullback, d) for d in self.nonzero_digits)
 
 
 def _fault(entry, p) -> MalformedDigitSetError:
@@ -453,30 +459,40 @@ def _finish(geo: Geometry, w: int, nonzero: list[Point], family: str) -> DigitSe
     return DigitSet(geo, w, tuple(sorted([*nonzero, geo.inst.zero()])), family)
 
 
-def _minimizers(geo: Geometry, pw: intmat.Matrix, rep: Point) -> list[Point]:
+def _pullback(pw: intmat.Matrix) -> tuple[intmat.Matrix, int]:
+    """(A, q) with Phi^-w = A / q and q > 0: one adjugate of phi^w, so
+    the pullback of a class representative rep is A rep / q."""
+    adj, det = intmat.adjugate(pw), intmat.determinant(pw)
+    if det < 0:
+        adj, det = tuple(tuple(-v for v in row) for row in adj), -det
+    return adj, det
+
+
+def _minimizers(geo: Geometry, pw: intmat.Matrix, pullback, rep: Point) -> list[Point]:
     """All representatives of rep's class minimizing the norm of the
     class member pulled back through the w-th power of the base: the
     digit candidates with Phi^-w(digit) in the Voronoi cell.
 
-    The pullbacks are t + x with t = Phi^-w(rep) and x integral. They are
-    enumerated on the midpoint Gram matrix of ``Geometry.enclosure`` to
-    the inflated norm of the Babai point, which provably contains every
-    minimizer, and compared by the integer brackets of q (t + x), q the
-    denominator of t. Overlapping brackets are compared as certified
-    reals: an exact tie on an exact Gram matrix, while on an enclosure a
-    tie between candidates that are not mirror images raises the
-    precision cap error.
+    The pullbacks are t + x with t = Phi^-w(rep) = a / q, (A, q) =
+    ``_pullback(pw)`` and a = A rep, and x integral. Integer
+    Fincke-Pohst on the LDL of the midpoint Gram matrix of
+    ``Geometry.enclosure`` enumerates them out to the inflated norm of
+    the Babai point, which provably contains every minimizer, and they
+    are compared by the integer brackets of a + q x = q (t + x).
+    Overlapping brackets are compared as certified reals: an exact tie on
+    an exact Gram matrix, while on an enclosure a tie between candidates
+    that are not mirror images raises the precision cap error.
     """
-    t = intmat.solve_exact(pw, rep)
-    q = lcm(*(c.denominator for c in t))
-    bits, mid, kappa = geo.enclosure()
-    seed = [int(q * (a + b)) for a, b in zip(t, quadform.babai_point(mid, t))]
+    adj, q = pullback
+    a = intmat.mat_vec(adj, rep)
+    bits, form, kappa = geo.enclosure()
+    seed = [c + q * x for c, x in zip(a, quadform.babai_point(form, a, q))]
     _, hi, den = geo.norm_sq_interval(seed, bits)
     bound = Fraction(hi, den * q * q) / (1 - kappa)
     cap = geo.precision_cap_bits
     best: list[Point] = []
-    for x in quadform.enumerate_with_offset(mid, t, bound):
-        vec = tuple(int(q * a) + q * b for a, b in zip(t, x))
+    for x in quadform.enumerate_with_offset(form, a, q, bound):
+        vec = tuple(c + q * b for c, b in zip(a, x))
         if best and tuple(-c for c in vec) in best:
             best.append(vec)
             continue
@@ -506,8 +522,9 @@ def build_minimal_norm(source, w: int) -> DigitSet:
     inst = geo.inst
     reps = lattice.residue_system(inst, w)  # checks the class cap first
     pw = intmat.mat_pow(inst.phi, w)
+    pullback = _pullback(pw)
     nonzero = [
-        _minimizers(geo, pw, rep)[0]
+        _minimizers(geo, pw, pullback, rep)[0]
         for rep in reps
         if rep != inst.zero() and lattice.solve_divisibility(inst, rep, 1) is None
     ]

@@ -1,13 +1,12 @@
-"""Exact integer and rational matrix helpers.
+"""Exact integer matrix helpers.
 
-Everything here is plain tuples/lists of Python ints or Fractions; no
-floating point. Matrices are tuples of row tuples, vectors are tuples.
+Everything here is plain tuples/lists of Python ints; no floating
+point. Matrices are tuples of row tuples, vectors are tuples.
 Sizes are small (desk scale), so simple cubic algorithms are fine.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import ConsistencyError
@@ -127,24 +126,6 @@ def char_poly(a: Matrix) -> tuple[int, ...]:
                 for i in range(n)
             )
     return tuple(coeffs)
-
-
-def solve_exact(a: Matrix, v) -> tuple[Fraction, ...]:
-    """Solve a x = v over the rationals. Raises on singular a."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(v[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, tuple[int, ...], Matrix]:

@@ -1,19 +1,32 @@
 """Exact lattice geometry for positive definite rational quadratic forms.
 
-Everything here is rational arithmetic: enumeration bounds come from an
-LDL decomposition with integer range endpoints computed through isqrt,
-so no floating point is involved anywhere on a decision path. The
-smallest eigenvalue of a symmetric matrix comes from Sturm counts on its
-characteristic polynomial (``min_eigenvalue_real``).
+A Gram matrix M / D (M an integer matrix, D > 0) is prepared once as an
+integer LDL decomposition (``ldl``). With P_i the i-th leading principal
+minor of M (P_-1 = 1) and B_ij the entries of the fraction-free
+(Bareiss) elimination of M above its diagonal,
+
+    Q_M(y) = sum_i (P_i y_i + c_i)^2 / (P_{i-1} P_i),  c_i = sum_{j>i} B_ij y_j,
+
+which is the rational LDL d_i (y_i + sum_{j>i} u_ij y_j)^2 with
+d_i = P_i / P_{i-1} and u_ij = B_ij / P_i over common denominators, and
+M is positive definite exactly when every P_i > 0. Ball enumeration
+(Fincke-Pohst) and nearest-plane rounding (Babai) work on that form for
+an offset t = a / q through the integer vector y = a + q x, so no
+rational number is formed: each level takes one integer center
+P_i a_i + c_i, one isqrt of its budget and two floor divisions for the
+range of x_i. The smallest eigenvalue of a symmetric matrix comes from
+Sturm counts on its characteristic polynomial (``min_eigenvalue_real``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
+from operator import mul
 
 from . import intmat
-from .errors import BallSizeError, ConsistencyError, PrecisionCapError
+from .errors import BallSizeError, PrecisionCapError
 from .exactreal import CReal, Interval, sqrt_lower, sqrt_upper
 
 Gram = tuple[tuple[Fraction, ...], ...]
@@ -32,90 +45,82 @@ def as_gram(rows) -> Gram:
     return g
 
 
-def eval_quadratic(g: Gram, v) -> Fraction:
-    total = Fraction(0)
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        row = g[i]
-        for k, vk in enumerate(v):
-            if vk:
-                total += Fraction(vi) * Fraction(vk) * row[k]
-    return total
+@dataclass(frozen=True)
+class LDL:
+    """Integer LDL decomposition of a positive definite Gram matrix M / den.
 
-
-def ldl(g: Gram):
-    """Q(y) = sum_i d[i] * (y_i + sum_{j>i} u[i][j] y_j)^2 with d[i] > 0,
-    or None when the form is not positive definite."""
-    n = len(g)
-    a = [[Fraction(g[i][k]) for k in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        pivot = a[i][i]
-        if pivot <= 0:
-            return None
-        d[i] = pivot
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / pivot
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / pivot
-                a[k][j] = a[j][k]
-    return d, u
-
-
-def _floor_shift_sqrt(shift: Fraction, val: Fraction) -> int:
-    """floor(shift + sqrt(val)) computed exactly; val >= 0."""
-    if val < 0:
-        raise ValueError("negative radicand")
-    num, den = val.numerator, val.denominator
-    k = floor(shift) + isqrt(num * den) // den
-
-    def le(c: int) -> bool:
-        # c <= shift + sqrt(val)
-        rest = Fraction(c) - shift
-        if rest <= 0:
-            return True
-        return rest * rest <= val
-
-    while le(k + 1):
-        k += 1
-    while not le(k):
-        k -= 1
-    return k
-
-
-def enumerate_with_offset(g: Gram, t, bound: Fraction, cap: int | None = None):
-    """All integer x with Q(t + x) <= bound, sorted lexicographically.
-
-    t is a rational point of the ambient space; bound is a rational.
-    Each coordinate range [lo, hi] is exact: it holds the integers x_i
-    with d_i (y_i + shift)^2 within the remaining budget and no others,
-    so the innermost level emits its whole row without evaluating the
-    form. Raises BallSizeError before a row would take the count past cap.
+    pivots[i] is P_i and upper[i] holds B_ij for j > i, so that
+    scale * Q_M(y) = sum_i weights[i] (P_i y_i + c_i)^2 with
+    weights[i] = scale / (P_{i-1} P_i), all integers.
     """
-    n = len(g)
-    decomp = ldl(g)
-    if decomp is None:
-        raise ValueError("form is not positive definite")
-    d, u = decomp
-    tt = tuple(Fraction(v) for v in t)
-    if len(tt) != n:
+
+    den: int
+    pivots: tuple[int, ...]
+    upper: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    scale: int
+
+
+def ldl(m, den: int = 1) -> LDL | None:
+    """The integer LDL of the symmetric Gram matrix m / den (m integer,
+    den > 0), or None when it is not positive definite: Sylvester's
+    criterion, read off the pivots of the elimination."""
+    n = len(m)
+    a = [list(row) for row in m]
+    pivots = []
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return None
+        pivots.append(p)
+        for j in range(k + 1, n):
+            for i in range(k + 1, n):
+                a[j][i] = (p * a[j][i] - a[j][k] * a[k][i]) // prev  # exact (Bareiss)
+        prev = p
+    pairs = [prev_p * p for prev_p, p in zip([1, *pivots], pivots)]
+    scale = lcm(*pairs)
+    return LDL(
+        den,
+        tuple(pivots),
+        tuple(tuple(a[i][i + 1:]) for i in range(n)),
+        tuple(scale // w for w in pairs),
+        scale,
+    )
+
+
+def enumerate_with_offset(form: LDL, a, q: int, bound, cap: int | None = None):
+    """All integer x with Q(t + x) <= bound for t = a / q, sorted
+    lexicographically; Q is the form's Gram matrix M / den, a an integer
+    vector, q > 0 and bound a rational.
+
+    With y = a + q x, Q(t + x) <= bound exactly when scale * Q_M(y) is at
+    most the integer floor(scale * den * q^2 * bound). At level i the
+    budget left by the outer levels is an integer, and the x_i with
+    weights[i] (e + P_i q x_i)^2 within it, e = P_i a_i + c_i, are those
+    with |e + P_i q x_i| <= s = isqrt(budget // weights[i]): the range
+    [-((s + e) // (P_i q)), (s - e) // (P_i q)], exact, so the innermost
+    level emits its whole row without evaluating the form. Raises
+    BallSizeError before a row would take the count past cap.
+    """
+    n = len(form.pivots)
+    if len(a) != n:
         raise ValueError("offset length mismatch")
     bound = Fraction(bound)
     if bound < 0:
         return []
+    limit = bound.numerator * form.scale * form.den * q * q // bound.denominator
+    pivots, upper, weights = form.pivots, form.upper, form.weights
     out: list[tuple[int, ...]] = []
-    ys = [Fraction(0)] * n
+    ys = [0] * n
     xs = [0] * n
 
-    def recurse(i: int, budget: Fraction) -> None:
-        shift = sum((u[i][j] * ys[j] for j in range(i + 1, n)), Fraction(0))
-        rad = budget / d[i]
-        center = -(tt[i] + shift)
-        hi = _floor_shift_sqrt(center, rad)
-        lo = -_floor_shift_sqrt(-center, rad)
+    def recurse(i: int, budget: int) -> None:
+        p = pivots[i]
+        e = p * a[i] + sum(map(mul, upper[i], ys[i + 1:]))
+        h = p * q
+        s = isqrt(budget // weights[i])
+        lo, hi = -((s + e) // h), (s - e) // h
         if i == 0:
             if cap is not None and len(out) + (hi - lo + 1) > cap:
                 raise BallSizeError(
@@ -124,73 +129,38 @@ def enumerate_with_offset(g: Gram, t, bound: Fraction, cap: int | None = None):
             rest = tuple(xs[1:])
             out.extend((xi, *rest) for xi in range(lo, hi + 1))
             return
+        w = weights[i]
         for xi in range(lo, hi + 1):
-            yi = tt[i] + xi
+            v = e + h * xi
             xs[i] = xi
-            ys[i] = yi
-            recurse(i - 1, budget - d[i] * (yi + shift) * (yi + shift))
+            ys[i] = a[i] + q * xi
+            recurse(i - 1, budget - w * v * v)
 
-    recurse(n - 1, bound)
+    recurse(n - 1, limit)
     out.sort()
     return out
 
 
-def enumerate_ball(g: Gram, bound: Fraction, cap: int | None = None):
+def enumerate_ball(form: LDL, bound, cap: int | None = None):
     """All integer points with Q(x) <= bound, origin included, lex order."""
-    return enumerate_with_offset(g, (0,) * len(g), bound, cap)
+    return enumerate_with_offset(form, (0,) * len(form.pivots), 1, bound, cap)
 
 
-def shortest_nonzero_norm_sq(g: Gram) -> Fraction:
-    bound = min(g[i][i] for i in range(len(g)))
-    best = None
-    for x in enumerate_ball(g, bound):
-        if all(c == 0 for c in x):
-            continue
-        v = eval_quadratic(g, x)
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise ConsistencyError("no nonzero lattice point within the diagonal bound")
-    return best
-
-
-def babai_point(g: Gram, t) -> tuple[int, ...]:
-    """Nearest-plane rounding: an integer x with Q(t + x) small, whose
-    value bounds the search for the closest points."""
-    n = len(g)
-    d, u = ldl(g)
+def babai_point(form: LDL, a, q: int) -> tuple[int, ...]:
+    """Nearest-plane rounding for t = a / q: an integer x with Q(t + x)
+    small, whose value bounds the search for the closest points. Level i
+    rounds -(t_i + sum_{j>i} u_ij (t_j + x_j)) = -e / (P_i q) to
+    floor(-e / h + 1/2) = (h - 2 e) // (2 h), h = P_i q."""
+    n = len(form.pivots)
     xs = [0] * n
-    ys = [Fraction(0)] * n
+    ys = [0] * n
     for i in range(n - 1, -1, -1):
-        shift = sum((u[i][j] * ys[j] for j in range(i + 1, n)), Fraction(0))
-        target = -(Fraction(t[i]) + shift)
-        xs[i] = floor(target + Fraction(1, 2))
-        ys[i] = Fraction(t[i]) + xs[i]
+        p = form.pivots[i]
+        e = p * a[i] + sum(map(mul, form.upper[i], ys[i + 1:]))
+        h = p * q
+        xs[i] = (h - 2 * e) // (2 * h)
+        ys[i] = a[i] + q * xs[i]
     return tuple(xs)
-
-
-def closest_lattice_points(g: Gram, t):
-    """All integer x minimizing Q(t + x), with the minimum.
-
-    Returns (points sorted lex, min_value). The Babai nearest-plane point
-    seeds the search radius, so the enumeration provably contains every
-    minimizer. The rational reference for the minimizer of
-    ``digitset``, which compares integer norm brackets instead.
-    """
-    tt = tuple(Fraction(v) for v in t)
-    seed = babai_point(g, tt)
-    bound = eval_quadratic(g, tuple(a + b for a, b in zip(tt, seed)))
-    best = bound
-    winners = []
-    for x in enumerate_with_offset(g, tt, bound):
-        v = eval_quadratic(g, tuple(a + b for a, b in zip(tt, x)))
-        if v < best:
-            best = v
-            winners = [x]
-        elif v == best:
-            winners.append(x)
-    winners.sort()
-    return winners, best
 
 
 def _is_diagonal(g: Gram) -> bool:
@@ -198,49 +168,44 @@ def _is_diagonal(g: Gram) -> bool:
     return all(g[i][k] == 0 for i in range(n) for k in range(n) if i != k)
 
 
-def _covering_radius_sq_2d(g: Gram) -> Fraction:
-    """Exact squared covering radius in dimension 2: the farthest vertex
-    of the origin's exact Voronoi cell."""
-    bound = 2 * (g[0][0] + g[1][1])
-    rel = [x for x in enumerate_ball(g, bound) if x != (0, 0)]
-    half = []
-    for v in rel:
-        gv = (
-            g[0][0] * v[0] + g[0][1] * v[1],
-            g[1][0] * v[0] + g[1][1] * v[1],
-        )
-        half.append((2 * gv[0], 2 * gv[1], eval_quadratic(g, v)))
-    best = Fraction(0)
-    m = len(half)
-    for i in range(m):
-        a1, b1, c1 = half[i]
-        for j in range(i + 1, m):
-            a2, b2, c2 = half[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if all(a * x + b * y <= c for a, b, c in half):
-                nv = eval_quadratic(g, (x, y))
-                if nv > best:
-                    best = nv
-    # constraints from vectors outside the candidate ball cannot cut the
-    # cell: their bisectors stay farther out than every vertex found
-    if best > Fraction(bound, 4):
-        raise ConsistencyError("Voronoi vertex beyond the candidate ball")
-    return best
-
-
 def covering_radius_sq_exact(g: Gram) -> Fraction | None:
-    """Exact squared covering radius when cheaply available, else None."""
+    """Exact squared covering radius when cheaply available, else None:
+    g00 / 4 for n = 1, the sum of the diagonal over 4 for a diagonal
+    Gram matrix, and a closed form for n = 2.
+
+    For n = 2, write Q(x, y) = a x^2 + 2 b x y + c y^2 for the basis
+    v1, v2. Lagrange-Gauss reduction (v2 -= k v1 with k the integer
+    nearest b / a, swap while a > c, then v2 -> -v2 if b < 0) changes the
+    basis but not the lattice, and ends with |2b| <= a <= c and b >= 0.
+    Then the triangle (0, v1, v2) is not obtuse: its angles at 0, v1 and
+    v2 have cosines of the signs of b, a - b and c - b, all >= 0. The
+    translates of that triangle and of its point reflection
+    (v1, v2, v1 + v2) tile the plane, and the two triangles on each edge
+    are congruent by the half-turn about the edge's midpoint, so their
+    angles opposite that edge are equal and sum to at most pi. A
+    triangulation with that property on every edge is a Delaunay
+    triangulation: no lattice point lies inside any triangle's
+    circumcircle. The Voronoi vertices of the lattice are therefore the
+    circumcenters of these congruent triangles, and the covering radius
+    is their circumradius. With side lengths squared a, c and
+    |v1 - v2|^2 = a + c - 2b and area^2 = (ac - b^2) / 4,
+    R^2 = (a c (a + c - 2b)) / (16 area^2) = a c (a + c - 2b) / (4 (ac - b^2)).
+    """
     n = len(g)
     if n == 1:
         return g[0][0] / 4
     if _is_diagonal(g):
         return sum((g[i][i] for i in range(n)), Fraction(0)) / 4
     if n == 2:
-        return _covering_radius_sq_2d(g)
+        a, b, c = g[0][0], g[0][1], g[1][1]
+        while True:
+            k = floor(b / a + Fraction(1, 2))
+            b, c = b - k * a, c - 2 * k * b + k * k * a
+            if a <= c:
+                break
+            a, c = c, a
+        b = abs(b)
+        return a * c * (a + c - 2 * b) / (4 * (a * c - b * b))
     return None
 
 

@@ -426,3 +426,13 @@ def test_check_optimality_ball_cap_exits_2(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "check-optimality", "--instance", path, "--radius", "3000")
     assert code == 2
     assert "more than 50 points" in err
+
+
+@pytest.mark.parametrize("radius", ["-5", "-1"])
+def test_check_optimality_negative_radius_exits_2(capsys, base3, radius):
+    # the library's empty sweep would read "certified, 0 points, 0
+    # violations"; from the command line a negative radius is an error
+    code, out, err = run(capsys, "check-optimality", "--instance", base3, "--radius", radius)
+    assert code == 2
+    assert out == ""
+    assert "--radius must be at least 0" in err

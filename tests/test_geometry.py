@@ -1,6 +1,6 @@
 """The integer norm kernel of Geometry with its enclosure level forced
 on bases whose Gram matrix is exact, against the exact level and the
-rational references of quadform; and, on random totally real and
+rational references of ``quadform_reference``; and, on random totally real and
 equal-modulus bases, the exact Gram matrix against the enclosure built
 from their roots, and the kernel's brackets against the interval sum
 over that enclosure."""
@@ -18,6 +18,8 @@ from latnaf import digitset as dsm
 from latnaf import numberfield as nfm
 from latnaf import quadform as qf
 from latnaf.exactreal import Interval, sqrt_upper
+
+import quadform_reference as ref
 
 BASES = [[5, -5, 1], [2, -1, 1], [5, -4, 1]]  # power sums, equal modulus twice
 
@@ -52,7 +54,7 @@ def test_enclosure_norm_brackets_exact_norm(coeffs):
     exact, forced = _pair(coeffs)
     for p in exact.ball(Fraction(30)):
         want = _exact_norm_sq(exact, p)
-        assert want == qf.eval_quadratic(exact.gram, p)
+        assert want == ref.eval_quadratic(exact.gram, p)
         for bits in (64, 256):
             lo, hi, den = forced.norm_sq_interval(p, bits)
             assert Fraction(lo, den) <= want <= Fraction(hi, den), (p, bits)
@@ -63,7 +65,7 @@ def test_enclosure_norm_brackets_exact_norm(coeffs):
 def test_enclosure_norm_context_brackets_exact(coeffs):
     exact, forced = _pair(coeffs)
     ctx, loose = exact.norm_context, forced.norm_context
-    assert ctx.r_sq == qf.shortest_nonzero_norm_sq(exact.gram) / 4
+    assert ctx.r_sq == ref.shortest_nonzero_norm_sq(exact.gram) / 4
     assert ctx.r_exact and ctx.R_exact and not (loose.r_exact or loose.R_exact)
     assert loose.r_sq <= ctx.r_sq <= ctx.R_sq <= loose.R_sq
 
@@ -94,18 +96,19 @@ def test_enclosure_minimizers_match_exact(coeffs, w):
     exact, forced = _pair(coeffs)
     inst = exact.inst
     pw = intmat.mat_pow(inst.phi, w)
+    pullback = dsm._pullback(pw)
     compared = 0
     for rep in lattice.residue_system(inst, w):
         if rep == inst.zero() or lattice.solve_divisibility(inst, rep, 1) is not None:
             continue
-        t = intmat.solve_exact(pw, rep)
-        winners, _ = qf.closest_lattice_points(exact.gram, t)
+        t = ref.solve_exact(pw, rep)
+        winners, _ = ref.closest_lattice_points(exact.gram, t)
         want = sorted(tuple(r + s for r, s in zip(rep, intmat.mat_vec(pw, x))) for x in winners)
-        assert dsm._minimizers(exact, pw, rep) == want, rep
-        pre = [intmat.solve_exact(pw, d) for d in want]
+        assert dsm._minimizers(exact, pw, pullback, rep) == want, rep
+        pre = [ref.solve_exact(pw, d) for d in want]
         if not _mirror_ties_only(pre):
             continue  # a non-mirror tie cannot be separated by enclosures
-        assert dsm._minimizers(forced, pw, rep) == want, rep
+        assert dsm._minimizers(forced, pw, pullback, rep) == want, rep
         compared += 1
     assert compared >= 3
 
@@ -203,11 +206,11 @@ def _check_gram_inside_enclosure(coeffs, kind, data):
                 assert enc[i][k].contains(nf.gram[i][k]), (bits, i, k)
         for p in points:
             want = _exact_norm_sq(exact, p)
-            assert want == qf.eval_quadratic(nf.gram, p)
+            assert want == ref.eval_quadratic(nf.gram, p)
             lo, hi, den = forced.norm_sq_interval(p, bits)
-            ref = _interval_sum(enc, p)
-            assert (Fraction(lo, den), Fraction(hi, den)) == (ref.lo, ref.hi), (bits, p)
-            assert ref.contains(want), (bits, p)
+            iv = _interval_sum(enc, p)
+            assert (Fraction(lo, den), Fraction(hi, den)) == (iv.lo, iv.hi), (bits, p)
+            assert iv.contains(want), (bits, p)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

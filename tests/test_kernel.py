@@ -2,7 +2,7 @@
 ``DigitSet.divisions`` against the reference path of ``lattice``
 (``solve_divisibility`` and ``residue_key``), of the expansions and
 weights built on it, and of the integer norm brackets against
-``quadform.eval_quadratic`` on the midpoint Gram matrix. The systems cover the kernel written out
+``quadform_reference.eval_quadratic`` on the midpoint Gram matrix. The systems cover the kernel written out
 for n = 1, 2, 3, with cyclic and non-cyclic Z^n / phi^w Z^n, and the
 generic path of n = 4."""
 
@@ -22,6 +22,8 @@ from latnaf import numberfield as nfm
 from latnaf import optimality as om
 from latnaf import quadform as qf
 from latnaf.errors import LatnafError, MalformedDigitSetError
+
+import quadform_reference as ref
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -242,9 +244,10 @@ def test_integer_scaled_norm_matches_rational_form(case):
     name, p = case
     geo = RATIONAL_GEO if name == "rational" else system(name).geo
     # an exact Gram matrix is its own midpoint, and its bracket a point
-    bits, mid, _ = geo.enclosure()
+    bits, _, _ = geo.enclosure()
     lo, hi, den = geo.norm_sq_interval(p, bits)
-    want = qf.eval_quadratic(mid, p)
+    mid = [[Fraction(v, den) for v in row] for row in geo._level(bits)[1]]
+    want = ref.eval_quadratic(mid, p)
     if geo.gram is None:
         assert Fraction(lo, den) <= want <= Fraction(hi, den)
     else:

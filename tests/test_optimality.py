@@ -9,6 +9,7 @@ from latnaf import expansion as em
 from latnaf import nadscheck as ncm
 from latnaf import numberfield as nfm
 from latnaf import optimality as om
+from latnaf import quadform as qf
 from latnaf.errors import (
     ConsistencyError,
     InstanceError,
@@ -171,6 +172,28 @@ def test_verify_uncertified_base_two_still_optimal():
 def test_verify_negative_radius_vacuous():
     report = om.verify_empirically(ds_int(3, 2), -1)
     assert report.ok and report.points_checked == 0
+
+
+@pytest.mark.parametrize("base, w, radius", [([-3, 1], 2, 40), ([5, -4, 1], 3, 6)])
+def test_balls_go_through_the_module_level_enumerator(monkeypatch, base, w, radius):
+    """verify_empirically enumerates exactly two balls (the swept points
+    and the table) and Geometry.ball one, each through the module-level
+    name quadform.enumerate_ball: perfbench's tracer counts ball points by
+    wrapping that name, and its self-test checks for two balls per sweep."""
+    ds = dsm.build_minimal_norm(nfm.build(base), w)
+    calls = []
+    real = qf.enumerate_ball
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qf, "enumerate_ball", counted)
+    om.verify_empirically(ds, radius)
+    assert len(calls) == 2
+    calls.clear()
+    ds.geo.ball(Fraction(radius))
+    assert len(calls) == 1
 
 
 def test_verify_sampling_deterministic():

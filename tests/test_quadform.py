@@ -2,7 +2,8 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS as CAP
 from latnaf.errors import BallSizeError
 from latnaf.exactreal import PrecisionCapError, QuadExt
 
+import quadform_reference as ref
+
 
 def F(a, b=1):
     return Fraction(a, b)
@@ -26,37 +29,57 @@ G_ID = ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_eval_quadratic():
-    assert qf.eval_quadratic(G_COMPLEX, (1, 0)) == 2
-    assert qf.eval_quadratic(G_COMPLEX, (0, 1)) == 4
-    assert qf.eval_quadratic(G_COMPLEX, (1, 1)) == 8
-    assert qf.eval_quadratic(G_ID, (3, -4)) == 25
+    assert ref.eval_quadratic(G_COMPLEX, (1, 0)) == 2
+    assert ref.eval_quadratic(G_COMPLEX, (0, 1)) == 4
+    assert ref.eval_quadratic(G_COMPLEX, (1, 1)) == 8
+    assert ref.eval_quadratic(G_ID, (3, -4)) == 25
+
+
+def _integer_ldl_value(form, y):
+    """scale * Q_M(y) from the integer LDL: sum_i weights[i] (P_i y_i + c_i)^2."""
+    return sum(
+        w * (p * y[i] + sum(map(mul, up, y[i + 1:]))) ** 2
+        for i, (p, up, w) in enumerate(zip(form.pivots, form.upper, form.weights))
+    )
 
 
 def test_ldl_positive_definite():
-    d, u = qf.ldl(G_COMPLEX)
-    assert all(x > 0 for x in d)
-    # Q(y) = sum_i d[i] * (y_i + sum_{j>i} u[i][j] y_j)^2
+    rational = ((F(5, 2), F(1, 3), F(-1)), (F(1, 3), F(2), F(1, 2)), (F(-1), F(1, 2), F(3)))
     rng = random.Random(1)
-    n = 2
-    for _ in range(30):
-        y = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-        total = sum(
-            (
-                d[i] * (y[i] + sum(u[i][j] * y[j] for j in range(i + 1, n))) ** 2
-                for i in range(n)
-            ),
-            F(0),
-        )
-        assert total == qf.eval_quadratic(G_COMPLEX, y)
+    for g in (G_COMPLEX, rational):
+        n = len(g)
+        d, u = ref.ldl(g)
+        form = ref.integer_ldl(g)
+        assert all(x > 0 for x in d) and all(p > 0 for p in form.pivots)
+        # the pivots are the leading minors of M = den * g, the d_i their ratios
+        assert [F(p, q) for p, q in zip(form.pivots, [1, *form.pivots])] == [x * form.den for x in d]
+        for _ in range(30):
+            # Q(y) = sum_i d[i] * (y_i + sum_{j>i} u[i][j] y_j)^2
+            y = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            total = sum(
+                (
+                    d[i] * (y[i] + sum(u[i][j] * y[j] for j in range(i + 1, n))) ** 2
+                    for i in range(n)
+                ),
+                F(0),
+            )
+            assert total == ref.eval_quadratic(g, y)
+            z = [rng.randint(-9, 9) for _ in range(n)]
+            want = form.scale * form.den * ref.eval_quadratic(g, z)
+            assert _integer_ldl_value(form, z) == want
 
 
 def test_ldl_rejects_indefinite():
-    assert qf.ldl(((F(1), F(2)), (F(2), F(1)))) is None
-    assert qf.ldl(((F(0),),)) is None
+    assert ref.ldl(((F(1), F(2)), (F(2), F(1)))) is None
+    assert ref.ldl(((F(0),),)) is None
+    assert qf.ldl(((1, 2), (2, 1))) is None
+    assert qf.ldl(((0,),)) is None
+    # leading minors 1, 1, then -1
+    assert qf.ldl(((1, 0, 1), (0, 1, 1), (1, 1, 1))) is None
 
 
 def test_enumerate_ball_identity():
-    pts = qf.enumerate_ball(G_ID, F(2))
+    pts = qf.enumerate_ball(ref.integer_ldl(G_ID), F(2))
     assert len(pts) == 9
     assert (0, 0) in pts
     assert (1, 1) in pts and (-1, -1) in pts
@@ -78,13 +101,13 @@ def test_enumerate_matches_brute_force():
             for i in range(n)
         )
         bound = F(rng.randint(1, 6))
-        got = set(qf.enumerate_ball(g, bound))
+        got = set(qf.enumerate_ball(ref.integer_ldl(g), bound))
         box = range(-6, 7)
         want = set()
 
         def rec(prefix):
             if len(prefix) == n:
-                if qf.eval_quadratic(g, prefix) <= bound:
+                if ref.eval_quadratic(g, prefix) <= bound:
                     want.add(tuple(prefix))
                 return
             for v in box:
@@ -103,10 +126,14 @@ def _det(m):
     )
 
 
+BOX_LIMIT = 1500
+
+
 def _box_filter(g, t, bound):
     """Every integer x with Q(t + x) <= bound, by testing each point of
     the box |t_i + x_i| <= sqrt(bound * (G^-1)_ii) that holds the ellipsoid
-    (cofactors for the inverse, nothing shared with the LDL path)."""
+    (cofactors for the inverse, nothing shared with the LDL path); None
+    when the box holds more than BOX_LIMIT points."""
     n = len(g)
     if bound < 0:
         return []
@@ -117,37 +144,102 @@ def _box_filter(g, t, bound):
         half = bound * _det(minor) / det
         r = isqrt(floor(half)) + 1
         ranges.append(range(ceil(-t[i]) - r, floor(-t[i]) + r + 1))
+    if prod(map(len, ranges)) > BOX_LIMIT:
+        return None
     return sorted(
         x
         for x in itertools.product(*ranges)
-        if qf.eval_quadratic(g, [a + b for a, b in zip(t, x)]) <= bound
+        if ref.eval_quadratic(g, [a + b for a, b in zip(t, x)]) <= bound
     )
+
+
+DYADIC = 2**66  # the scale of the enclosure cubic's midpoint denominators
 
 
 @st.composite
 def _offset_balls(draw):
-    """(G, t, bound): G = A^T A + c I positive definite with rational A
-    and c >= 1/2, a rational offset, a rational bound that may be < 0."""
-    n = draw(st.integers(1, 3))
-    q = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-    a = [[draw(q) for _ in range(n)] for _ in range(n)]
+    """(G, t, k, bound): G = A^T A + c I + E positive definite, n = 1..4,
+    with A's entries over 1, 2 or 3 and c >= 1/2, E zero or a symmetric
+    perturbation below 1/64 per entry over 2^66; a rational offset t,
+    written with its common denominator times k; and a bound that is
+    negative, 0, small, on the sphere through a lattice point, or large."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 2, 3]))
+    a = [[F(draw(st.integers(-2 * den, 2 * den)), den) for _ in range(n)] for _ in range(n)]
     c = draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=6))
-    g = tuple(
-        tuple(sum(a[k][i] * a[k][j] for k in range(n)) + (c if i == j else 0) for j in range(n))
+    g = [
+        [sum(a[k][i] * a[k][j] for k in range(n)) + (c if i == j else 0) for j in range(n)]
         for i in range(n)
-    )
+    ]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i, n):
+                e = F(draw(st.integers(-(2**60), 2**60)), DYADIC)
+                g[i][j] += e
+                if j != i:
+                    g[j][i] += e
+    g = tuple(map(tuple, g))
     t = tuple(
-        draw(st.fractions(min_value=-5, max_value=5, max_denominator=6)) for _ in range(n)
+        draw(st.fractions(min_value=-5, max_value=5, max_denominator=7)) for _ in range(n)
     )
-    bound = draw(st.fractions(min_value=-1, max_value=6, max_denominator=5))
-    return g, t, bound
+    k = draw(st.integers(1, 3))
+    on_sphere = [a + b for a, b in zip(t, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))]
+    bound = draw(
+        st.one_of(
+            st.fractions(min_value=0, max_value=8, max_denominator=5),
+            st.just(ref.eval_quadratic(g, on_sphere)),
+            st.just(F(0)),
+            st.fractions(min_value=-3, max_value=0, max_denominator=5),
+            st.integers(50, 10**4).map(F),
+        )
+    )
+    return g, t, k, bound
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+BALL_CAP = 600
+
+
+def _agree(ours, theirs):
+    """ours(cap) and theirs(cap) list the same points, or both raise
+    BallSizeError; when they list L > 0 points, both raise at cap L - 1.
+    Returns the list, or None when the cap stopped both."""
+    try:
+        want = theirs(BALL_CAP)
+    except BallSizeError:
+        with pytest.raises(BallSizeError):
+            ours(BALL_CAP)
+        return None
+    assert ours(len(want)) == want
+    if want:
+        with pytest.raises(BallSizeError):
+            ours(len(want) - 1)
+        with pytest.raises(BallSizeError):
+            theirs(len(want) - 1)
+    return want
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(_offset_balls())
 def test_enumerate_with_offset_matches_box_filter(case):
-    g, t, bound = case
-    assert qf.enumerate_with_offset(g, t, bound) == _box_filter(g, t, bound)
+    """The integer kernel against the rational reference: the same
+    offset ball, the same ball at the origin, the same Babai point, and
+    BallSizeError at the same cap; the reference against the box filter
+    wherever the box is small enough to scan."""
+    g, t, k, bound = case
+    form = ref.integer_ldl(g)
+    a, q = ref.split_offset(t, k)
+    assert qf.babai_point(form, a, q) == ref.babai_point(g, t)
+    want = _agree(
+        lambda cap: qf.enumerate_with_offset(form, a, q, bound, cap),
+        lambda cap: ref.enumerate_with_offset(g, t, bound, cap),
+    )
+    _agree(
+        lambda cap: qf.enumerate_ball(form, bound, cap),
+        lambda cap: ref.enumerate_ball(g, bound, cap),
+    )
+    if want is not None:
+        box = _box_filter(g, t, bound)
+        assert box is None or box == want
 
 
 def test_enumerate_cap_fires_before_the_row_is_built():
@@ -155,7 +247,7 @@ def test_enumerate_cap_fires_before_the_row_is_built():
     tracemalloc.start()
     try:
         with pytest.raises(BallSizeError):
-            qf.enumerate_ball(((1,),), 10**16, cap=1000)
+            qf.enumerate_ball(qf.ldl(((1,),)), 10**16, cap=1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -163,28 +255,28 @@ def test_enumerate_cap_fires_before_the_row_is_built():
 
 
 def test_shortest_nonzero():
-    assert qf.shortest_nonzero_norm_sq(G_COMPLEX) == 2
-    assert qf.shortest_nonzero_norm_sq(G_ID) == 1
+    assert ref.shortest_nonzero_norm_sq(G_COMPLEX) == 2
+    assert ref.shortest_nonzero_norm_sq(G_ID) == 1
     skew = ((F(5), F(3)), (F(3), F(2)))
-    assert qf.shortest_nonzero_norm_sq(skew) == 1  # (1, -1) and (-1, 2)
+    assert ref.shortest_nonzero_norm_sq(skew) == 1  # (1, -1) and (-1, 2)
 
 
 def test_closest_points_tie():
     # both x = (0,0) and x = (1,0) leave t + x at distance 1/2
-    winners, best = qf.closest_lattice_points(G_ID, (F(-1, 2), F(0)))
+    winners, best = ref.closest_lattice_points(G_ID, (F(-1, 2), F(0)))
     assert best == F(1, 4)
     assert winners == [(0, 0), (1, 0)]
 
 
 def test_closest_points_interior():
     t = (F(1, 3), F(1, 3))
-    winners, best = qf.closest_lattice_points(G_COMPLEX, t)
+    winners, best = ref.closest_lattice_points(G_COMPLEX, t)
     assert len(winners) >= 1
     for w in winners:
         v = tuple(a + b for a, b in zip(t, w))
-        assert qf.eval_quadratic(G_COMPLEX, v) == best
+        assert ref.eval_quadratic(G_COMPLEX, v) == best
     best_brute = min(
-        qf.eval_quadratic(G_COMPLEX, (F(1, 3) + x, F(1, 3) + y))
+        ref.eval_quadratic(G_COMPLEX, (F(1, 3) + x, F(1, 3) + y))
         for x in range(-3, 4)
         for y in range(-3, 4)
     )
@@ -210,8 +302,42 @@ def test_covering_radius_deep_hole_is_attained():
         r_sq = qf.covering_radius_sq_exact(g)
         for _ in range(40):
             t = (F(rng.randint(-12, 12), 8), F(rng.randint(-12, 12), 8))
-            _, d = qf.closest_lattice_points(g, t)
+            _, d = ref.closest_lattice_points(g, t)
             assert d <= r_sq
+
+
+@st.composite
+def _planar_grams(draw):
+    """A 2 x 2 Gram matrix U^T G U: G = (a, b; b, c) of a general,
+    rectangular (b = 0) or hexagonal (a = c = 2b) lattice, U a product
+    of random elementary unimodular moves, so the basis is unreduced."""
+    kind = draw(st.sampled_from(["general", "rectangular", "hexagonal"]))
+    pos = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=5)
+    a = draw(pos)
+    if kind == "hexagonal":
+        b, c = a / 2, a
+    else:
+        c = draw(pos)
+        b = F(0)
+        if kind == "general":
+            # |b| < min(a, c) <= sqrt(ac): positive definite
+            b = draw(st.fractions(min_value=-1, max_value=1, max_denominator=7)) * min(a, c)
+            if abs(b) == min(a, c):
+                b /= 2
+    g = [[a, b], [b, c]]
+    for i, m in draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([-1, 1])), max_size=2)):
+        # column i += m * column j, row i += m * row j: G -> E^T G E
+        j = 1 - i
+        for row in g:
+            row[i] += m * row[j]
+        g[i] = [x + m * y for x, y in zip(g[i], g[j])]
+    return tuple(map(tuple, g))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_planar_grams())
+def test_covering_radius_closed_form_matches_vertex_scan(g):
+    assert qf.covering_radius_sq_exact(g) == ref.covering_radius_sq_2d(g)
 
 
 def test_min_eigenvalue():
