@@ -12,7 +12,8 @@ Instance files are UTF-8 JSON:
 Minimal polynomial coefficients are ascending (constant term first) and
 monic; integers anywhere in the file may be JSON strings when they
 exceed 64 bits. The NAF_PRECISION_CAP_BITS environment variable
-overrides the file's precision cap.
+overrides the file's precision cap, which applies to matrix and
+minimal-polynomial bases alike.
 
 Output is deterministic: fixed key order, `key = value` lines in text
 mode, the same keys in JSON mode. Exit codes: 0 success, 1 when a
@@ -35,7 +36,7 @@ from . import nadscheck as ncm
 from . import numberfield as nfm
 from . import optimality as om
 from .errors import LatnafError
-from .exactreal import sqrt_lower, sqrt_upper
+from .exactreal import DEFAULT_PRECISION_CAP_BITS, sqrt_lower, sqrt_upper
 
 
 def _as_int(v, what: str) -> int:
@@ -54,8 +55,9 @@ def _as_int(v, what: str) -> int:
 def _load_instance(path: str):
     """Parse and validate an instance file.
 
-    Returns (source, make_digits) where make_digits builds the digit set
-    on demand: `info` must keep working on bases that are not expanding,
+    Returns (geo, make_digits): the base's Geometry, which carries the
+    precision cap, and make_digits, which builds the digit set on it on
+    demand: `info` must keep working on bases that are not expanding,
     and those reject digit-set construction outright.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -80,42 +82,43 @@ def _load_instance(path: str):
     env_cap = os.environ.get("NAF_PRECISION_CAP_BITS")
     if env_cap is not None:
         cap = env_cap
-    cap_bits = None if cap is None else _as_int(cap, "precision_cap")
-    if cap_bits is not None and cap_bits < 1:
+    cap_bits = DEFAULT_PRECISION_CAP_BITS if cap is None else _as_int(cap, "precision_cap")
+    if cap_bits < 1:
         raise ValueError(f"{path}: precision_cap must be positive")
 
     if "minpoly" in base:
         coeffs = [_as_int(c, "minpoly coefficient") for c in base["minpoly"]]
-        source = nfm.build(coeffs, cap_bits)
+        source = nfm.build(coeffs)
     else:
         rows = [
             [_as_int(v, "matrix entry") for v in row] for row in base["matrix"]
         ]
         source = lam.LatticeInstance.from_matrix(rows)
+    geo = dsm.geometry(source, cap_bits)
 
     family = raw.get("digitset", "minimal-norm")
     if isinstance(family, list):
         pts = [tuple(_as_int(c, "digit coordinate") for c in p) for p in family]
 
         def make_digits():
-            return dsm.from_digits(source, w, pts)
+            return dsm.from_digits(geo, w, pts)
 
     elif family == "minimal-norm":
 
         def make_digits():
-            return dsm.build_minimal_norm(source, w)
+            return dsm.build_minimal_norm(geo, w)
 
     elif family == "rational-interval":
 
         def make_digits():
-            return dsm.build_rational_interval(source, w)
+            return dsm.build_rational_interval(geo, w)
 
     else:
         raise ValueError(
             f"{path}: digitset must be 'minimal-norm', 'rational-interval' "
             "or a list of digits"
         )
-    return source, make_digits
+    return geo, make_digits
 
 
 def _dec_down(v: Fraction, places: int = 12) -> str:
@@ -164,8 +167,7 @@ def _parse_point(text: str, n: int):
         raise ValueError(f"point coordinates must be integers: {text!r}") from None
 
 
-def _cmd_info(source, make_digits, args):
-    geo = dsm.geometry(source)
+def _cmd_info(geo, make_digits, args):
     inst = geo.inst
     pairs: list[tuple[str, object]] = []
     pairs.append(("n", inst.n))
@@ -196,14 +198,14 @@ def _cmd_info(source, make_digits, args):
     return pairs, [], 0
 
 
-def _cmd_digit_set(source, make_digits, args):
+def _cmd_digit_set(geo, make_digits, args):
     ds = make_digits()
     pairs = [("count", len(ds.digits))]
     rows = [_fmt_digit(d) for d in ds.digits]
     return pairs, rows, 0
 
 
-def _cmd_expand(source, make_digits, args):
+def _cmd_expand(geo, make_digits, args):
     if args.point is None:
         raise ValueError("expand requires --point")
     ds = make_digits()
@@ -229,7 +231,7 @@ def _cmd_expand(source, make_digits, args):
     return pairs, [], 0
 
 
-def _cmd_check_nads(source, make_digits, args):
+def _cmd_check_nads(geo, make_digits, args):
     verdict = ncm.decide(make_digits())
     pairs: list[tuple[str, object]] = [("status", verdict.status)]
     if verdict.bound_used is not None:
@@ -244,7 +246,7 @@ def _cmd_check_nads(source, make_digits, args):
     return pairs, [], 0
 
 
-def _cmd_check_optimality(source, make_digits, args):
+def _cmd_check_optimality(geo, make_digits, args):
     if args.radius < 0:
         # the library reads a negative radius as an empty sweep; on the
         # command line it is a typo, not a clean result
@@ -324,8 +326,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        source, make_digits = _load_instance(args.instance)
-        pairs, rows, code = _COMMANDS[args.command](source, make_digits, args)
+        geo, make_digits = _load_instance(args.instance)
+        pairs, rows, code = _COMMANDS[args.command](geo, make_digits, args)
     except (LatnafError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -60,8 +60,9 @@ FAMILY_CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class Geometry:
-    """Working norm of an instance, and the contraction factor of the
-    inverse base map in that norm.
+    """Working norm of an instance, the contraction factor of the
+    inverse base map in that norm, and the precision cap every certified
+    comparison on the instance obeys.
 
     One integer kernel evaluates the norm. At each precision level the
     Gram matrix is held over a common denominator D as an integer
@@ -131,35 +132,44 @@ class Geometry:
 
     def enclosure(self, start: int = 64) -> tuple[int, quadform.LDL, Fraction]:
         """(bits, form, kappa) at the first precision start, 2 start, ...
-        where the midpoint Gram matrix M / D is positive definite and
-        kappa <= 1/2, form being the integer LDL of M / D kept for that
-        level; (start, the LDL of the Gram matrix, 0) for an exact one.
+        where the midpoint Gram matrix M / D is positive definite with
+        room for the half-widths, form being the integer LDL of M / D kept
+        for that level; kappa is 0 for an exact Gram matrix.
 
-        For any vector v, |Q_true(v) - Q_mid(v)| is at most
-        eps * (sum |v_i|)^2 <= eps * n * Q_mid(v) / lambda_min(mid), with
-        eps the largest entry halfwidth. So Q_true(v) <= C implies
-        Q_mid(v) <= C / (1 - kappa) with kappa = eps * n / lambda_min, and
-        enumerating mid to the inflated bound provably covers the ball.
+        Let eps = max H / D be the largest entry half-width and
+        c = n max H. For any vector v, |Q_true(v) - Q_mid(v)| is at most
+        eps (sum |v_i|)^2 <= eps n |v|^2 = c |v|^2 / D. M - s I is positive
+        definite exactly when every leading pivot of its LDL is positive
+        (Sylvester's criterion), and then Q_M(v) > s |v|^2 for v != 0.
+        A level is accepted when M - 2c I is positive definite, and
+        kappa = 2^-j for the largest j with M - 2^j c I positive definite
+        (j >= 1, found by bisection: a diagonal entry of M bounds it).
+        Then eps n |v|^2 <= kappa Q_mid(v), so Q_true(v) <= C implies
+        Q_mid(v) <= C / (1 - kappa), and enumerating mid to the inflated
+        bound provably covers the ball. As M - 2^(j+1) c I is not positive
+        definite, lambda_min(M) <= 2^(j+1) c, so kappa is within a factor 2
+        of the best such factor eps n / lambda_min(M / D). With no
+        half-widths (c = 0) kappa is 0 and M itself must be definite.
         """
         bits = start
         while True:
             key = None if self.gram is not None else bits
             if key not in self._midpoints:
                 den, m, h = self._level(bits)
-                form = quadform.ldl(m, den)
+                c = len(m) * max(map(max, h)) if h is not None else 0
                 found = None
-                if h is None:
-                    if form is None:
-                        raise ConsistencyError("the Gram matrix is not positive definite")
-                    found = (form, Fraction(0))
-                elif form is not None:
-                    # conjugate symmetry makes the enclosure entrywise symmetric
-                    mid = quadform.as_gram([[Fraction(v, den) for v in row] for row in m])
-                    eps = Fraction(max(map(max, h)), den)
-                    lam = quadform.min_eigenvalue_real(mid, self.precision_cap_bits)
-                    lam_lo = lam.interval(64).lo
-                    if lam_lo > 0 and eps * len(m) <= lam_lo / 2:
-                        found = (form, eps * len(m) / lam_lo)
+                if _definite(m, 2 * c):
+                    kappa = Fraction(0)
+                    if c:
+                        least = min(row[i] for i, row in enumerate(m))
+                        lo, hi = 1, (least // c).bit_length()
+                        while hi - lo > 1:  # M - 2^lo c I definite, M - 2^hi c I not
+                            mid = (lo + hi) // 2
+                            lo, hi = (mid, hi) if _definite(m, c << mid) else (lo, mid)
+                        kappa = Fraction(1, 1 << lo)
+                    found = (quadform.ldl(m, den), kappa)
+                elif h is None:
+                    raise ConsistencyError("the Gram matrix is not positive definite")
                 self._midpoints[key] = found
             if self._midpoints[key] is not None:
                 return (bits, *self._midpoints[key])
@@ -200,7 +210,7 @@ class Geometry:
 
     @cached_property
     def norm_context(self) -> NormContext:
-        """Packing and covering radii of the working norm, with u.
+        """Packing and covering radii of the working norm.
 
         The packing radius comes from the shortest nonzero vector, found
         in a ball that provably holds it: the least lower bracket end
@@ -224,9 +234,9 @@ class Geometry:
         if self.gram is not None:
             R_sq = quadform.covering_radius_sq_exact(self.gram)
             if R_sq is not None:
-                return NormContext(r_sq / 4, True, R_sq, True, self.u)
+                return NormContext(r_sq / 4, True, R_sq, True)
         total = sum((sqrt_upper(c, 64) for c in diag), Fraction(0))
-        return NormContext(r_sq / 4, self.gram is not None, total * total / 4, False, self.u)
+        return NormContext(r_sq / 4, self.gram is not None, total * total / 4, False)
 
     @cached_property
     def w0_bound(self) -> int:
@@ -242,19 +252,26 @@ class Geometry:
         return self.least_window(self.norm_context.tiling_ratio)
 
 
-def geometry(source) -> Geometry:
+def _definite(m: intmat.Matrix, s: int) -> bool:
+    """Whether M - s I is positive definite, by its integer LDL."""
+    shifted = [[v - s * (i == k) for k, v in enumerate(row)] for i, row in enumerate(m)]
+    return quadform.ldl(shifted) is not None
+
+
+def geometry(source, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS) -> Geometry:
     """Working geometry for a base given as a field instance (embedding
-    norm) or a plain matrix instance (coordinate norm, Gram = identity)."""
+    norm) or a plain matrix instance (coordinate norm, Gram = identity),
+    with the precision cap every certified comparison on it obeys."""
     if isinstance(source, numberfield.NumberFieldInstance):
         gram = None
         if source.gram is not None:
             gram = quadform.as_gram(source.gram)
-        return Geometry(source.lattice, source, gram, source.precision_cap_bits)
+        return Geometry(source.lattice, source, gram, precision_cap_bits)
     if isinstance(source, lattice.LatticeInstance):
         eye = quadform.as_gram(
             [[1 if i == j else 0 for j in range(source.n)] for i in range(source.n)]
         )
-        return Geometry(source, None, eye, DEFAULT_PRECISION_CAP_BITS)
+        return Geometry(source, None, eye, precision_cap_bits)
     raise TypeError("source must be a field instance or a lattice instance")
 
 
@@ -286,7 +303,8 @@ class DigitSet:
         adj, det = inst.adjugate, inst.det
         u, diag, _ = lattice.residue_structure(inst, self.w)
         zero = inst.zero()
-        want = digit_count(inst, self.w)
+        d = abs(det)
+        want = d**self.w - d ** (self.w - 1)
         got = sum(1 for d in self.digits if d != zero)
         if got != want:
             raise MalformedDigitSetError(f"expected {want} nonzero digits, got {got}")
@@ -441,12 +459,13 @@ def _division_kernel(adj, det, rows, table, by_class, zero):
 
 
 def _expanding_geometry(source, w: int) -> Geometry:
-    """The geometry a width-w digit set is built on. A non-expanding base
+    """The geometry a width-w digit set is built on: source itself when it
+    is a Geometry, else the default one of the base. A non-expanding base
     never terminates the division, so the digit system would be vacuous:
     it is rejected before any residue class is formed."""
     if w < 1:
         raise ValueError("window width must be at least 1")
-    geo = geometry(source)
+    geo = source if isinstance(source, Geometry) else geometry(source)
     if not lattice.is_expanding(geo.inst):
         raise NotExpandingError(
             "digit sets require an expanding base "
@@ -574,14 +593,13 @@ def max_digit_norm_sq_upper(ds: DigitSet) -> Fraction:
 
 @dataclass(frozen=True)
 class NormContext:
-    """Packing radius, covering radius and inverse contraction factor of
-    an instance, with exactness flags for the rational bounds."""
+    """Packing and covering radius of an instance, with exactness flags
+    for the rational bounds."""
 
     r_sq: Fraction
     r_exact: bool
     R_sq: Fraction
     R_exact: bool
-    u: CReal
 
     @property
     def tiling_ratio(self) -> CReal:

@@ -10,8 +10,9 @@ class LatnafError(Exception):
 class PrecisionCapError(LatnafError):
     """A certified comparison stayed undecided at the configured precision cap.
 
-    Raised instead of guessing. Raise the cap (instance ``precision_cap``
-    or the ``NAF_PRECISION_CAP_BITS`` environment variable) to retry.
+    Raised instead of guessing. Raise the cap (``geometry(base, bits)``,
+    the instance file's ``precision_cap`` or the ``NAF_PRECISION_CAP_BITS``
+    environment variable) to retry.
     """
 
 

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 from . import intmat, lattice
 from .errors import NotExpandingError
 from .exactreal import (
-    DEFAULT_PRECISION_CAP_BITS,
     ComplexBox,
     CReal,
     IndeterminateInterval,
@@ -64,7 +63,6 @@ class NumberFieldInstance:
     gram_kind: str
     gram: tuple[tuple[Fraction, ...], ...] | None
     equal_modulus_sq: Fraction | None
-    precision_cap_bits: int
     # the one PolyRoots of the instance, once made (see ``roots``)
     _kernel: list = field(default_factory=list, repr=False, compare=False)
 
@@ -84,19 +82,6 @@ class NumberFieldInstance:
     @property
     def weights(self) -> tuple[int, ...]:
         return (1,) * self.s + (2,) * self.t
-
-    def with_precision_cap(self, bits: int) -> "NumberFieldInstance":
-        return NumberFieldInstance(
-            self.min_poly,
-            self.s,
-            self.t,
-            self.lattice,
-            self.gram_kind,
-            self.gram,
-            self.equal_modulus_sq,
-            bits,
-            self._kernel,
-        )
 
 
 def _root_kernel(coeffs: tuple[int, ...]) -> PolyRoots:
@@ -216,7 +201,7 @@ def _signature(coeffs: tuple[int, ...], roots: PolyRoots | None) -> tuple[int, i
     return roots.s, roots.t
 
 
-def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstance:
+def build(min_poly) -> NumberFieldInstance:
     """Validate a monic integer minimal polynomial and assemble the instance.
 
     Coefficients are ascending (constant first). Rejects non-monic input
@@ -267,11 +252,6 @@ def build(min_poly, precision_cap_bits: int | None = None) -> NumberFieldInstanc
         gram_kind=gram_kind,
         gram=gram,
         equal_modulus_sq=m_sq,
-        precision_cap_bits=(
-            DEFAULT_PRECISION_CAP_BITS
-            if precision_cap_bits is None
-            else int(precision_cap_bits)
-        ),
         _kernel=[] if roots is None else [roots],
     )
 

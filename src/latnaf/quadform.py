@@ -14,8 +14,9 @@ M is positive definite exactly when every P_i > 0. Ball enumeration
 an offset t = a / q through the integer vector y = a + q x, so no
 rational number is formed: each level takes one integer center
 P_i a_i + c_i, one isqrt of its budget and two floor divisions for the
-range of x_i. The smallest eigenvalue of a symmetric matrix comes from
-Sturm counts on its characteristic polynomial (``min_eigenvalue_real``).
+range of x_i. The smallest eigenvalue of a symmetric integer matrix
+comes from Sturm counts on its characteristic polynomial
+(``min_eigenvalue_real``).
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def _is_diagonal(g: Gram) -> bool:
 
 def covering_radius_sq_exact(g: Gram) -> Fraction | None:
     """Exact squared covering radius when cheaply available, else None:
-    g00 / 4 for n = 1, the sum of the diagonal over 4 for a diagonal
-    Gram matrix, and a closed form for n = 2.
+    the sum of the diagonal over 4 for a diagonal Gram matrix (n = 1
+    included), and a closed form for n = 2.
 
     For n = 2, write Q(x, y) = a x^2 + 2 b x y + c y^2 for the basis
     v1, v2. Lagrange-Gauss reduction (v2 -= k v1 with k the integer
@@ -192,8 +193,6 @@ def covering_radius_sq_exact(g: Gram) -> Fraction | None:
     R^2 = (a c (a + c - 2b)) / (16 area^2) = a c (a + c - 2b) / (4 (ac - b^2)).
     """
     n = len(g)
-    if n == 1:
-        return g[0][0] / 4
     if _is_diagonal(g):
         return sum((g[i][i] for i in range(n)), Fraction(0)) / 4
     if n == 2:
@@ -209,59 +208,47 @@ def covering_radius_sq_exact(g: Gram) -> Fraction | None:
     return None
 
 
-def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
-    """Smallest eigenvalue of a symmetric rational matrix as a certified
-    real; exact rational whenever that eigenvalue is rational.
+def min_eigenvalue_real(mat: intmat.Matrix, cap_bits: int) -> CReal:
+    """Smallest eigenvalue of a symmetric integer matrix as a certified
+    real; exact whenever that eigenvalue is rational.
 
-    With den the common denominator of the entries, den * lambda is a
-    root of the monic integer characteristic polynomial of den * mat. Up
-    to 2 x 2 the quadratic formula gives it. Larger matrices take the
-    squarefree part q of that polynomial (all its roots are real) and
-    bisect from its Cauchy bound with Sturm counts until a bracket
-    (lo, hi] narrower than 1 holds the smallest root and no other. A
-    rational root of a monic integer polynomial is an integer, so the
-    eigenvalue is rational exactly when the bracket's integer is a root
-    of q. Raises PrecisionCapError when isolating the smallest
-    eigenvalue from the next one needs brackets narrower than
+    The eigenvalues are the roots of the monic integer characteristic
+    polynomial. Up to 2 x 2 the quadratic formula gives the smallest.
+    Larger matrices take the squarefree part q of that polynomial (all
+    its roots are real) and bisect from its Cauchy bound with Sturm
+    counts until a bracket (lo, hi] narrower than 1 holds the smallest
+    root and no other. A rational root of a monic integer polynomial is
+    an integer, so the eigenvalue is rational exactly when the bracket's
+    integer is a root of q. Raises PrecisionCapError when isolating the
+    smallest eigenvalue from the next one needs brackets narrower than
     2^-cap_bits. The interval at b bits is the bracket refined in place
-    to width 2^-(b + 1), rounded outward to multiples of 2^-(b + 2): at
-    most 2^-b wide whatever den is.
+    to width at most 2^-b.
     """
-    rows = [[Fraction(v) for v in row] for row in mat]
-    n = len(rows)
-    den = 1
-    for row in rows:
-        for v in row:
-            den = lcm(den, v.denominator)
-    a = tuple(
-        tuple(int(v * den) for v in row) for row in rows
-    )
+    n = len(mat)
     if n == 1:
-        return CReal.from_rational(rows[0][0])
+        return CReal.from_rational(mat[0][0])
     if n == 2:
-        # den * lambda solves x^2 - tr x + det; symmetric, so disc >= 0
-        tr = a[0][0] + a[1][1]
-        disc = tr * tr - 4 * (a[0][0] * a[1][1] - a[0][1] * a[1][0])
+        # lambda solves x^2 - tr x + det; symmetric, so disc >= 0
+        tr = mat[0][0] + mat[1][1]
+        disc = tr * tr - 4 * (mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0])
         root = isqrt(disc)
         if root * root == disc:
-            return CReal.from_rational(Fraction(tr - root, 2 * den))
-        disc_q = Fraction(disc)
+            return CReal.from_rational(Fraction(tr - root, 2))
         return CReal.from_refinable(
             lambda bits: Interval(
-                Fraction(tr - sqrt_upper(disc_q, bits), 2 * den),
-                Fraction(tr - sqrt_lower(disc_q, bits), 2 * den),
+                (tr - sqrt_upper(disc, bits)) / 2, (tr - sqrt_lower(disc, bits)) / 2
             )
         )
     # imported on first use: the package's largest module, needed here
-    # only above 2 x 2
+    # only by matrix bases above 2 x 2
     from . import roots
 
-    q = roots.squarefree_part(intmat.char_poly(a))
+    q = roots.squarefree_part(intmat.char_poly(mat))
     chain = roots.sturm_chain(q)
     lo = Fraction(-roots.root_bound(q))
     hi = -lo
     v_lo, v_hi = roots.variations(chain, lo), roots.variations(chain, hi)
-    floor_width = Fraction(den, 1 << cap_bits)
+    floor_width = Fraction(1, 1 << cap_bits)
     # invariant: no root <= lo, at least one in (lo, hi]
     while v_lo - v_hi > 1 or hi - lo >= 1:
         if v_lo - v_hi > 1 and hi - lo < floor_width:
@@ -276,7 +263,7 @@ def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
             lo, v_lo = mid, v_mid
     for k in range(ceil(lo), floor(hi) + 1):
         if roots.sign_at(q, Fraction(k)) == 0:
-            return CReal.from_rational(Fraction(k, den))
+            return CReal.from_rational(k)
     dq = roots.derivative(q)
     s_lo = roots.sign_at(q, lo)
     state = [lo, hi]
@@ -284,12 +271,8 @@ def min_eigenvalue_real(mat, cap_bits: int) -> CReal:
 
     def atom(bits: int) -> Interval:
         if bits not in memo:
-            state[:] = roots.narrow(q, dq, *state, s_lo, Fraction(den, 1 << (bits + 1)))
-            g = 1 << (bits + 2)
-            memo[bits] = Interval(
-                Fraction(floor(state[0] * g / den), g),
-                Fraction(ceil(state[1] * g / den), g),
-            )
+            state[:] = roots.narrow(q, dq, *state, s_lo, Fraction(1, 1 << bits))
+            memo[bits] = Interval(*state)
         return memo[bits]
 
     return CReal.from_refinable(atom)

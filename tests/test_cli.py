@@ -272,6 +272,21 @@ def test_env_precision_cap(capsys, quad, monkeypatch):
     assert "precision_cap" in err
 
 
+@pytest.mark.parametrize(
+    "base", [{"matrix": [[1, -1], [1, 1]]}, {"minpoly": [2, -1, 1]}], ids=["matrix", "minpoly"]
+)
+def test_precision_cap_reaches_the_geometry(capsys, tmp_path, monkeypatch, base):
+    """The file's cap, then the environment's, is the cap of the digit
+    set's Geometry, for matrix and minimal-polynomial bases alike."""
+    monkeypatch.delenv("NAF_PRECISION_CAP_BITS", raising=False)
+    path = write(tmp_path, "cap.json", {"base": base, "w": 2, "precision_cap": 77})
+    assert cli._load_instance(path)[1]().geo.precision_cap_bits == 77
+    monkeypatch.setenv("NAF_PRECISION_CAP_BITS", "99")
+    assert cli._load_instance(path)[1]().geo.precision_cap_bits == 99
+    code, out, _ = run(capsys, "check-nads", "--instance", path)
+    assert code == 0 and out.startswith("status = ")
+
+
 def test_byte_identical_reruns(capsys, quad, base3):
     outs = set()
     for _ in range(3):

@@ -6,6 +6,7 @@ formula against isolation of the characteristic polynomial."""
 
 import warnings
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -138,6 +139,10 @@ RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 @SETTINGS
 @given(RATIONALS, RATIONALS, RATIONALS)
 def test_two_by_two_min_eigenvalue_overlaps_isolation(a, b, d):
+    # the rational matrix scaled by its denominator q: an integer matrix
+    # whose eigenvalues are q times the rational one's
+    q = lcm(a.denominator, b.denominator, d.denominator)
+    a, b, d = int(a * q), int(b * q), int(d * q)
     ev = qf.min_eigenvalue_real([[a, b], [b, d]], 4096)
     poly = sympy.Poly([1, -(a + d), a * d - b * b], X)
     assert ev.is_exact() == (not poly.is_irreducible)

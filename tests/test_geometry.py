@@ -3,7 +3,9 @@ on bases whose Gram matrix is exact, against the exact level and the
 rational references of ``quadform_reference``; and, on random totally real and
 equal-modulus bases, the exact Gram matrix against the enclosure built
 from their roots, and the kernel's brackets against the interval sum
-over that enclosure."""
+over that enclosure. On all of them and on bases with no exact Gram
+matrix, the enclosure level and its inflation factor kappa against the
+smallest eigenvalue of the integer midpoint matrix."""
 
 import warnings
 from fractions import Fraction
@@ -17,7 +19,7 @@ from latnaf import intmat, lattice, roots
 from latnaf import digitset as dsm
 from latnaf import numberfield as nfm
 from latnaf import quadform as qf
-from latnaf.exactreal import Interval, sqrt_upper
+from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS, Interval, sqrt_upper
 
 import quadform_reference as ref
 
@@ -28,7 +30,7 @@ def _pair(coeffs):
     nf = nfm.build(coeffs)
     assert nf.gram is not None
     exact = dsm.geometry(nf)
-    forced = dsm.Geometry(nf.lattice, nf, None, nf.precision_cap_bits)
+    forced = dsm.Geometry(nf.lattice, nf, None, DEFAULT_PRECISION_CAP_BITS)
     return exact, forced
 
 
@@ -68,6 +70,68 @@ def test_enclosure_norm_context_brackets_exact(coeffs):
     assert ctx.r_sq == ref.shortest_nonzero_norm_sq(exact.gram) / 4
     assert ctx.r_exact and ctx.R_exact and not (loose.r_exact or loose.R_exact)
     assert loose.r_sq <= ctx.r_sq <= ctx.R_sq <= loose.R_sq
+
+
+def _check_kappa(geo):
+    """The enclosure level and kappa against lambda, the smallest
+    eigenvalue of the integer midpoint matrix M, with c = n max H.
+
+    Level: accepted exactly when 0 < lambda and 2 c <= lambda at 64 bits,
+    the rule eps n <= lambda_min(M / D) / 2 of an eigenvalue-sized kappa,
+    checked on the real level at 64 bits and on copies of it whose
+    half-widths are scaled by 2^k, which the rule rejects from some k on
+    (the level then moves to 128 bits). kappa: c / lambda < kappa <=
+    2 c / lambda, read with the eigenvalue's interval ends on the safe
+    side, and 0 when c is 0."""
+    den, m, h = geo._level(64)
+    ev = qf.min_eigenvalue_real(m, DEFAULT_PRECISION_CAP_BITS)
+    lam = ev.interval(64).lo
+    if not any(map(any, h)):
+        h = tuple(tuple(1 for _ in row) for row in h)
+    rejected = 0
+    for k in range(0, 80, 8):
+        forged = tuple(tuple(v << k for v in row) for row in h)
+        c = len(m) * max(map(max, forged))
+        geo._levels[64] = (den, m, forged)
+        geo._midpoints.clear()
+        bits, form, kappa = geo.enclosure()
+        assert (bits == 64) == (0 < lam and 2 * c <= lam), k
+        rejected += bits != 64
+    assert rejected  # the rejection branch was reached
+    geo._levels.pop(64)
+    geo._midpoints.clear()
+    bits, form, kappa = geo.enclosure()
+    den, m, h = geo._level(bits)
+    assert form == qf.ldl(m, den)
+    c = len(m) * max(map(max, h))
+    if c == 0:
+        assert kappa == 0
+        return
+    if bits != 64:
+        ev = qf.min_eigenvalue_real(m, DEFAULT_PRECISION_CAP_BITS)
+    iv = ev.interval(256)
+    assert c < kappa * iv.lo and kappa * iv.hi <= 2 * c
+    assert kappa.numerator == 1 and kappa.denominator & (kappa.denominator - 1) == 0
+
+
+@pytest.mark.parametrize("coeffs", BASES)
+def test_forced_enclosure_kappa(coeffs):
+    _check_kappa(_pair(coeffs)[1])
+
+
+@pytest.mark.parametrize("coeffs", [[3, 1, 0, 1], [1, 1, 0, 1], [2, 1, 1, 1], [-2, 0, 0, 0, 1]])
+def test_enclosure_kappa_and_ball(coeffs):
+    """On bases with no exact Gram matrix, kappa as above, and every point
+    whose norm is certified at most the bound lies in the ball."""
+    geo = dsm.geometry(nfm.build(coeffs))
+    assert geo.gram is None
+    _check_kappa(geo)
+    for bound in (Fraction(7, 2), Fraction(20)):
+        ball = set(geo.ball(bound))
+        for p in geo.ball(2 * bound):
+            _, hi, den = geo.norm_sq_interval(p, 256)
+            if Fraction(hi, den) <= bound:
+                assert p in ball, (bound, p)
 
 
 def test_norm_context_covering_radius_upper_bound():
@@ -196,7 +260,13 @@ def _check_gram_inside_enclosure(coeffs, kind, data):
     assert nf.gram_kind == kind
     n = nf.degree
     exact = dsm.geometry(nf)
-    forced = dsm.Geometry(nf.lattice, nf, None, nf.precision_cap_bits)
+    forced = dsm.Geometry(nf.lattice, nf, None, DEFAULT_PRECISION_CAP_BITS)
+    if n <= 5:
+        # above degree 5 the eigenvalue reference alone takes seconds:
+        # Sturm sequences on 2^70-scale integer entries
+        _check_kappa(forced)
+    bound = 2 * min(nf.gram[i][i] for i in range(n))
+    assert set(exact.ball(bound)) <= set(forced.ball(bound))
     coords = st.tuples(*[st.integers(-10**6, 10**6) | st.integers(-3, 3)] * n)
     points = data.draw(st.lists(coords, min_size=1, max_size=6))
     for bits in (64, 256):

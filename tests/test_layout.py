@@ -1,7 +1,9 @@
 """Module layout: no module of the package reaches into a sibling's
 private names, whether by import or by attribute access; no function
 memoizes through a functools cache; no check rests on an assertion;
-nothing imports sympy, which is a test-only dependency."""
+nothing imports sympy, which is a test-only dependency; and the names
+and calls the benchmark's tracer and worker (``perfbench/``) rely on are
+still there."""
 
 import ast
 import json
@@ -288,3 +290,96 @@ def test_common_paths_leave_sympy_unimported(tmp_path):
         assert got[:2] == [call[0], call[2]]
         assert int(got[2]) in ((0, 1) if code is None else (code,)), line
         assert got[3] == str(k >= light), line
+
+
+BENCH = PKG.parents[1] / "perfbench"
+
+_TRACER_PROBE = r"""
+import importlib, json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer, worker
+import latnaf
+from latnaf import digitset, exactreal
+tr = tracer.install()
+out = {"modules": list(tracer.MODULES)}
+out["traced"] = {
+    m: sorted(k for k, v in vars(importlib.import_module("latnaf." + m)).items()
+              if getattr(v, "__traced__", False))
+    for m in tracer.MODULES
+}
+inst = digitset.DigitSet.__dict__["inst"]
+out["inst"] = isinstance(inst, property) and getattr(inst.fget, "__traced__", False)
+out["creal"] = [getattr(exactreal.CReal, a).__traced__ for a in ("compare", "interval")]
+sq = exactreal.QuadExt.__dict__["sqrt_rational"]
+out["sqrt_rational"] = isinstance(sq, classmethod) and sq.__func__.__traced__
+texts = {"decide": worker._verdict_text, "check_hypotheses": worker._cert_text,
+         "verify_empirically": worker._report_text, "min_weight_oracle": str}
+out["calls"] = []
+for base, p in ((("minpoly", (2, -1, 1)), (5, 3)), (("matrix", ((3, 1), (-1, 3))), (4, -7))):
+    ds = latnaf.build_minimal_norm(worker._source(latnaf, base), 2)
+    out["calls"].append(len(latnaf.expand(ds, p).word))
+    for fn, arg in (("decide", None), ("check_hypotheses", None),
+                    ("verify_empirically", 3), ("min_weight_oracle", p)):
+        args = (ds,) if arg is None else (ds, arg)
+        out["calls"].append(texts[fn](getattr(latnaf, fn)(*args)))
+names = set()
+stack = [tr.root]
+while stack:
+    node = stack.pop()
+    names.add(node.name)
+    stack.extend(node.children.values())
+out["nodes"] = sorted(names)
+out["hooks"] = sorted(tracer.HOOKS)
+print(json.dumps(out))
+"""
+
+# module-level functions the per-layer metrics of perfbench/layers.py read
+TRACED = [
+    "cli.main",
+    "digitset.build_minimal_norm",
+    "digitset.geometry",
+    "expansion.digit_of",
+    "expansion.expand",
+    "expansion.step",
+    "intmat.mat_vec",
+    "lattice.residue_key",
+    "lattice.solve_divisibility",
+    "nadscheck.certify",
+    "nadscheck.search",
+    "numberfield.build",
+    "numberfield.gram_enclosure",
+    "optimality.min_weight_oracle",
+    "optimality.verify_empirically",
+    "quadform.enumerate_ball",
+]
+
+
+def test_benchmark_hooks_still_bind():
+    """The tracer's install() patches the ten modules, DigitSet.inst as a
+    property, CReal.compare and CReal.interval, QuadExt.sqrt_rational as
+    a classmethod and every function a per-layer metric reads; the worker
+    builds field bases without a cap and matrix bases from rows, and runs
+    expand and its four sweep entry points through the tracer's wrappers.
+    A refactor that renames any of these fails here, not in a benchmark
+    run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACER_PROBE, str(BENCH), str(PKG.parent)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["modules"] == [
+        "intmat", "lattice", "exactreal", "quadform", "numberfield",
+        "digitset", "expansion", "nadscheck", "optimality", "cli",
+    ]
+    assert all(out["traced"].values()), out["traced"]
+    for name in TRACED:
+        mod, fn = name.split(".")
+        assert fn in out["traced"][mod], name
+    assert out["inst"] and out["creal"] == [True, True] and out["sqrt_rational"]
+    assert len(out["calls"]) == 10 and all(out["calls"])
+    nodes = set(out["nodes"])
+    assert set(out["hooks"]) <= nodes
+    assert {"digitset.DigitSet.inst", "exactreal.CReal.compare", "numberfield.build"} <= nodes

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from latnaf import numberfield as nfm
-from latnaf.digitset import geometry
+from latnaf.digitset import build_minimal_norm, geometry
 from latnaf.errors import NotExpandingError
+from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS
 
 
 def test_build_rejects_bad_polynomials():
@@ -123,11 +124,13 @@ def test_expanding_predicate_and_inv_norm():
 
 
 def test_precision_cap_threading():
-    nf = nfm.build([2, -1, 1], precision_cap_bits=512)
-    assert nf.precision_cap_bits == 512
-    nf2 = nf.with_precision_cap(1024)
-    assert nf2.precision_cap_bits == 1024
-    assert nf2.min_poly == nf.min_poly
+    nf = nfm.build([2, -1, 1])
+    assert geometry(nf).precision_cap_bits == DEFAULT_PRECISION_CAP_BITS
+    assert geometry(nf, 512).precision_cap_bits == 512
+    assert geometry(nf.lattice, 1024).precision_cap_bits == 1024
+    # the builders take the Geometry, and with it its cap
+    assert build_minimal_norm(geometry(nf, 1024), 2).geo.precision_cap_bits == 1024
+    assert not hasattr(nf, "precision_cap_bits")
 
 
 def test_weights_partition_degree():

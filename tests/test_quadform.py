@@ -341,11 +341,10 @@ def test_covering_radius_closed_form_matches_vertex_scan(g):
 
 
 def test_min_eigenvalue():
-    assert qf.min_eigenvalue_real(G_ID, CAP).compare(1) == 0
-    diag = ((F(2), F(0)), (F(0), F(3)))
-    assert qf.min_eigenvalue_real(diag, CAP).compare(2) == 0
+    assert qf.min_eigenvalue_real(((1, 0), (0, 1)), CAP).compare(1) == 0
+    assert qf.min_eigenvalue_real(((2, 0), (0, 3)), CAP).compare(2) == 0
     # eigenvalues of G_COMPLEX are 3 +- sqrt(2)
-    ev = qf.min_eigenvalue_real(G_COMPLEX, CAP)
+    ev = qf.min_eigenvalue_real(((2, 1), (1, 4)), CAP)
     iv = ev.interval(96)
     from latnaf.exactreal import sqrt_lower, sqrt_upper
 
@@ -354,38 +353,40 @@ def test_min_eigenvalue():
     assert iv.width() < F(1, 2**48)
 
 
-def test_min_eigenvalue_honours_the_cap():
-    # r is a continued-fraction convergent of (5 - sqrt 5) / 2, the small
-    # eigenvalue of the upper 2x2 block, just above it: separating the two
-    # takes more than 64 bits even after the scaling by r's denominator
+def _near_tie_matrix():
+    """q M for the rational M = diag(((2, 1), (1, 3)), r), q the
+    denominator of r: r is a continued-fraction convergent of
+    (5 - sqrt 5) / 2, the small eigenvalue of the upper 2x2 block, just
+    above it, so the two smallest eigenvalues of q M are q (5 - sqrt 5) / 2
+    and q r, about 2^-84 apart (q is about 2^83)."""
     lam = (5 - F(isqrt(5 * 10**200), 10**100)) / 2
     r = lam.limit_denominator(10**25)
     assert 0 < r - lam < F(1, 10**30)
-    near_tie = ((F(2), F(1), F(0)), (F(1), F(3), F(0)), (F(0), F(0), r))
+    q = r.denominator
+    return ((2 * q, q, 0), (q, 3 * q, 0), (0, 0, r.numerator)), r.numerator
+
+
+def test_min_eigenvalue_honours_the_cap():
+    # separating the two smallest eigenvalues takes more than 64 bits
+    near_tie, qr = _near_tie_matrix()
     with pytest.raises(PrecisionCapError):
         qf.min_eigenvalue_real(near_tie, 64)
     ev = qf.min_eigenvalue_real(near_tie, CAP)
-    assert ev.interval(256).hi < r
-
-
-def _near_tie_matrix():
-    lam = (5 - F(isqrt(5 * 10**200), 10**100)) / 2
-    r = lam.limit_denominator(10**25)
-    return ((F(2), F(1), F(0)), (F(1), F(3), F(0)), (F(0), F(0), r)), r
+    assert ev.interval(256).hi < qr
 
 
 def test_min_eigenvalue_width_follows_the_request():
-    # den is about 2^83 here; the interval at b bits is 2^-b wide or a
-    # little less, not 2^-(b + 83) as a bracket on the scaled matrix
-    mat, r = _near_tie_matrix()
+    # the interval at b bits is 2^-b wide or a little less
+    mat, qr = _near_tie_matrix()
     ev = qf.min_eigenvalue_real(mat, CAP)
     for bits in (64, 100, 256):
         iv = ev.interval(bits)
         assert F(1, 2 ** (2 * bits)) < iv.width() <= F(1, 2**bits), bits
-    # the eigenvalue sits 6e-51 below r
-    assert ev.interval(256).hi < r
+    # the eigenvalue sits about 2^-84 below q r
+    assert F(1, 2**85) < qr - ev.interval(256).hi < F(1, 2**83)
     with pytest.raises(PrecisionCapError):
-        qf.min_eigenvalue_real(mat, 100)
+        qf.min_eigenvalue_real(mat, 80)
+    assert qf.min_eigenvalue_real(mat, 90).interval(64).hi < qr
 
 
 @pytest.mark.parametrize(

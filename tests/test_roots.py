@@ -6,6 +6,7 @@ eigenvalues."""
 
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -189,7 +190,11 @@ def _symmetric(n, vals):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(SYMMETRIC, st.integers(1, 6))
 def test_min_eigenvalue_matches_sympy(mat, scale):
-    rows = [[Fraction(v, scale) for v in row] for row in mat]
+    # mat / scale scaled by its denominator q: an integer matrix whose
+    # eigenvalues are q times those of mat / scale
+    fracs = [[Fraction(v, scale) for v in row] for row in mat]
+    q = lcm(*(v.denominator for row in fracs for v in row))
+    rows = [[int(v * q) for v in row] for row in fracs]
     ev = qf.min_eigenvalue_real(rows, 4096)
     lam = min(sympy.Matrix(rows).charpoly(X).as_expr().as_poly(X).real_roots())
     assert ev.is_exact() == isinstance(lam, sympy.Rational)
