@@ -52,6 +52,16 @@ def _as_int(v, what: str) -> int:
     raise ValueError(f"{what}: expected an integer, got {type(v).__name__}")
 
 
+def _as_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what}: expected a list, got {type(v).__name__}")
+    return v
+
+
+def _as_int_list(v, what: str, item: str) -> list[int]:
+    return [_as_int(c, item) for c in _as_list(v, what)]
+
+
 def _load_instance(path: str):
     """Parse and validate an instance file.
 
@@ -87,18 +97,19 @@ def _load_instance(path: str):
         raise ValueError(f"{path}: precision_cap must be positive")
 
     if "minpoly" in base:
-        coeffs = [_as_int(c, "minpoly coefficient") for c in base["minpoly"]]
+        coeffs = _as_int_list(base["minpoly"], "minpoly", "minpoly coefficient")
         source = nfm.build(coeffs)
     else:
         rows = [
-            [_as_int(v, "matrix entry") for v in row] for row in base["matrix"]
+            _as_int_list(row, "matrix row", "matrix entry")
+            for row in _as_list(base["matrix"], "matrix")
         ]
         source = lam.LatticeInstance.from_matrix(rows)
     geo = dsm.geometry(source, cap_bits)
 
     family = raw.get("digitset", "minimal-norm")
     if isinstance(family, list):
-        pts = [tuple(_as_int(c, "digit coordinate") for c in p) for p in family]
+        pts = [tuple(_as_int_list(p, "digit", "digit coordinate")) for p in family]
 
         def make_digits():
             return dsm.from_digits(geo, w, pts)

@@ -287,9 +287,19 @@ class DigitSet:
 
     Construction validates the digits (one per residue class modulo
     phi^w outside the image of phi) and builds the division kernel: the
-    digit d with adj(phi) d per class index modulo phi^w, and the digits
-    grouped by class modulo phi, keyed on adj(phi) d mod det (p - d lies
-    in the image of phi exactly when adj(phi) (p - d) is divisible by det).
+    digit d with adj(phi) d and A d per class index modulo phi^w, where
+    phi^-w = A / q (``_pullback``), and the digits grouped by class
+    modulo phi, keyed on adj(phi) d mod det (p - d lies in the image of
+    phi exactly when adj(phi) (p - d) is divisible by det).
+
+    ``leap`` is the block step of that kernel. A nonzero digit d is
+    congruent to its point p modulo phi^w, so p - d = phi^w x with x
+    integral: the next w - 1 division steps see the points phi^(w-1) x,
+    ..., phi x, all divisible by phi, and give zero digits. One product
+    A (p - d) / q therefore replaces w division steps. The table's
+    classes hold this for every point: the validated digits fill exactly
+    the classes outside phi Z^n, so a point with no table entry is
+    divisible by phi and one with an entry is not.
     """
 
     geo: Geometry
@@ -302,6 +312,7 @@ class DigitSet:
         inst = self.geo.inst
         adj, det = inst.adjugate, inst.det
         u, diag, _ = lattice.residue_structure(inst, self.w)
+        block = _pullback(intmat.mat_pow(inst.phi, self.w))
         zero = inst.zero()
         d = abs(det)
         want = d**self.w - d ** (self.w - 1)
@@ -325,8 +336,9 @@ class DigitSet:
                 raise MalformedDigitSetError(
                     f"digits {table[i][0]} and {d} share a residue class"
                 )
-            table[i] = (d, ad)
-        object.__setattr__(self, "_kernel", _division_kernel(adj, det, rows, table, by_class, zero))
+            table[i] = (d, ad, intmat.mat_vec(block[0], d))
+        kernel = _division_kernel(adj, det, block, rows, table, by_class, zero)
+        object.__setattr__(self, "_kernel", kernel)
 
     @property
     def inst(self) -> lattice.LatticeInstance:
@@ -349,6 +361,14 @@ class DigitSet:
         divides p."""
         return self._kernel[1](p)
 
+    @property
+    def leap(self):
+        """The block step, a plain function of p: (zero, p / phi) when phi
+        divides p, else (d, (p - d) / phi^w) for the digit d congruent to
+        p modulo phi^w, standing for d and the w - 1 zero digits that
+        follow it. Fetch it once and call it: no method binding per call."""
+        return self._kernel[2]
+
     @cached_property
     def is_minimal_norm(self) -> bool:
         """Whether every digit minimizes the pulled-back norm in its class
@@ -368,20 +388,18 @@ def _fault(entry, p) -> MalformedDigitSetError:
     return MalformedDigitSetError(f"digit {entry[0]} is not congruent to {p} modulo the base image")
 
 
-def _division_kernel(adj, det, rows, table, by_class, zero):
-    """(divide, divisions) of a digit set: divide reads the table entry at
-    the class index of p modulo phi^w, None standing for the zero digit
-    (a class inside phi Z^n). Written out for n <= 3 (divisions: n <= 2)."""
+def _division_kernel(adj, det, block, rows, table, by_class, zero):
+    """(divide, divisions, leap) of a digit set. divide and leap read the
+    table entry at the class index of p modulo phi^w, None standing for
+    the zero digit (a class inside phi Z^n); block is (A, q) with
+    phi^-w = A / q, and an entry (d, adj(phi) d, A d). Written out for
+    n <= 3."""
     n = len(adj)
-    dets = [det] * n
-
-    def divisions(p):  # n >= 3
-        ap = intmat.mat_vec(adj, p)
-        cls = by_class.get(tuple(v % det for v in ap), ())
-        return [(d, tuple(map(floordiv, map(sub, ap, ad), dets))) for d, ad in cls]
+    adjw, detw = block
 
     if n == 1:  # adj(phi) = (1)
         (((k,), m, _),) = rows
+        ((aw,),) = adjw
 
         def divide(p):
             (x,) = p
@@ -397,8 +415,20 @@ def _division_kernel(adj, det, rows, table, by_class, zero):
             (x,) = p
             return [(d, ((x - u) // det,)) for d, (u,) in by_class.get((x % det,), ())]
 
+        def leap(p):
+            (x,) = p
+            entry = table[k * x % m]
+            if entry is None:
+                q, r = divmod(x, det)
+            else:
+                q, r = divmod(aw * x - entry[2][0], detw)
+            if r:
+                raise _fault(entry, p)
+            return (zero if entry is None else entry[0]), (q,)
+
     elif n == 2:
         (a, b), (c, e) = adj
+        (wa, wb), (wc, we) = adjw
         ((f, g), m0, s0), ((h, k), m1, _) = rows
 
         def divide(p):
@@ -420,8 +450,24 @@ def _division_kernel(adj, det, rows, table, by_class, zero):
             cls = by_class.get((s % det, t % det), ())
             return [(d, ((s - u) // det, (t - v) // det)) for d, (u, v) in cls]
 
+        def leap(p):
+            x, y = p
+            i = (h * x + k * y) % m1
+            entry = table[i + (f * x + g * y) % m0 * s0 if m0 > 1 else i]
+            if entry is None:
+                (qs, rs), (qt, rt) = divmod(a * x + b * y, det), divmod(c * x + e * y, det)
+                if rs or rt:
+                    raise _fault(entry, p)
+                return zero, (qs, qt)
+            u, v = entry[2]
+            (qs, rs), (qt, rt) = divmod(wa * x + wb * y - u, detw), divmod(wc * x + we * y - v, detw)
+            if rs or rt:
+                raise _fault(entry, p)
+            return entry[0], (qs, qt)
+
     elif n == 3:
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = adj
+        (wa0, wa1, wa2), (wb0, wb1, wb2), (wc0, wc1, wc2) = adjw
         ((f0, f1, f2), m0, s0), ((g0, g1, g2), m1, s1), ((h0, h1, h2), m2, _) = rows
 
         def divide(p):
@@ -443,19 +489,71 @@ def _division_kernel(adj, det, rows, table, by_class, zero):
                 raise _fault(entry, p)
             return (zero if entry is None else entry[0]), (qs, qt, qo)
 
-    else:
+        def divisions(p):
+            x, y, z = p
+            s = a0 * x + a1 * y + a2 * z
+            t = b0 * x + b1 * y + b2 * z
+            o = c0 * x + c1 * y + c2 * z
+            cls = by_class.get((s % det, t % det, o % det), ())
+            return [
+                (d, ((s - u) // det, (t - v) // det, (o - r) // det)) for d, (u, v, r) in cls
+            ]
 
-        def divide(p):
-            ap = intmat.mat_vec(adj, p)
-            entry = table[sum(sum(map(mul, row, p)) % m * s for row, m, s in rows)]
-            if entry is not None:
-                ap = map(sub, ap, entry[1])
-            qr = [divmod(v, det) for v in ap]
+        def leap(p):
+            x, y, z = p
+            i = (h0 * x + h1 * y + h2 * z) % m2
+            if m1 > 1:
+                i += (g0 * x + g1 * y + g2 * z) % m1 * s1
+                if m0 > 1:
+                    i += (f0 * x + f1 * y + f2 * z) % m0 * s0
+            entry = table[i]
+            if entry is None:
+                s = a0 * x + a1 * y + a2 * z
+                t = b0 * x + b1 * y + b2 * z
+                o = c0 * x + c1 * y + c2 * z
+                den = det
+            else:
+                u, v, r = entry[2]
+                s = wa0 * x + wa1 * y + wa2 * z - u
+                t = wb0 * x + wb1 * y + wb2 * z - v
+                o = wc0 * x + wc1 * y + wc2 * z - r
+                den = detw
+            (qs, rs), (qt, rt), (qo, ro) = divmod(s, den), divmod(t, den), divmod(o, den)
+            if rs or rt or ro:
+                raise _fault(entry, p)
+            return (zero if entry is None else entry[0]), (qs, qt, qo)
+
+    else:
+        dets = [det] * n
+
+        def index(p):
+            return sum(sum(map(mul, row, p)) % m * s for row, m, s in rows)
+
+        def quotient(entry, p, ap, den):
+            qr = [divmod(v, den) for v in ap]
             if any(r for _, r in qr):
                 raise _fault(entry, p)
             return (zero if entry is None else entry[0]), tuple(q for q, _ in qr)
 
-    return divide, divisions
+        def divide(p):
+            ap = intmat.mat_vec(adj, p)
+            entry = table[index(p)]
+            if entry is not None:
+                ap = map(sub, ap, entry[1])
+            return quotient(entry, p, ap, det)
+
+        def divisions(p):
+            ap = intmat.mat_vec(adj, p)
+            cls = by_class.get(tuple(v % det for v in ap), ())
+            return [(d, tuple(map(floordiv, map(sub, ap, ad), dets))) for d, ad in cls]
+
+        def leap(p):
+            entry = table[index(p)]
+            if entry is None:
+                return quotient(entry, p, intmat.mat_vec(adj, p), det)
+            return quotient(entry, p, map(sub, intmat.mat_vec(adjw, p), entry[2]), detw)
+
+    return divide, divisions, leap
 
 
 def _expanding_geometry(source, w: int) -> Geometry:

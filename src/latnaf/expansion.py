@@ -5,8 +5,20 @@ the w-th power of the base, or zero when the point is divisible) and
 apply the inverse base map. ``DigitSet.divide`` does both in one step on
 the set's kernel (one class index and one adjugate product, written out
 for n <= 3); ``digit_of`` and ``step`` are its halves, ``value`` is Horner's
-rule back. Words are least significant first; after a nonzero digit the
-next w - 1 steps see a point divisible by the base, hence the window form.
+rule back. Words are least significant first.
+
+After a nonzero digit d the window form is forced: d is congruent to
+its point p modulo phi^w, so p - d = phi^w x with x integral, and the
+next w - 1 steps see phi^(w-1) x, ..., phi x, each divisible by the base,
+and strip zeros. ``expand`` therefore runs on ``DigitSet.leap``, which
+takes those w steps at once: one class index and one product
+A (p - d) / q per nonzero digit (phi^-w = A / q, up to sign the
+adjugate of phi^w over |det|^w), and a plain division step per free
+zero. That block loop keeps no visited set: it ends at zero, at the
+step cap or on a kernel fault. Whenever it does not reach zero within
+the cap (a cycle, a long word, a kernel fault) the step loop reruns from
+the start and reports what it finds, so both loops give the same
+Expansion, CycleReport or error.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from operator import mul
 
 from . import lattice
 from .digitset import DigitSet
-from .errors import ConsistencyError, LatnafError
+from .errors import ConsistencyError, LatnafError, MalformedDigitSetError
 
 Point = lattice.Point
 
@@ -66,9 +78,11 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
     """Full expansion of a point: an Expansion on success, a CycleReport
     when the orbit falls into a nonzero cycle (so no word exists).
 
-    Orbits are eventually periodic, so cycle detection fires long before
-    the step cap on well-formed instances; the cap is a hard abort
-    against hostile configurations.
+    Words of at most max_steps digits come from the block loop on
+    ``DigitSet.leap``. Anything else reruns the step loop from the
+    start: orbits are eventually periodic, so its cycle detection fires
+    long before the step cap on well-formed instances; the cap is a hard
+    abort against hostile configurations.
     """
     inst = ds.inst
     start = inst.check_point(p)
@@ -77,10 +91,26 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     zero = inst.zero()
+    leap = ds.leap
+    pad = [zero] * (ds.w - 1)
+    digits: list[Point] = []
+    cur = start
+    try:
+        # a leap is entered below the cap and ends at zero with one digit,
+        # so reaching zero means the word fits in max_steps
+        while cur != zero and len(digits) < max_steps:
+            d, cur = leap(cur)
+            digits.append(d)
+            if d != zero and cur != zero:
+                digits += pad
+    except MalformedDigitSetError:
+        pass
+    if cur == zero:
+        return Expansion(start, tuple(digits), ds.w)
     divide = ds.divide
     seen: dict[Point, int] = {}  # orbit points in visiting order
     cur = start
-    digits: list[Point] = []
+    digits = []
     quiet = 0
     while cur != zero:
         if cur in seen:

@@ -241,6 +241,27 @@ def test_validation_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"base": {"matrix": 5}},
+        {"base": {"matrix": [5, 6]}},
+        {"base": {"minpoly": 5}},
+        {"base": {"minpoly": [-2, 1]}, "digitset": [5]},
+        {"base": {"minpoly": [-2, 1]}, "digitset": [[1, 2], 3]},
+    ],
+)
+def test_malformed_shapes_exit_2(capsys, tmp_path, instance):
+    """A number where a list belongs is an input error (exit 2, one
+    error line), not a crash: exit 1 means a counterexample."""
+    path = write(tmp_path, "shape.json", {"w": 2, **instance})
+    code, out, err = run(capsys, "info", "--instance", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "expected a list" in err
+
+
 def test_numbers_as_strings(capsys, tmp_path):
     path = write(
         tmp_path,

@@ -1,6 +1,7 @@
 """Property tests of the division kernel ``DigitSet.divide`` /
 ``DigitSet.divisions`` against the reference path of ``lattice``
-(``solve_divisibility`` and ``residue_key``), of the expansions and
+(``solve_divisibility`` and ``residue_key``), of its block step
+``DigitSet.leap`` against w division steps, of the expansions and
 weights built on it, and of the integer norm brackets against
 ``quadform_reference.eval_quadratic`` on the midpoint Gram matrix. The systems cover the kernel written out
 for n = 1, 2, 3, with cyclic and non-cyclic Z^n / phi^w Z^n, and the
@@ -108,8 +109,9 @@ def _reference_divide(ds, p):
     return d, lattice.solve_divisibility(inst, tuple(a - b for a, b in zip(p, d)), 1)
 
 
-def _reference_expand(ds, p, max_steps):
-    """expand through _reference_divide: the word, the nonzero cycle the
+def _reference_expand(ds, p, max_steps, divide=_reference_divide):
+    """expand one division step at a time, through _reference_divide
+    unless another divide(ds, p) is given: the word, the nonzero cycle the
     orbit closes (rotated to its smallest point), or the step-cap error."""
     if max_steps is None:
         max_steps = em.default_step_limit(ds, p)
@@ -123,7 +125,7 @@ def _reference_expand(ds, p, max_steps):
         if len(path) >= max_steps:
             return LatnafError, f"expansion exceeded {max_steps} steps"
         path.append(cur)
-        d, cur = _reference_divide(ds, cur)
+        d, cur = divide(ds, cur)
         digits.append(d)
     return em.Expansion(p, tuple(digits), ds.w)
 
@@ -135,6 +137,31 @@ def test_divide_matches_reference(case):
     ds = system(name)
     assert ds.divide(p) == _reference_divide(ds, p)
     assert (em.digit_of(ds, p), em.step(ds, p)) == ds.divide(p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatnafError as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(st.one_of(points(10**6, SYSTEMS + ["m23w2"]), points(10**60, SYSTEMS + ["m23w2"])))
+@example(("q541w3", (-16, 6)))
+@example(("m4w3", (-2, 0, -1, 0)))
+def test_leap_matches_w_division_steps(case):
+    """One divide when the digit is zero; otherwise the digit and the
+    point w divide steps on, the w - 1 steps between giving zero digits."""
+    name, p = case
+    ds = system(name)
+    zero = ds.inst.zero()
+    d, q = ds.divide(p)
+    if d != zero:
+        for _ in range(ds.w - 1):
+            z, q = ds.divide(q)
+            assert z == zero
+    assert ds.leap(p) == (d, q)
 
 
 @SETTINGS
@@ -166,14 +193,15 @@ def test_expansion_is_a_wnaf_of_its_point(case):
 @example(("cycle211w3", (5, 8)), None)
 @example(("cycle211w3", (-16, 13)), 3)
 @example(("cycle211w3", (-16, 13)), 2)
+@example(("cycle211w3", (5, -29)), None)  # enters the cycle mid-block, at (-26, -3)
+@example(("q541w3", (-16, 6)), None)  # a nonzero digit: the word ends at it
+@example(("t3w3", (1000,)), 7)  # the word 1 0 0 10 0 0 1: the cap at its length
+@example(("t3w3", (1000,)), 6)  # and one below
+@example(("t3w3", (1000,)), 5)  # the cap inside the zero run after 10
 def test_expand_matches_reference_loop(case, max_steps):
     name, p = case
     ds = system(name)
-    try:
-        got = em.expand(ds, p, max_steps)
-    except LatnafError as exc:
-        got = type(exc), str(exc)
-    assert got == _reference_expand(ds, p, max_steps)
+    assert _outcome(em.expand, ds, p, max_steps) == _reference_expand(ds, p, max_steps)
 
 
 @pytest.mark.parametrize("name", SYSTEMS + ["m23w2"])
@@ -181,7 +209,8 @@ def test_divide_on_a_corrupted_table_raises(name):
     """Every digit's class emptied, and every class inside phi Z^n given
     that digit: each remainder coordinate of adj(phi) (p - digit) mod det
     is checked (m23w2 has digits whose first coordinate divides and whose
-    second does not)."""
+    second does not). expand meets the fault in its block step, reruns
+    its step loop and raises what that loop on divide raises."""
     ds = system(name)
     ds = dsm.DigitSet(ds.geo, ds.w, ds.digits, ds.family)  # a table of its own
     table = inspect.getclosurevars(ds._kernel[0]).nonlocals["table"]
@@ -197,18 +226,24 @@ def test_divide_on_a_corrupted_table_raises(name):
             f"no digit covers the residue class of {d}"
         )):
             ds.divide(d)
+        want = _outcome(_reference_expand, ds, d, None, dsm.DigitSet.divide)
+        assert want[0] is MalformedDigitSetError
+        assert _outcome(em.expand, ds, d) == want
         table[:] = [e or entry for e in intact]
         with pytest.raises(MalformedDigitSetError, match=re.escape(
             f"digit {d} is not congruent to {p} modulo the base image"
         )):
             ds.divide(p)
+        want = _outcome(_reference_expand, ds, p, None, dsm.DigitSet.divide)
+        assert want[0] is MalformedDigitSetError
+        assert _outcome(em.expand, ds, p) == want
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_points_of_the_wrong_dimension_raise(name):
     ds = system(name)
     for p in [(1,) * (ds.inst.n - 1), (1,) * (ds.inst.n + 1)]:
-        for division in (ds.divide, ds.divisions):
+        for division in (ds.divide, ds.divisions, ds.leap):
             with pytest.raises(ValueError):
                 division(p)
 
