@@ -23,9 +23,11 @@ geometric context (packing radius, covering radius, contraction factor
 of the inverse map) that the termination and optimality arguments
 consume.
 
-``DigitSet`` owns its ``Geometry`` and the division map p -> (p - d) / phi
-that expansion, orbit search and the weight oracle all run: the digit
-table is built once, when the set is validated.
+``DigitSet`` owns its ``Geometry``, the division map p -> (p - d) / phi
+that expansion, orbit search and the weight oracle all run, and the block
+step p -> (p - d) / phi^w of expansion. Both are one quotient body per
+dimension, read with two matrices: the division step is the block step
+of width 1. The digit table is built once, when the set is validated.
 """
 
 from __future__ import annotations
@@ -276,7 +278,10 @@ def geometry(source, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS) -> Ge
 
 
 def digit_count(source, w: int) -> int:
-    d = abs(geometry(source).inst.det)
+    """Nonzero digits of a width-w set on a base or Geometry: one per class
+    modulo phi^w outside phi Z^n, |det|^w - |det|^(w-1)."""
+    geo = source if isinstance(source, Geometry) else geometry(source)
+    d = abs(geo.inst.det)
     return d**w - d ** (w - 1)
 
 
@@ -299,7 +304,9 @@ class DigitSet:
     A (p - d) / q therefore replaces w division steps. The table's
     classes hold this for every point: the validated digits fill exactly
     the classes outside phi Z^n, so a point with no table entry is
-    divisible by phi and one with an entry is not.
+    divisible by phi and one with an entry is not. ``divide`` is the
+    block step of width 1, the same body read with adj(phi) / det and
+    adj(phi) d in place of A / q and A d.
     """
 
     geo: Geometry
@@ -314,8 +321,7 @@ class DigitSet:
         u, diag, _ = lattice.residue_structure(inst, self.w)
         block = _pullback(intmat.mat_pow(inst.phi, self.w))
         zero = inst.zero()
-        d = abs(det)
-        want = d**self.w - d ** (self.w - 1)
+        want = digit_count(self.geo, self.w)
         got = sum(1 for d in self.digits if d != zero)
         if got != want:
             raise MalformedDigitSetError(f"expected {want} nonzero digits, got {got}")
@@ -370,6 +376,22 @@ class DigitSet:
         return self._kernel[2]
 
     @cached_property
+    def steps_per_bit(self) -> int:
+        """Division steps the default step cap allows per coordinate bit:
+        max(w, s) for the least s with 4 |adj(phi)^s|_F^2 <= det^(2s), in
+        integers from phi alone. adj(phi)^s / det^s is phi^-s and the
+        Frobenius norm bounds the spectral one, so s inverse steps at least
+        halve the coordinate norm; below w0, w steps need not. No such s
+        exists unless phi is expanding, and then this is w."""
+        if not lattice.is_expanding(self.inst):
+            return self.w
+        adj, det = self.inst.adjugate, self.inst.det
+        power, s = adj, 1
+        while 4 * sum(v * v for row in power for v in row) > det ** (2 * s):
+            power, s = intmat.mat_mul(power, adj), s + 1
+        return max(self.w, s)
+
+    @cached_property
     def is_minimal_norm(self) -> bool:
         """Whether every digit minimizes the pulled-back norm in its class
         (the Voronoi-cell membership both certificates rest on)."""
@@ -389,60 +411,63 @@ def _fault(entry, p) -> MalformedDigitSetError:
 
 
 def _division_kernel(adj, det, block, rows, table, by_class, zero):
-    """(divide, divisions, leap) of a digit set. divide and leap read the
-    table entry at the class index of p modulo phi^w, None standing for
-    the zero digit (a class inside phi Z^n); block is (A, q) with
-    phi^-w = A / q, and an entry (d, adj(phi) d, A d). Written out for
-    n <= 3."""
+    """(divide, divisions, leap) of a digit set, divide and leap being one
+    quotient body built twice. quotient(mat, den, slot) reads the table
+    entry at the class index of p modulo phi^w, None standing for the
+    zero digit (a class inside phi Z^n): then it returns (zero,
+    adj(phi) p / det), else (d, (mat p - entry[slot]) / den), raising
+    ``_fault`` on a nonzero remainder. An entry is (d, adj(phi) d, A d)
+    with phi^-w = A / q, block being (A, q); divide is
+    quotient(adj(phi), det, 1), the block step of width 1, and leap is
+    quotient(A, q, 2). Written out for n <= 3."""
     n = len(adj)
-    adjw, detw = block
 
     if n == 1:  # adj(phi) = (1)
         (((k,), m, _),) = rows
-        ((aw,),) = adjw
 
-        def divide(p):
-            (x,) = p
-            entry = table[k * x % m]
-            if entry is not None:
-                x -= entry[1][0]
-            q, r = divmod(x, det)
-            if r:
-                raise _fault(entry, p)
-            return (zero if entry is None else entry[0]), (q,)
+        def quotient(mat, den, slot):
+            ((aw,),) = mat
+
+            def step(p):
+                (x,) = p
+                entry = table[k * x % m]
+                if entry is None:
+                    q, r = divmod(x, det)
+                else:
+                    q, r = divmod(aw * x - entry[slot][0], den)
+                if r:
+                    raise _fault(entry, p)
+                return (zero if entry is None else entry[0]), (q,)
+
+            return step
 
         def divisions(p):
             (x,) = p
             return [(d, ((x - u) // det,)) for d, (u,) in by_class.get((x % det,), ())]
 
-        def leap(p):
-            (x,) = p
-            entry = table[k * x % m]
-            if entry is None:
-                q, r = divmod(x, det)
-            else:
-                q, r = divmod(aw * x - entry[2][0], detw)
-            if r:
-                raise _fault(entry, p)
-            return (zero if entry is None else entry[0]), (q,)
-
     elif n == 2:
         (a, b), (c, e) = adj
-        (wa, wb), (wc, we) = adjw
         ((f, g), m0, s0), ((h, k), m1, _) = rows
 
-        def divide(p):
-            x, y = p
-            s, t = a * x + b * y, c * x + e * y
-            i = (h * x + k * y) % m1
-            entry = table[i + (f * x + g * y) % m0 * s0 if m0 > 1 else i]
-            if entry is not None:
-                u, v = entry[1]
-                s, t = s - u, t - v
-            (qs, rs), (qt, rt) = divmod(s, det), divmod(t, det)
-            if rs or rt:
-                raise _fault(entry, p)
-            return (zero if entry is None else entry[0]), (qs, qt)
+        def quotient(mat, den, slot):
+            (wa, wb), (wc, we) = mat
+
+            def step(p):
+                x, y = p
+                i = (h * x + k * y) % m1
+                entry = table[i + (f * x + g * y) % m0 * s0 if m0 > 1 else i]
+                if entry is None:
+                    (qs, rs), (qt, rt) = divmod(a * x + b * y, det), divmod(c * x + e * y, det)
+                    if rs or rt:
+                        raise _fault(entry, p)
+                    return zero, (qs, qt)
+                u, v = entry[slot]
+                (qs, rs), (qt, rt) = divmod(wa * x + wb * y - u, den), divmod(wc * x + we * y - v, den)
+                if rs or rt:
+                    raise _fault(entry, p)
+                return entry[0], (qs, qt)
+
+            return step
 
         def divisions(p):
             x, y = p
@@ -450,44 +475,38 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero):
             cls = by_class.get((s % det, t % det), ())
             return [(d, ((s - u) // det, (t - v) // det)) for d, (u, v) in cls]
 
-        def leap(p):
-            x, y = p
-            i = (h * x + k * y) % m1
-            entry = table[i + (f * x + g * y) % m0 * s0 if m0 > 1 else i]
-            if entry is None:
-                (qs, rs), (qt, rt) = divmod(a * x + b * y, det), divmod(c * x + e * y, det)
-                if rs or rt:
-                    raise _fault(entry, p)
-                return zero, (qs, qt)
-            u, v = entry[2]
-            (qs, rs), (qt, rt) = divmod(wa * x + wb * y - u, detw), divmod(wc * x + we * y - v, detw)
-            if rs or rt:
-                raise _fault(entry, p)
-            return entry[0], (qs, qt)
-
     elif n == 3:
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = adj
-        (wa0, wa1, wa2), (wb0, wb1, wb2), (wc0, wc1, wc2) = adjw
         ((f0, f1, f2), m0, s0), ((g0, g1, g2), m1, s1), ((h0, h1, h2), m2, _) = rows
 
-        def divide(p):
-            x, y, z = p
-            s = a0 * x + a1 * y + a2 * z
-            t = b0 * x + b1 * y + b2 * z
-            o = c0 * x + c1 * y + c2 * z
-            i = (h0 * x + h1 * y + h2 * z) % m2
-            if m1 > 1:
-                i += (g0 * x + g1 * y + g2 * z) % m1 * s1
-                if m0 > 1:
-                    i += (f0 * x + f1 * y + f2 * z) % m0 * s0
-            entry = table[i]
-            if entry is not None:
-                u, v, r = entry[1]
-                s, t, o = s - u, t - v, o - r
-            (qs, rs), (qt, rt), (qo, ro) = divmod(s, det), divmod(t, det), divmod(o, det)
-            if rs or rt or ro:
-                raise _fault(entry, p)
-            return (zero if entry is None else entry[0]), (qs, qt, qo)
+        def quotient(mat, den, slot):
+            (wa0, wa1, wa2), (wb0, wb1, wb2), (wc0, wc1, wc2) = mat
+
+            def step(p):
+                x, y, z = p
+                i = (h0 * x + h1 * y + h2 * z) % m2
+                if m1 > 1:
+                    i += (g0 * x + g1 * y + g2 * z) % m1 * s1
+                    if m0 > 1:
+                        i += (f0 * x + f1 * y + f2 * z) % m0 * s0
+                entry = table[i]
+                if entry is None:
+                    s = a0 * x + a1 * y + a2 * z
+                    t = b0 * x + b1 * y + b2 * z
+                    o = c0 * x + c1 * y + c2 * z
+                    dv = det
+                else:
+                    u, v, r = entry[slot]
+                    s = wa0 * x + wa1 * y + wa2 * z - u
+                    t = wb0 * x + wb1 * y + wb2 * z - v
+                    o = wc0 * x + wc1 * y + wc2 * z - r
+                    dv = den
+                (qs, rs), (qt, rt), (qo, ro) = divmod(s, dv), divmod(t, dv), divmod(o, dv)
+                if rs or rt or ro:
+                    raise _fault(entry, p)
+                return (zero if entry is None else entry[0]), (qs, qt, qo)
+
+            return step
 
         def divisions(p):
             x, y, z = p
@@ -499,61 +518,30 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero):
                 (d, ((s - u) // det, (t - v) // det, (o - r) // det)) for d, (u, v, r) in cls
             ]
 
-        def leap(p):
-            x, y, z = p
-            i = (h0 * x + h1 * y + h2 * z) % m2
-            if m1 > 1:
-                i += (g0 * x + g1 * y + g2 * z) % m1 * s1
-                if m0 > 1:
-                    i += (f0 * x + f1 * y + f2 * z) % m0 * s0
-            entry = table[i]
-            if entry is None:
-                s = a0 * x + a1 * y + a2 * z
-                t = b0 * x + b1 * y + b2 * z
-                o = c0 * x + c1 * y + c2 * z
-                den = det
-            else:
-                u, v, r = entry[2]
-                s = wa0 * x + wa1 * y + wa2 * z - u
-                t = wb0 * x + wb1 * y + wb2 * z - v
-                o = wc0 * x + wc1 * y + wc2 * z - r
-                den = detw
-            (qs, rs), (qt, rt), (qo, ro) = divmod(s, den), divmod(t, den), divmod(o, den)
-            if rs or rt or ro:
-                raise _fault(entry, p)
-            return (zero if entry is None else entry[0]), (qs, qt, qo)
-
     else:
         dets = [det] * n
 
-        def index(p):
-            return sum(sum(map(mul, row, p)) % m * s for row, m, s in rows)
-
-        def quotient(entry, p, ap, den):
-            qr = [divmod(v, den) for v in ap]
+        def settle(entry, p, ap, dv):
+            qr = [divmod(v, dv) for v in ap]
             if any(r for _, r in qr):
                 raise _fault(entry, p)
             return (zero if entry is None else entry[0]), tuple(q for q, _ in qr)
 
-        def divide(p):
-            ap = intmat.mat_vec(adj, p)
-            entry = table[index(p)]
-            if entry is not None:
-                ap = map(sub, ap, entry[1])
-            return quotient(entry, p, ap, det)
+        def quotient(mat, den, slot):
+            def step(p):
+                entry = table[sum(sum(map(mul, row, p)) % m * s for row, m, s in rows)]
+                if entry is None:
+                    return settle(entry, p, intmat.mat_vec(adj, p), det)
+                return settle(entry, p, map(sub, intmat.mat_vec(mat, p), entry[slot]), den)
+
+            return step
 
         def divisions(p):
             ap = intmat.mat_vec(adj, p)
             cls = by_class.get(tuple(v % det for v in ap), ())
             return [(d, tuple(map(floordiv, map(sub, ap, ad), dets))) for d, ad in cls]
 
-        def leap(p):
-            entry = table[index(p)]
-            if entry is None:
-                return quotient(entry, p, intmat.mat_vec(adj, p), det)
-            return quotient(entry, p, map(sub, intmat.mat_vec(adjw, p), entry[2]), detw)
-
-    return divide, divisions, leap
+    return quotient(adj, det, 1), divisions, quotient(*block, 2)
 
 
 def _expanding_geometry(source, w: int) -> Geometry:

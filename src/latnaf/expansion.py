@@ -2,10 +2,11 @@
 
 Repeatedly strip a digit (the unique one congruent to the point modulo
 the w-th power of the base, or zero when the point is divisible) and
-apply the inverse base map. ``DigitSet.divide`` does both in one step on
-the set's kernel (one class index and one adjugate product, written out
-for n <= 3); ``digit_of`` and ``step`` are its halves, ``value`` is Horner's
-rule back. Words are least significant first.
+apply the inverse base map. ``DigitSet.divide`` does both in one step:
+it is the set's block step of width 1 (below), one class index and one
+adjugate product over det, written out for n <= 3. ``digit_of`` and
+``step`` are its halves, ``value`` is Horner's rule back. Words are least
+significant first.
 
 After a nonzero digit d the window form is forced: d is congruent to
 its point p modulo phi^w, so p - d = phi^w x with x integral, and the
@@ -19,6 +20,11 @@ step cap or on a kernel fault. Whenever it does not reach zero within
 the cap (a cycle, a long word, a kernel fault) the step loop reruns from
 the start and reports what it finds, so both loops give the same
 Expansion, CycleReport or error.
+
+The default step cap allows max(w, s) steps per coordinate bit of the
+point (``DigitSet.steps_per_bit``), s being the least number of inverse
+steps certified in integers to halve the coordinate norm: below w0, w
+steps alone need not halve it.
 """
 
 from __future__ import annotations
@@ -69,9 +75,10 @@ def step(ds: DigitSet, p: Point) -> Point:
 
 def default_step_limit(ds: DigitSet, p) -> int:
     """Generous cap, well above the geometric-decay bound on orbit entry
-    into the invariant ball plus the cycle length the ball can hold."""
+    into the invariant ball plus the cycle length the ball can hold:
+    ``DigitSet.steps_per_bit`` steps per coordinate bit of p."""
     size = sum(abs(int(v)).bit_length() for v in p)
-    return 64 + ds.w * (8 + size)
+    return 64 + ds.steps_per_bit * (8 + size)
 
 
 def expand(ds: DigitSet, p, max_steps: int | None = None):

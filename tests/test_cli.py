@@ -108,6 +108,16 @@ def test_expand_two_dim_tokens(capsys, tmp_path):
     assert "(-1,0)" in out
 
 
+def test_expand_long_word_below_w0(capsys, tmp_path):
+    """x^2 + x - 3 at w = 2 lies below w0 = 3; the default step cap still
+    admits the 2,621-digit word of (2^1000, 0)."""
+    path = write(tmp_path, "m3.json", {"base": {"minpoly": [-3, 1, 1]}, "w": 2})
+    code, out, _ = run(capsys, "expand", "--instance", path, "--point", f"{2**1000},0")
+    assert code == 0
+    assert len(out.split("\n")[1].split()) == 2 + 2621  # "lsd =" and the digits
+    assert out.endswith("value_check = ok\n")
+
+
 def test_expand_requires_point(capsys, base2):
     code, _, err = run(capsys, "expand", "--instance", base2)
     assert code == 2

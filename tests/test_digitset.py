@@ -22,6 +22,8 @@ def test_digit_count():
     assert dsm.digit_count(nf([-2, 1]), 2) == 2
     assert dsm.digit_count(nf([-3, 1]), 2) == 6
     assert dsm.digit_count(nf([2, -1, 1]), 3) == 4
+    # a Geometry stands for its base, as in every builder
+    assert dsm.digit_count(dsm.geometry(nf([5, -4, 1])), 3) == dsm.digit_count(nf([5, -4, 1]), 3) == 100
 
 
 def test_minimal_digits_one_dim():

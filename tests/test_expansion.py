@@ -5,8 +5,12 @@ import pytest
 
 from latnaf import digitset as dsm
 from latnaf import expansion as em
+from latnaf import lattice
 from latnaf import numberfield as nfm
 from latnaf.errors import LatnafError
+
+from test_kernel import SYSTEMS as KERNEL_SYSTEMS
+from test_kernel import system as kernel_system
 
 
 def ds_int(tau, w, family="minimal-norm"):
@@ -135,6 +139,35 @@ def test_default_step_limit_monotone():
     large = em.default_step_limit(ds, (7 * 2**40,))
     assert small > 4
     assert large > small
+    # the cap allows steps_per_bit = max(w, s) steps per bit, never fewer than w
+    for name in KERNEL_SYSTEMS + ["cycle211w3"]:
+        ds = kernel_system(name)
+        for p in [ds.inst.zero(), (7,) * ds.inst.n, (-(10**60),) + (3,) * (ds.inst.n - 1)]:
+            size = sum(abs(v).bit_length() for v in p)
+            assert em.default_step_limit(ds, p) >= 64 + ds.w * (8 + size)
+
+
+def test_long_word_below_w0_fits_the_default_cap():
+    """x^2 + x - 3 at w = 2 is below its w0 = 3, where w division steps
+    need not halve a point: (2^1000, 0) has a 2,621-digit word, past the
+    2,082 steps of a cap of w steps per bit."""
+    ds = dsm.build_minimal_norm(nfm.build([-3, 1, 1]), 2)
+    assert ds.steps_per_bit == 4
+    p = (2**1000, 0)
+    e = em.expand(ds, p)
+    assert isinstance(e, em.Expansion)
+    assert len(e.word) == 2621
+    assert em.value(ds.inst, e.word) == p
+    assert em.is_wnaf(e)
+
+
+def test_hand_built_set_on_a_non_expanding_base_reports_its_cycle():
+    """diag(1, 2) halves no point, so no halving count s exists: the
+    cap stays at w steps per bit and expand finds the fixed point (5, 0)."""
+    geo = dsm.geometry(lattice.LatticeInstance.from_matrix([[1, 0], [0, 2]]))
+    ds = dsm.DigitSet(geo, 1, ((0, 0), (0, 1)), dsm.FAMILY_CUSTOM)
+    assert ds.steps_per_bit == 1
+    assert em.expand(ds, (5, 1)) == em.CycleReport((5, 1), ((5, 0),))
 
 
 def test_word_weight():

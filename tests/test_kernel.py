@@ -1,7 +1,8 @@
 """Property tests of the division kernel ``DigitSet.divide`` /
 ``DigitSet.divisions`` against the reference path of ``lattice``
 (``solve_divisibility`` and ``residue_key``), of its block step
-``DigitSet.leap`` against w division steps, of the expansions and
+``DigitSet.leap`` against w division steps (and against one at w = 1,
+where both are the same quotient body), of the expansions and
 weights built on it, and of the integer norm brackets against
 ``quadform_reference.eval_quadratic`` on the midpoint Gram matrix. The systems cover the kernel written out
 for n = 1, 2, 3, with cyclic and non-cyclic Z^n / phi^w Z^n, and the
@@ -39,6 +40,7 @@ MATRICES = {
     "m23w2": ([[2, 0], [0, 3]], 2),
     "m3w3": ([[1, -1, 0], [1, 1, 0], [0, 0, 2]], 3),
     "m4w3": ([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], 3),
+    "m4w1": ([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], 1),
 }
 
 SYSTEMS = [
@@ -72,6 +74,9 @@ def system(name):
         "t3w3": ([-3, 1], 3),
         "q541w3": ([5, -4, 1], 3),
         "c3101w4": ([3, 1, 0, 1], 4),
+        "t3w1": ([-3, 1], 1),
+        "q541w1": ([5, -4, 1], 1),
+        "c3101w1": ([3, 1, 0, 1], 1),
     }[name]
     return dsm.build_minimal_norm(nfm.build(coeffs), w)
 
@@ -164,6 +169,20 @@ def test_leap_matches_w_division_steps(case):
     assert ds.leap(p) == (d, q)
 
 
+WIDTH_ONE = ["t3w1", "q541w1", "c3101w1", "m4w1"]
+
+
+@SETTINGS
+@given(st.one_of(points(10**6, WIDTH_ONE), points(10**60, WIDTH_ONE)))
+def test_leap_is_divide_at_width_one(case):
+    """At w = 1 the block step is the division step: (A, q) is
+    (+-adj(phi), |det|), so both closures give the same digit and quotient
+    for n = 1, 2, 3 and on the generic path."""
+    name, p = case
+    ds = system(name)
+    assert ds.leap(p) == ds.divide(p)
+
+
 @SETTINGS
 @given(COORDS)
 def test_divisions_filter_all_digits(case):
@@ -209,8 +228,9 @@ def test_divide_on_a_corrupted_table_raises(name):
     """Every digit's class emptied, and every class inside phi Z^n given
     that digit: each remainder coordinate of adj(phi) (p - digit) mod det
     is checked (m23w2 has digits whose first coordinate divides and whose
-    second does not). expand meets the fault in its block step, reruns
-    its step loop and raises what that loop on divide raises."""
+    second does not). leap raises what divide raises; expand meets the
+    fault in its block step, reruns its step loop and raises what that
+    loop on divide raises."""
     ds = system(name)
     ds = dsm.DigitSet(ds.geo, ds.w, ds.digits, ds.family)  # a table of its own
     table = inspect.getclosurevars(ds._kernel[0]).nonlocals["table"]
@@ -222,18 +242,20 @@ def test_divide_on_a_corrupted_table_raises(name):
         d = entry[0]
         table[:] = intact
         table[i] = None
-        with pytest.raises(MalformedDigitSetError, match=re.escape(
-            f"no digit covers the residue class of {d}"
-        )):
-            ds.divide(d)
+        for division in (ds.divide, ds.leap):
+            with pytest.raises(MalformedDigitSetError, match=re.escape(
+                f"no digit covers the residue class of {d}"
+            )):
+                division(d)
         want = _outcome(_reference_expand, ds, d, None, dsm.DigitSet.divide)
         assert want[0] is MalformedDigitSetError
         assert _outcome(em.expand, ds, d) == want
         table[:] = [e or entry for e in intact]
-        with pytest.raises(MalformedDigitSetError, match=re.escape(
-            f"digit {d} is not congruent to {p} modulo the base image"
-        )):
-            ds.divide(p)
+        for division in (ds.divide, ds.leap):
+            with pytest.raises(MalformedDigitSetError, match=re.escape(
+                f"digit {d} is not congruent to {p} modulo the base image"
+            )):
+                division(p)
         want = _outcome(_reference_expand, ds, p, None, dsm.DigitSet.divide)
         assert want[0] is MalformedDigitSetError
         assert _outcome(em.expand, ds, p) == want
@@ -249,8 +271,9 @@ def test_points_of_the_wrong_dimension_raise(name):
 
 
 def test_expand_makes_no_generic_matrix_products(monkeypatch):
-    """The five systems of the expand-stream benchmark expand without a
-    single intmat.mat_vec call: the step stays on the written-out kernel."""
+    """The five systems of the expand-stream benchmark expand, divide and
+    list their divisions without a single intmat.mat_vec call: n <= 3
+    stays on the written-out kernel."""
     systems = [system(name) for name in ("t2w2", "t3w3", "q541w3", "m31w2", "c3101w4")]
     calls = []
     mat_vec = intmat.mat_vec
@@ -259,6 +282,8 @@ def test_expand_makes_no_generic_matrix_products(monkeypatch):
         n = ds.inst.n
         for p in [(7,) * n, tuple(10**6 - 3 * i for i in range(n)), (10**100 + 1,) * n]:
             assert em.value(ds.inst, em.expand(ds, p).word) == p
+            ds.divide(p)
+            ds.divisions(p)
     assert calls == []
     lattice.solve_divisibility(systems[0].inst, (7,))  # the counter sees module calls
     assert calls == [(7,)]
