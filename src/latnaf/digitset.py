@@ -25,9 +25,10 @@ consume.
 
 ``DigitSet`` owns its ``Geometry``, the division map p -> (p - d) / phi
 that expansion, orbit search and the weight oracle all run, and the block
-step p -> (p - d) / phi^w of expansion. Both are one quotient body per
-dimension, read with two matrices: the division step is the block step
-of width 1. The digit table is built once, when the set is validated.
+step p -> (p - d) / phi^w of expansion. Both are one quotient body read
+with two matrices: the division step is the block step of width 1. The
+digit table is built once, when the set is validated, and one source
+template writes the kernel out for the set's dimension.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import floordiv, mul, sub
+from operator import mul
 
 from . import intmat, lattice, numberfield, quadform
 from .errors import (
@@ -236,9 +237,9 @@ class Geometry:
         if self.gram is not None:
             R_sq = quadform.covering_radius_sq_exact(self.gram)
             if R_sq is not None:
-                return NormContext(r_sq / 4, True, R_sq, True)
+                return NormContext(r_sq / 4, R_sq)
         total = sum((sqrt_upper(c, 64) for c in diag), Fraction(0))
-        return NormContext(r_sq / 4, self.gram is not None, total * total / 4, False)
+        return NormContext(r_sq / 4, total * total / 4)
 
     @cached_property
     def w0_bound(self) -> int:
@@ -295,7 +296,9 @@ class DigitSet:
     digit d with adj(phi) d and A d per class index modulo phi^w, where
     phi^-w = A / q (``_pullback``), and the digits grouped by class
     modulo phi, keyed on adj(phi) d mod det (p - d lies in the image of
-    phi exactly when adj(phi) (p - d) is divisible by det).
+    phi exactly when adj(phi) (p - d) is divisible by det). One source
+    template writes ``divide``, ``leap`` and ``divisions`` out for the
+    set's n (``_division_kernel``).
 
     ``leap`` is the block step of that kernel. A nonzero digit d is
     congruent to its point p modulo phi^w, so p - d = phi^w x with x
@@ -411,137 +414,84 @@ def _fault(entry, p) -> MalformedDigitSetError:
 
 
 def _division_kernel(adj, det, block, rows, table, by_class, zero):
-    """(divide, divisions, leap) of a digit set, divide and leap being one
-    quotient body built twice. quotient(mat, den, slot) reads the table
-    entry at the class index of p modulo phi^w, None standing for the
-    zero digit (a class inside phi Z^n): then it returns (zero,
-    adj(phi) p / det), else (d, (mat p - entry[slot]) / den), raising
-    ``_fault`` on a nonzero remainder. An entry is (d, adj(phi) d, A d)
-    with phi^-w = A / q, block being (A, q); divide is
-    quotient(adj(phi), det, 1), the block step of width 1, and leap is
-    quotient(A, q, 2). Written out for n <= 3."""
+    """(divide, divisions, leap) of a digit set, written out for its n
+    from one source template and compiled by one ``exec``, the way
+    ``dataclasses`` writes ``__init__``.
+
+    divide and leap are one quotient body built twice. quotient(mat,
+    den, slot) reads the table entry at the class index of p modulo
+    phi^w, the mixed-radix sum of (u_i p) mod m_i times its stride, None
+    standing for the zero digit (a class inside phi Z^n): then it
+    returns (zero, adj(phi) p / det), else (d, (mat p - entry[slot]) /
+    den), raising ``_fault`` on a nonzero remainder. An entry is (d,
+    adj(phi) d, A d) with phi^-w = A / q, block being (A, q); divide is
+    quotient(adj(phi), det, 1) and leap is quotient(A, q, 2). divisions
+    looks up the digits congruent to p modulo phi in by_class.
+
+    The source carries names and shape only: a product per nonzero
+    coefficient, an index term per Smith modulus above 1. Every
+    coefficient, modulus, stride and divisor is a parameter of the
+    generated factory, read from a closure cell beside table, by_class,
+    zero and ``_fault``. Literals would read a little faster, but an
+    integer past ``sys.get_int_max_str_digits()`` digits cannot be
+    formatted, and as cells no value reaches ``exec``.
+    """
     n = len(adj)
+    mat, den = block
+    cells = dict(table=table, by_class=by_class, zero=zero, _fault=_fault, det=det, den=den)
 
-    if n == 1:  # adj(phi) = (1)
-        (((k,), m, _),) = rows
+    def dot(name, row):
+        terms = []
+        for k, v in enumerate(row):
+            if v:
+                cells[f"{name}{k}"] = v
+                terms.append(f"{name}{k} * x{k}")
+        return " + ".join(terms)
 
-        def quotient(mat, den, slot):
-            ((aw,),) = mat
+    def tup(fmt):
+        return "(" + "".join(fmt.format(k=k) + ", " for k in range(n)) + ")"
 
-            def step(p):
-                (x,) = p
-                entry = table[k * x % m]
-                if entry is None:
-                    q, r = divmod(x, det)
-                else:
-                    q, r = divmod(aw * x - entry[slot][0], den)
-                if r:
-                    raise _fault(entry, p)
-                return (zero if entry is None else entry[0]), (q,)
+    index = []
+    for i, (row, m, stride) in enumerate(rows):
+        if m > 1:
+            cells[f"m{i}"], cells[f"s{i}"] = m, stride
+            term = f"({dot(f'u{i}_', row)}) % m{i}"
+            index.append(f"{term} * s{i}" if stride > 1 else term)
+    adj_p = [dot(f"a{i}_", row) for i, row in enumerate(adj)]
+    mat_p = [dot(f"b{i}_", row) for i, row in enumerate(mat)]
 
-            return step
+    def settle(exprs, dv, digit):
+        return [
+            *(f"q{k}, r{k} = divmod({e}, {dv})" for k, e in enumerate(exprs)),
+            f"if {' or '.join(f'r{k}' for k in range(n))}:",
+            "    raise _fault(entry, p)",
+            f"return {digit}, {tup('q{k}')}",
+        ]
 
-        def divisions(p):
-            (x,) = p
-            return [(d, ((x - u) // det,)) for d, (u,) in by_class.get((x % det,), ())]
+    def quotient(name, exprs, dv, slot):
+        return [
+            f"def {name}(p):",
+            f"    {tup('x{k}')} = p",
+            f"    entry = table[{' + '.join(index) or '0'}]",
+            "    if entry is None:",
+            *(f"        {s}" for s in settle(adj_p, "det", "zero")),
+            f"    {tup('e{k}')} = entry[{slot}]",
+            *(f"    {s}" for s in settle([f"{e} - e{k}" for k, e in enumerate(exprs)], dv, "entry[0]")),
+        ]
 
-    elif n == 2:
-        (a, b), (c, e) = adj
-        ((f, g), m0, s0), ((h, k), m1, _) = rows
-
-        def quotient(mat, den, slot):
-            (wa, wb), (wc, we) = mat
-
-            def step(p):
-                x, y = p
-                i = (h * x + k * y) % m1
-                entry = table[i + (f * x + g * y) % m0 * s0 if m0 > 1 else i]
-                if entry is None:
-                    (qs, rs), (qt, rt) = divmod(a * x + b * y, det), divmod(c * x + e * y, det)
-                    if rs or rt:
-                        raise _fault(entry, p)
-                    return zero, (qs, qt)
-                u, v = entry[slot]
-                (qs, rs), (qt, rt) = divmod(wa * x + wb * y - u, den), divmod(wc * x + we * y - v, den)
-                if rs or rt:
-                    raise _fault(entry, p)
-                return entry[0], (qs, qt)
-
-            return step
-
-        def divisions(p):
-            x, y = p
-            s, t = a * x + b * y, c * x + e * y
-            cls = by_class.get((s % det, t % det), ())
-            return [(d, ((s - u) // det, (t - v) // det)) for d, (u, v) in cls]
-
-    elif n == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = adj
-        ((f0, f1, f2), m0, s0), ((g0, g1, g2), m1, s1), ((h0, h1, h2), m2, _) = rows
-
-        def quotient(mat, den, slot):
-            (wa0, wa1, wa2), (wb0, wb1, wb2), (wc0, wc1, wc2) = mat
-
-            def step(p):
-                x, y, z = p
-                i = (h0 * x + h1 * y + h2 * z) % m2
-                if m1 > 1:
-                    i += (g0 * x + g1 * y + g2 * z) % m1 * s1
-                    if m0 > 1:
-                        i += (f0 * x + f1 * y + f2 * z) % m0 * s0
-                entry = table[i]
-                if entry is None:
-                    s = a0 * x + a1 * y + a2 * z
-                    t = b0 * x + b1 * y + b2 * z
-                    o = c0 * x + c1 * y + c2 * z
-                    dv = det
-                else:
-                    u, v, r = entry[slot]
-                    s = wa0 * x + wa1 * y + wa2 * z - u
-                    t = wb0 * x + wb1 * y + wb2 * z - v
-                    o = wc0 * x + wc1 * y + wc2 * z - r
-                    dv = den
-                (qs, rs), (qt, rt), (qo, ro) = divmod(s, dv), divmod(t, dv), divmod(o, dv)
-                if rs or rt or ro:
-                    raise _fault(entry, p)
-                return (zero if entry is None else entry[0]), (qs, qt, qo)
-
-            return step
-
-        def divisions(p):
-            x, y, z = p
-            s = a0 * x + a1 * y + a2 * z
-            t = b0 * x + b1 * y + b2 * z
-            o = c0 * x + c1 * y + c2 * z
-            cls = by_class.get((s % det, t % det, o % det), ())
-            return [
-                (d, ((s - u) // det, (t - v) // det, (o - r) // det)) for d, (u, v, r) in cls
-            ]
-
-    else:
-        dets = [det] * n
-
-        def settle(entry, p, ap, dv):
-            qr = [divmod(v, dv) for v in ap]
-            if any(r for _, r in qr):
-                raise _fault(entry, p)
-            return (zero if entry is None else entry[0]), tuple(q for q, _ in qr)
-
-        def quotient(mat, den, slot):
-            def step(p):
-                entry = table[sum(sum(map(mul, row, p)) % m * s for row, m, s in rows)]
-                if entry is None:
-                    return settle(entry, p, intmat.mat_vec(adj, p), det)
-                return settle(entry, p, map(sub, intmat.mat_vec(mat, p), entry[slot]), den)
-
-            return step
-
-        def divisions(p):
-            ap = intmat.mat_vec(adj, p)
-            cls = by_class.get(tuple(v % det for v in ap), ())
-            return [(d, tuple(map(floordiv, map(sub, ap, ad), dets))) for d, ad in cls]
-
-    return quotient(adj, det, 1), divisions, quotient(*block, 2)
+    lines = [
+        *quotient("divide", adj_p, "det", 1),
+        *quotient("leap", mat_p, "den", 2),
+        "def divisions(p):",
+        f"    {tup('x{k}')} = p",
+        *(f"    t{k} = {e}" for k, e in enumerate(adj_p)),
+        f"    cls = by_class.get({tup('t{k} % det')}, ())",
+        f"    return [(d, {tup('(t{k} - e{k}) // det')}) for d, {tup('e{k}')} in cls]",
+        "return divide, divisions, leap",
+    ]
+    scope: dict = {}
+    exec(f"def factory({', '.join(cells)}):\n" + "\n".join(f"    {s}" for s in lines), scope)
+    return scope["factory"](**cells)
 
 
 def _expanding_geometry(source, w: int) -> Geometry:
@@ -679,13 +629,11 @@ def max_digit_norm_sq_upper(ds: DigitSet) -> Fraction:
 
 @dataclass(frozen=True)
 class NormContext:
-    """Packing and covering radius of an instance, with exactness flags
-    for the rational bounds."""
+    """Squared packing and covering radius of an instance, as rational
+    bounds (see ``Geometry.norm_context``)."""
 
     r_sq: Fraction
-    r_exact: bool
     R_sq: Fraction
-    R_exact: bool
 
     @property
     def tiling_ratio(self) -> CReal:

@@ -4,9 +4,9 @@ Repeatedly strip a digit (the unique one congruent to the point modulo
 the w-th power of the base, or zero when the point is divisible) and
 apply the inverse base map. ``DigitSet.divide`` does both in one step:
 it is the set's block step of width 1 (below), one class index and one
-adjugate product over det, written out for n <= 3. ``digit_of`` and
-``step`` are its halves, ``value`` is Horner's rule back. Words are least
-significant first.
+adjugate product over det, written out for the set's dimension.
+``digit_of`` and ``step`` are its halves, ``value`` is Horner's rule
+back. Words are least significant first.
 
 After a nonzero digit d the window form is forced: d is congruent to
 its point p modulo phi^w, so p - d = phi^w x with x integral, and the
@@ -76,8 +76,9 @@ def step(ds: DigitSet, p: Point) -> Point:
 def default_step_limit(ds: DigitSet, p) -> int:
     """Generous cap, well above the geometric-decay bound on orbit entry
     into the invariant ball plus the cycle length the ball can hold:
-    ``DigitSet.steps_per_bit`` steps per coordinate bit of p."""
-    size = sum(abs(int(v)).bit_length() for v in p)
+    ``DigitSet.steps_per_bit`` steps per coordinate bit of the integer
+    point p (a negative coordinate has the bits of its absolute value)."""
+    size = sum(map(int.bit_length, p))
     return 64 + ds.steps_per_bit * (8 + size)
 
 

@@ -79,10 +79,6 @@ class NumberFieldInstance:
     def degree(self) -> int:
         return len(self.min_poly) - 1
 
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return (1,) * self.s + (2,) * self.t
-
 
 def _root_kernel(coeffs: tuple[int, ...]) -> PolyRoots:
     # imported on first use: roots is the package's largest module, and

@@ -173,8 +173,8 @@ def test_w0_values():
 
 def test_norm_context_values():
     ctx = dsm.geometry(nf([2, -1, 1])).norm_context
-    assert ctx.r_sq == Fraction(1, 2) and ctx.r_exact
-    assert ctx.R_sq == Fraction(8, 7) and ctx.R_exact
+    assert ctx.r_sq == Fraction(1, 2)
+    assert ctx.R_sq == Fraction(8, 7)
     ctx2 = dsm.geometry(nf([2, -2, 1])).norm_context
     assert ctx2.r_sq == Fraction(1, 2)
     assert ctx2.R_sq == 1
@@ -184,8 +184,9 @@ def test_norm_context_values():
 
 
 def test_norm_context_enclosure_brackets():
-    ctx = dsm.geometry(nf([-2, 0, 0, 0, 1])).norm_context  # x^4 - 2
-    assert not ctx.r_exact
+    geo = dsm.geometry(nf([-2, 0, 0, 0, 1]))  # x^4 - 2
+    assert geo.gram is None
+    ctx = geo.norm_context
     assert ctx.r_sq > 0
     assert ctx.R_sq >= ctx.r_sq
 

@@ -68,7 +68,7 @@ def test_enclosure_norm_context_brackets_exact(coeffs):
     exact, forced = _pair(coeffs)
     ctx, loose = exact.norm_context, forced.norm_context
     assert ctx.r_sq == ref.shortest_nonzero_norm_sq(exact.gram) / 4
-    assert ctx.r_exact and ctx.R_exact and not (loose.r_exact or loose.R_exact)
+    assert ctx.R_sq == ref.covering_radius_sq_2d(exact.gram)
     assert loose.r_sq <= ctx.r_sq <= ctx.R_sq <= loose.R_sq
 
 
@@ -145,9 +145,9 @@ def test_norm_context_covering_radius_upper_bound():
         return dsm.Geometry(inst, None, qf.as_gram(rows), 256).norm_context
 
     exact = ctx([[2, 1], [1, 4]])
-    assert (exact.R_sq, exact.R_exact) == (Fraction(8, 7), True)
+    assert exact.R_sq == Fraction(8, 7)
     loose = ctx([[2 if i == k else 1 for k in range(4)] for i in range(4)])
-    assert (loose.r_sq, loose.r_exact, loose.R_exact) == (Fraction(1, 2), True, False)
+    assert loose.r_sq == Fraction(1, 2)
     assert loose.R_sq == (4 * sqrt_upper(Fraction(2), 64)) ** 2 / 4
 
 

@@ -4,11 +4,12 @@
 ``DigitSet.leap`` against w division steps (and against one at w = 1,
 where both are the same quotient body), of the expansions and
 weights built on it, and of the integer norm brackets against
-``quadform_reference.eval_quadratic`` on the midpoint Gram matrix. The systems cover the kernel written out
-for n = 1, 2, 3, with cyclic and non-cyclic Z^n / phi^w Z^n, and the
-generic path of n = 4."""
+``quadform_reference.eval_quadratic`` on the midpoint Gram matrix. The
+systems cover the kernel written out for n = 1, 2, 3 and 4, with cyclic
+and non-cyclic Z^n / phi^w Z^n."""
 
 import inspect
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -114,6 +115,15 @@ def _reference_divide(ds, p):
     return d, lattice.solve_divisibility(inst, tuple(a - b for a, b in zip(p, d)), 1)
 
 
+def _reference_divisions(ds, p):
+    want = []
+    for d in ds.digits:
+        q = lattice.solve_divisibility(ds.inst, tuple(a - b for a, b in zip(p, d)), 1)
+        if q is not None:
+            want.append((d, q))
+    return want
+
+
 def _reference_expand(ds, p, max_steps, divide=_reference_divide):
     """expand one division step at a time, through _reference_divide
     unless another divide(ds, p) is given: the word, the nonzero cycle the
@@ -177,7 +187,7 @@ WIDTH_ONE = ["t3w1", "q541w1", "c3101w1", "m4w1"]
 def test_leap_is_divide_at_width_one(case):
     """At w = 1 the block step is the division step: (A, q) is
     (+-adj(phi), |det|), so both closures give the same digit and quotient
-    for n = 1, 2, 3 and on the generic path."""
+    for every n."""
     name, p = case
     ds = system(name)
     assert ds.leap(p) == ds.divide(p)
@@ -188,12 +198,7 @@ def test_leap_is_divide_at_width_one(case):
 def test_divisions_filter_all_digits(case):
     name, p = case
     ds = system(name)
-    want = []
-    for d in ds.digits:
-        q = lattice.solve_divisibility(ds.inst, tuple(a - b for a, b in zip(p, d)), 1)
-        if q is not None:
-            want.append((d, q))
-    assert ds.divisions(p) == want
+    assert ds.divisions(p) == _reference_divisions(ds, p)
 
 
 @SETTINGS
@@ -271,10 +276,11 @@ def test_points_of_the_wrong_dimension_raise(name):
 
 
 def test_expand_makes_no_generic_matrix_products(monkeypatch):
-    """The five systems of the expand-stream benchmark expand, divide and
-    list their divisions without a single intmat.mat_vec call: n <= 3
-    stays on the written-out kernel."""
-    systems = [system(name) for name in ("t2w2", "t3w3", "q541w3", "m31w2", "c3101w4")]
+    """The five systems of the expand-stream benchmark and the 4 x 4 m4w3
+    expand, divide, leap and list their divisions without a single
+    intmat.mat_vec call: every n runs the written-out kernel."""
+    names = ("t2w2", "t3w3", "q541w3", "m31w2", "c3101w4", "m4w3")
+    systems = [system(name) for name in names]
     calls = []
     mat_vec = intmat.mat_vec
     monkeypatch.setattr(intmat, "mat_vec", lambda a, v: calls.append(v) or mat_vec(a, v))
@@ -283,10 +289,33 @@ def test_expand_makes_no_generic_matrix_products(monkeypatch):
         for p in [(7,) * n, tuple(10**6 - 3 * i for i in range(n)), (10**100 + 1,) * n]:
             assert em.value(ds.inst, em.expand(ds, p).word) == p
             ds.divide(p)
+            ds.leap(p)
             ds.divisions(p)
     assert calls == []
     lattice.solve_divisibility(systems[0].inst, (7,))  # the counter sees module calls
     assert calls == [(7,)]
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_kernel_constants_past_the_int_string_limit(w):
+    """adj(phi) of [[2, 10^5000], [0, 3]] holds -10^5000, past the 4,300
+    digits an int may be formatted to by default: the kernel takes it
+    from a closure cell, not from its source. divide, leap and divisions
+    agree with solve_divisibility on seeded random points."""
+    inst = lattice.LatticeInstance.from_matrix([[2, 10**5000], [0, 3]])
+    reps = lattice.residue_system(inst, w)
+    digits = [r for r in reps if lattice.solve_divisibility(inst, r, 1) is None]
+    ds = dsm.from_digits(inst, w, digits)
+    zero = inst.zero()
+    rng = random.Random(w)
+    for bound in [10**6] * 60 + [10**6000] * 20:
+        p = (rng.randrange(-bound, bound), rng.randrange(-bound, bound))
+        d, q = _reference_divide(ds, p)
+        assert ds.divide(p) == (d, q)
+        if d != zero:
+            q = lattice.solve_divisibility(inst, tuple(a - b for a, b in zip(p, d)), w)
+        assert ds.leap(p) == (d, q)
+        assert ds.divisions(p) == _reference_divisions(ds, p)
 
 
 # a Gram matrix with denominators, so the common-denominator scaling shows
