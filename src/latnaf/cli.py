@@ -30,13 +30,13 @@ import sys
 from fractions import Fraction
 
 from . import digitset as dsm
-from . import expansion as em
 from . import lattice as lam
-from . import nadscheck as ncm
 from . import numberfield as nfm
-from . import optimality as om
 from .errors import LatnafError
 from .exactreal import DEFAULT_PRECISION_CAP_BITS, sqrt_lower, sqrt_upper
+
+# expansion, nadscheck and optimality are imported by the subcommands that
+# run them: a call pays start-up only for its own work
 
 
 def _as_int(v, what: str) -> int:
@@ -217,6 +217,8 @@ def _cmd_digit_set(geo, make_digits, args):
 
 
 def _cmd_expand(geo, make_digits, args):
+    from . import expansion as em
+
     if args.point is None:
         raise ValueError("expand requires --point")
     ds = make_digits()
@@ -243,6 +245,8 @@ def _cmd_expand(geo, make_digits, args):
 
 
 def _cmd_check_nads(geo, make_digits, args):
+    from . import nadscheck as ncm
+
     verdict = ncm.decide(make_digits())
     pairs: list[tuple[str, object]] = [("status", verdict.status)]
     if verdict.bound_used is not None:
@@ -258,6 +262,8 @@ def _cmd_check_nads(geo, make_digits, args):
 
 
 def _cmd_check_optimality(geo, make_digits, args):
+    from . import optimality as om
+
     if args.radius < 0:
         # the library reads a negative radius as an empty sweep; on the
         # command line it is a typo, not a clean result

@@ -28,12 +28,11 @@ that expansion, orbit search and the weight oracle all run, and the block
 step p -> (p - d) / phi^w of expansion. Both are one quotient body read
 with two matrices: the division step is the block step of width 1. The
 digit table is built once, when the set is validated, and one source
-template writes the kernel out for the set's dimension.
+template writes the kernel out for the set's dimension on its first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -53,6 +52,7 @@ from .exactreal import (
     PrecisionCapError,
     sqrt_upper,
 )
+from .record import Record
 
 Point = lattice.Point
 
@@ -61,8 +61,7 @@ FAMILY_INTERVAL = "interval"
 FAMILY_CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(Record):
     """Working norm of an instance, the contraction factor of the
     inverse base map in that norm, and the precision cap every certified
     comparison on the instance obeys.
@@ -80,8 +79,12 @@ class Geometry:
     nf: numberfield.NumberFieldInstance | None
     gram: quadform.Gram | None
     precision_cap_bits: int
-    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _midpoints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __init__(self, inst, nf, gram, precision_cap_bits: int):
+        vars(self).update(
+            inst=inst, nf=nf, gram=gram, precision_cap_bits=precision_cap_bits,
+            _levels={}, _midpoints={},
+        )
 
     def _level(self, bits: int) -> tuple[int, intmat.Matrix, intmat.Matrix | None]:
         """(D, M, H) at the given precision; exact Gram matrices have one
@@ -286,19 +289,19 @@ def digit_count(source, w: int) -> int:
     return d**w - d ** (w - 1)
 
 
-@dataclass(frozen=True)
-class DigitSet:
+class DigitSet(Record):
     """Validated digit set; digits are lattice points in coordinates,
     sorted, with the zero digit included.
 
     Construction validates the digits (one per residue class modulo
-    phi^w outside the image of phi) and builds the division kernel: the
-    digit d with adj(phi) d and A d per class index modulo phi^w, where
-    phi^-w = A / q (``_pullback``), and the digits grouped by class
-    modulo phi, keyed on adj(phi) d mod det (p - d lies in the image of
-    phi exactly when adj(phi) (p - d) is divisible by det). One source
-    template writes ``divide``, ``leap`` and ``divisions`` out for the
-    set's n (``_division_kernel``).
+    phi^w outside the image of phi) and builds the division kernel's
+    tables: the digit d with adj(phi) d and A d per class index modulo
+    phi^w, where phi^-w = A / q (``_pullback``), and the digits grouped
+    by class modulo phi, keyed on adj(phi) d mod det (p - d lies in the
+    image of phi exactly when adj(phi) (p - d) is divisible by det). One
+    source template writes ``divide``, ``leap`` and ``divisions`` out for
+    the set's n (``_division_kernel``) on the first division, so a set
+    that is only built and printed never compiles it.
 
     ``leap`` is the block step of that kernel. A nonzero digit d is
     congruent to its point p modulo phi^w, so p - d = phi^w x with x
@@ -316,22 +319,21 @@ class DigitSet:
     w: int
     digits: tuple[Point, ...]
     family: str
-    _kernel: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        inst = self.geo.inst
+    def __init__(self, geo: Geometry, w: int, digits: tuple[Point, ...], family: str):
+        inst = geo.inst
         adj, det = inst.adjugate, inst.det
-        u, diag, _ = lattice.residue_structure(inst, self.w)
-        block = _pullback(intmat.mat_pow(inst.phi, self.w))
+        u, diag, _ = lattice.residue_structure(inst, w)
+        block = _pullback(intmat.mat_pow(inst.phi, w))
         zero = inst.zero()
-        want = digit_count(self.geo, self.w)
-        got = sum(1 for d in self.digits if d != zero)
+        want = digit_count(geo, w)
+        got = sum(1 for d in digits if d != zero)
         if got != want:
             raise MalformedDigitSetError(f"expected {want} nonzero digits, got {got}")
         rows = [(row, m, prod(diag[i + 1:])) for i, (row, m) in enumerate(zip(u, diag))]
         table: list = [None] * prod(diag)
         by_class: dict = {}
-        for d in self.digits:
+        for d in digits:
             ad = intmat.mat_vec(adj, d)
             by_class.setdefault(tuple(v % det for v in ad), []).append((d, ad))
             if d == zero:
@@ -346,8 +348,14 @@ class DigitSet:
                     f"digits {table[i][0]} and {d} share a residue class"
                 )
             table[i] = (d, ad, intmat.mat_vec(block[0], d))
-        kernel = _division_kernel(adj, det, block, rows, table, by_class, zero)
-        object.__setattr__(self, "_kernel", kernel)
+        vars(self).update(
+            geo=geo, w=w, digits=digits, family=family,
+            _tables=(adj, det, block, rows, table, by_class, zero),
+        )
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        return _division_kernel(*self._tables)
 
     @property
     def inst(self) -> lattice.LatticeInstance:
@@ -415,8 +423,9 @@ def _fault(entry, p) -> MalformedDigitSetError:
 
 def _division_kernel(adj, det, block, rows, table, by_class, zero):
     """(divide, divisions, leap) of a digit set, written out for its n
-    from one source template and compiled by one ``exec``, the way
-    ``dataclasses`` writes ``__init__``.
+    from one source template and compiled by one ``exec``. ``DigitSet``
+    calls it on its first division, not when the set is built: building
+    and printing a set needs no kernel.
 
     divide and leap are one quotient body built twice. quotient(mat,
     den, slot) reads the table entry at the class index of p modulo
@@ -627,13 +636,15 @@ def max_digit_norm_sq_upper(ds: DigitSet) -> Fraction:
     return max((Fraction(hi, den) for _, hi, den in brackets), default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class NormContext:
+class NormContext(Record):
     """Squared packing and covering radius of an instance, as rational
     bounds (see ``Geometry.norm_context``)."""
 
     r_sq: Fraction
     R_sq: Fraction
+
+    def __init__(self, r_sq: Fraction, R_sq: Fraction):
+        vars(self).update(r_sq=r_sq, R_sq=R_sq)
 
     @property
     def tiling_ratio(self) -> CReal:

@@ -21,10 +21,10 @@ division cannot settle is enclosed instead.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
-from typing import Callable
 
 from .errors import PrecisionCapError
 

@@ -29,23 +29,25 @@ steps alone need not halve it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from . import lattice
 from .digitset import DigitSet
 from .errors import ConsistencyError, LatnafError, MalformedDigitSetError
+from .record import Record
 
 Point = lattice.Point
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """A finite digit word for a point, least significant digit first."""
 
     point: Point
     word: tuple[Point, ...]
     w: int
+
+    def __init__(self, point: Point, word: tuple[Point, ...], w: int):
+        vars(self).update(point=point, word=word, w=w)
 
     @property
     def weight(self) -> int:
@@ -53,13 +55,15 @@ class Expansion:
         return sum(1 for d in self.word if d != zero)
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Record):
     """A nonzero orbit cycle of the division map: proof that the digit
     system does not terminate. Rotated so the smallest point comes first."""
 
     point: Point
     cycle: tuple[Point, ...]
+
+    def __init__(self, point: Point, cycle: tuple[Point, ...]):
+        vars(self).update(point=point, cycle=cycle)
 
 
 def digit_of(ds: DigitSet, p: Point) -> Point:

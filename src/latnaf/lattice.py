@@ -13,32 +13,32 @@ so callers that key many points keep them. ``solve_divisibility`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import intmat
 from .errors import BallSizeError
+from .record import Record
 
 Point = tuple[int, ...]
 
 _RESIDUE_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class LatticeInstance:
+class LatticeInstance(Record):
     """Z^n together with the endomorphism matrix and its determinant."""
 
     n: int
     phi: intmat.Matrix
     det: int
 
-    def __post_init__(self):
-        if self.n != len(self.phi):
+    def __init__(self, n: int, phi: intmat.Matrix, det: int):
+        if n != len(phi):
             raise ValueError("dimension does not match matrix size")
-        if self.det == 0:
+        if det == 0:
             raise ValueError("endomorphism must be injective (nonzero determinant)")
-        if self.det != intmat.determinant(self.phi):
+        if det != intmat.determinant(phi):
             raise ValueError("stored determinant disagrees with the matrix")
+        vars(self).update(n=n, phi=phi, det=det)
 
     @classmethod
     def from_matrix(cls, rows) -> "LatticeInstance":

@@ -14,7 +14,6 @@ Two mechanisms, used in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice
@@ -27,6 +26,7 @@ from .digitset import (
 from .errors import ConsistencyError, PrecisionCapError
 from .exactreal import CReal, sqrt_upper
 from .expansion import CycleReport, step
+from .record import Record
 
 Point = lattice.Point
 
@@ -40,12 +40,22 @@ STATUS_COUNTEREXAMPLE = "counterexample"
 DEFAULT_BALL_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class NadsVerdict:
+class NadsVerdict(Record):
     status: str
-    bound_used: str | None = None
-    witness: CycleReport | None = None
-    search_radius: Fraction | None = None
+    bound_used: str | None
+    witness: CycleReport | None
+    search_radius: Fraction | None
+
+    def __init__(
+        self,
+        status: str,
+        bound_used: str | None = None,
+        witness: CycleReport | None = None,
+        search_radius: Fraction | None = None,
+    ):
+        vars(self).update(
+            status=status, bound_used=bound_used, witness=witness, search_radius=search_radius
+        )
 
     @property
     def holds(self) -> bool:

@@ -30,10 +30,8 @@ and make theirs only if the Gram enclosure is asked for.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import TYPE_CHECKING
 
 from . import intmat, lattice
 from .errors import NotExpandingError
@@ -43,17 +41,14 @@ from .exactreal import (
     IndeterminateInterval,
     Interval,
 )
-
-if TYPE_CHECKING:
-    from .roots import PolyRoots
+from .record import Record
 
 GRAM_POWER_SUMS = "power-sums"
 GRAM_EQUAL_MODULUS = "equal-modulus"
 GRAM_ENCLOSURE = "enclosure"
 
 
-@dataclass(frozen=True)
-class NumberFieldInstance:
+class NumberFieldInstance(Record):
     """Immutable description of a base tau and its lattice realization."""
 
     min_poly: tuple[int, ...]
@@ -64,7 +59,13 @@ class NumberFieldInstance:
     gram: tuple[tuple[Fraction, ...], ...] | None
     equal_modulus_sq: Fraction | None
     # the one PolyRoots of the instance, once made (see ``roots``)
-    _kernel: list = field(default_factory=list, repr=False, compare=False)
+    _kernel: list
+
+    def __init__(self, min_poly, s, t, lattice, gram_kind, gram, equal_modulus_sq, _kernel=()):
+        vars(self).update(
+            min_poly=min_poly, s=s, t=t, lattice=lattice, gram_kind=gram_kind,
+            gram=gram, equal_modulus_sq=equal_modulus_sq, _kernel=list(_kernel),
+        )
 
     @property
     def roots(self) -> PolyRoots:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 
@@ -30,12 +29,12 @@ from .digitset import DigitSet
 from .errors import InstanceError, LatnafError, MalformedDigitSetError, NormCapError
 from .exactreal import CReal, Interval
 from .expansion import CycleReport, default_step_limit, expand
+from .record import Record
 
 Point = lattice.Point
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
+class OptimalityCertificate(Record):
     """Outcome of the hypothesis checks, with the enclosures they used."""
 
     cell_symmetric: bool
@@ -46,6 +45,28 @@ class OptimalityCertificate:
     r_sq: Fraction
     R_sq: Fraction
     u_enclosure: Interval
+
+    def __init__(
+        self,
+        cell_symmetric: bool,
+        cell_within_base_image: bool,
+        contraction_below_cell_ratio: bool,
+        window_inequality: bool,
+        w: int,
+        r_sq: Fraction,
+        R_sq: Fraction,
+        u_enclosure: Interval,
+    ):
+        vars(self).update(
+            cell_symmetric=cell_symmetric,
+            cell_within_base_image=cell_within_base_image,
+            contraction_below_cell_ratio=contraction_below_cell_ratio,
+            window_inequality=window_inequality,
+            w=w,
+            r_sq=r_sq,
+            R_sq=R_sq,
+            u_enclosure=u_enclosure,
+        )
 
     @property
     def certified(self) -> bool:
@@ -231,13 +252,15 @@ def _known_word_weight(ds: DigitSet, words: dict, p: Point) -> int | None:
     return weight if length <= limit else None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Outcome of an empirical optimality sweep."""
 
     points_checked: int
-    violations: tuple = field(default_factory=tuple)
-    sampled: bool = False
+    violations: tuple
+    sampled: bool
+
+    def __init__(self, points_checked: int, violations: tuple = (), sampled: bool = False):
+        vars(self).update(points_checked=points_checked, violations=violations, sampled=sampled)
 
     @property
     def ok(self) -> bool:

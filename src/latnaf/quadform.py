@@ -21,7 +21,6 @@ comes from Sturm counts on its characteristic polynomial
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 from operator import mul
@@ -29,6 +28,7 @@ from operator import mul
 from . import intmat
 from .errors import BallSizeError, PrecisionCapError
 from .exactreal import CReal, Interval, sqrt_lower, sqrt_upper
+from .record import Record
 
 Gram = tuple[tuple[Fraction, ...], ...]
 
@@ -46,8 +46,7 @@ def as_gram(rows) -> Gram:
     return g
 
 
-@dataclass(frozen=True)
-class LDL:
+class LDL(Record):
     """Integer LDL decomposition of a positive definite Gram matrix M / den.
 
     pivots[i] is P_i and upper[i] holds B_ij for j > i, so that
@@ -60,6 +59,9 @@ class LDL:
     upper: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     scale: int
+
+    def __init__(self, den: int, pivots, upper, weights, scale: int):
+        vars(self).update(den=den, pivots=pivots, upper=upper, weights=weights, scale=scale)
 
 
 def ldl(m, den: int = 1) -> LDL | None:

@@ -89,6 +89,28 @@ def test_digit_set_two_dim(capsys, tmp_path):
     assert out == "count = 3\n-1,0\n-1,1\n0,0\n"
 
 
+def test_listing_sets_compiles_no_division_kernel(capsys, tmp_path, monkeypatch, base3):
+    """digit-set builds and prints a set and never divides, so the
+    division kernel, compiled on a set's first division, is never
+    written; nor for a check-nads that a certificate settles."""
+    def refuse(*args):
+        raise RuntimeError("the division kernel was compiled")
+
+    monkeypatch.setattr(dsm, "_division_kernel", refuse)
+    for obj in (
+        {"base": {"minpoly": [5, -4, 1]}, "w": 3},
+        {"base": {"matrix": [[3, 1], [-1, 3]]}, "w": 2},
+    ):
+        code, out, _ = run(capsys, "digit-set", "--instance", write(tmp_path, "i.json", obj))
+        assert code == 0
+        assert out.startswith(("count = 101\n", "count = 91\n"))
+    code, out, _ = run(capsys, "check-nads", "--instance", base3)
+    assert code == 0
+    assert out == "status = certified_by_bound\nbound_used = minimal-norm-contraction\n"
+    with pytest.raises(RuntimeError, match="kernel was compiled"):
+        run(capsys, "expand", "--instance", base3, "--point", "5")
+
+
 def test_expand_text(capsys, base2):
     code, out, _ = run(capsys, "expand", "--instance", base2, "--point", "7")
     assert code == 0

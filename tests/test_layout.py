@@ -1,15 +1,22 @@
 """Module layout: no module of the package reaches into a sibling's
 private names, whether by import or by attribute access; no function
 memoizes through a functools cache; no check rests on an assertion;
-nothing imports sympy, which is a test-only dependency; and the names
-and calls the benchmark's tracer and worker (``perfbench/``) rely on are
-still there."""
+nothing imports sympy, which is a test-only dependency, nor dataclasses
+or typing; ``import latnaf`` loads no submodule and a CLI call only the
+modules its subcommand runs; and the names and calls the benchmark's
+tracer and worker (``perfbench/``) rely on are still there."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import latnaf
+from latnaf import expansion
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "latnaf"
 
@@ -175,9 +182,10 @@ def test_layout_check_catches_module_level_sympy(tmp_path):
     ]
 
 
-def sympy_imports(pkg: Path) -> list[str]:
-    """Every import of sympy, at module level or inside a function, by
-    statement or through `__import__` / `importlib.import_module`."""
+def imports_of(pkg: Path, banned=("sympy",)) -> list[str]:
+    """Every import of a banned top-level module (sympy by default), at
+    module level or inside a function, by statement or through
+    `__import__` / `importlib.import_module`."""
     hits = []
     for path in sorted(pkg.glob("*.py")):
         found = []
@@ -195,14 +203,39 @@ def sympy_imports(pkg: Path) -> list[str]:
                 names = [str(node.args[0].value)]
             else:
                 continue
-            if any(n.split(".")[0] == "sympy" for n in names):
-                found.append(node.lineno)
-        hits += [f"{path.name}:{line}: sympy" for line in sorted(found)]
+            found += [(node.lineno, n.split(".")[0]) for n in names if n.split(".")[0] in banned]
+        hits += [f"{path.name}:{line}: {top}" for line, top in sorted(found)]
     return hits
 
 
 def test_no_sympy_import_anywhere():
-    assert sympy_imports(PKG) == []
+    assert imports_of(PKG) == []
+
+
+# importing them costs milliseconds of every CLI call's start-up, and the
+# package's records (``record.Record``) and annotations need neither
+SLOW_IMPORTS = ("dataclasses", "typing")
+
+
+def test_no_dataclasses_or_typing_import():
+    assert imports_of(PKG, SLOW_IMPORTS) == []
+
+
+def test_layout_check_catches_dataclasses_and_typing(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "import typing\n"
+        "def f():\n    from typing import TYPE_CHECKING\n    return TYPE_CHECKING\n"
+        "g = lambda: __import__('dataclasses')\n"
+        "import typing_extensions, dataclasses_json\n"
+        "from collections.abc import Callable\n"
+    )
+    assert imports_of(tmp_path, SLOW_IMPORTS) == [
+        "m.py:1: dataclasses",
+        "m.py:2: typing",
+        "m.py:4: typing",
+        "m.py:6: dataclasses",
+    ]
 
 
 def test_layout_check_catches_sympy_anywhere(tmp_path):
@@ -214,7 +247,7 @@ def test_layout_check_catches_sympy_anywhere(tmp_path):
         "import importlib\nk = importlib.import_module('sympy.core')\n"
         "import sympyish\n"
     )
-    assert sympy_imports(tmp_path) == [
+    assert imports_of(tmp_path) == [
         "m.py:3: sympy",
         "m.py:7: sympy",
         "m.py:8: sympy",
@@ -290,6 +323,89 @@ def test_common_paths_leave_sympy_unimported(tmp_path):
         assert got[:2] == [call[0], call[2]]
         assert int(got[2]) in ((0, 1) if code is None else (code,)), line
         assert got[3] == str(k >= light), line
+
+
+_SURFACE_PROBE = """
+import contextlib, io, json, sys
+import latnaf
+out = {"bare": sorted(m for m in sys.modules if m.startswith("latnaf."))}
+out["digitset"] = latnaf.digitset.__name__
+from latnaf import cli
+out["codes"] = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["codes"].append(cli.main(argv))
+out["loaded"] = [m for m in json.loads(sys.argv[2]) if m in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def test_calls_import_only_what_their_subcommand_runs(tmp_path):
+    """A bare `import latnaf` loads no submodule, yet reaches one by
+    attribute; `expand`, `info` and `digit-set` load neither the NADS
+    nor the optimality module, nor dataclasses."""
+    calls = []
+    for name in ("q541", "m31"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(SYMPY_FREE_INSTANCES[name]), encoding="utf-8")
+        calls += [
+            ["expand", "--instance", str(path), "--point", "17,-5"],
+            ["info", "--instance", str(path)],
+            ["digit-set", "--instance", str(path)],
+        ]
+    unwanted = ["latnaf.nadscheck", "latnaf.optimality", "dataclasses"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SURFACE_PROBE, json.dumps(calls), json.dumps(unwanted)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out == {"bare": [], "digitset": "latnaf.digitset", "codes": [0] * 6, "loaded": []}
+
+
+# the names the package exports that are plain values, with their module
+CONSTANTS = {
+    "FAMILY_CUSTOM": "digitset",
+    "FAMILY_INTERVAL": "digitset",
+    "FAMILY_MINIMAL_NORM": "digitset",
+    "CERT_MINIMAL_NORM": "nadscheck",
+    "CERT_TILING": "nadscheck",
+    "STATUS_CERTIFIED": "nadscheck",
+    "STATUS_COUNTEREXAMPLE": "nadscheck",
+    "STATUS_SEARCH": "nadscheck",
+}
+
+
+def test_lazy_namespace_resolves_every_export():
+    """Each exported name is its defining module's object; dir() and a
+    star import cover them all; an unknown name is an AttributeError."""
+    assert len(latnaf.__all__) == 50
+    for name in latnaf.__all__:
+        obj = getattr(latnaf, name)
+        home = CONSTANTS.get(name)
+        module = f"latnaf.{home}" if home else obj.__module__
+        assert module.startswith("latnaf.")
+        assert getattr(importlib.import_module(module), name) is obj, name
+    assert set(latnaf.__all__) <= set(dir(latnaf))
+    ns = {}
+    exec("from latnaf import *", ns)
+    assert set(ns) - {"__builtins__"} == set(latnaf.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        latnaf.no_such_name
+
+
+def test_lazy_namespace_hands_out_the_current_binding(monkeypatch):
+    """The package reads the defining module on every access, so a name
+    rebound there (by a tracer or a test) is what the package returns."""
+    def wrapped(*args):
+        return args
+
+    monkeypatch.setattr(expansion, "expand", wrapped)
+    assert latnaf.expand is wrapped
+    monkeypatch.undo()
+    assert latnaf.expand is expansion.expand is not wrapped
 
 
 BENCH = PKG.parents[1] / "perfbench"
