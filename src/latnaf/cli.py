@@ -78,6 +78,8 @@ def _load_instance(path: str):
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                 f"{exc.msg}"
             ) from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: instance file must hold a JSON object")
     base = raw.get("base")

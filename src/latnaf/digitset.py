@@ -164,14 +164,14 @@ class Geometry(Record):
                 den, m, h = self._level(bits)
                 c = len(m) * max(map(max, h)) if h is not None else 0
                 found = None
-                if _definite(m, 2 * c):
+                if quadform.definite(m, 2 * c):
                     kappa = Fraction(0)
                     if c:
                         least = min(row[i] for i, row in enumerate(m))
                         lo, hi = 1, (least // c).bit_length()
                         while hi - lo > 1:  # M - 2^lo c I definite, M - 2^hi c I not
                             mid = (lo + hi) // 2
-                            lo, hi = (mid, hi) if _definite(m, c << mid) else (lo, mid)
+                            lo, hi = (mid, hi) if quadform.definite(m, c << mid) else (lo, mid)
                         kappa = Fraction(1, 1 << lo)
                     found = (quadform.ldl(m, den), kappa)
                 elif h is None:
@@ -197,8 +197,7 @@ class Geometry(Record):
         if not lattice.is_expanding(self.inst):
             raise NotExpandingError("the base map is not expanding")
         phi = self.inst.phi
-        sym = intmat.mat_mul(intmat.transpose(phi), phi)
-        lam = quadform.min_eigenvalue_real(sym, self.precision_cap_bits)
+        lam = quadform.min_eigenvalue_real(intmat.mat_mul(intmat.transpose(phi), phi))
         one = CReal.from_rational(Fraction(1))
         if lam.compare(one, self.precision_cap_bits) <= 0:
             raise InstanceError(
@@ -256,12 +255,6 @@ class Geometry(Record):
         """Least window width with u^w below r / (r + R): the contraction
         regime where every digit set drawn from the covering argument works."""
         return self.least_window(self.norm_context.tiling_ratio)
-
-
-def _definite(m: intmat.Matrix, s: int) -> bool:
-    """Whether M - s I is positive definite, by its integer LDL."""
-    shifted = [[v - s * (i == k) for k, v in enumerate(row)] for i, row in enumerate(m)]
-    return quadform.ldl(shifted) is not None
 
 
 def geometry(source, precision_cap_bits: int = DEFAULT_PRECISION_CAP_BITS) -> Geometry:
@@ -619,7 +612,7 @@ def from_digits(source, w: int, points) -> DigitSet:
     zero = inst.zero()
     nonzero = []
     for p in points:
-        pt = tuple(int(v) for v in p)
+        pt = intmat.int_tuple(p)
         if len(pt) != inst.n:
             raise MalformedDigitSetError(
                 f"digit {pt} has wrong dimension (expected {inst.n})"

@@ -8,6 +8,7 @@ Sizes are small (desk scale), so simple cubic algorithms are fine.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from .errors import ConsistencyError
 
@@ -15,8 +16,22 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
+def int_tuple(values) -> Vector:
+    """values as a tuple of ints through ``operator.index``, which, unlike
+    ``int``, refuses a float or a fraction rather than truncate it:
+    raises ValueError naming the first such value."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = [v for v in values if not hasattr(type(v), "__index__")]
+        if not bad:
+            raise
+        raise ValueError(f"not an integer: {bad[0]!r}") from None
+
+
 def mat_from_rows(rows) -> Matrix:
-    mat = tuple(tuple(int(v) for v in row) for row in rows)
+    mat = tuple(map(int_tuple, rows))
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise ValueError("matrix must be square and non-empty")

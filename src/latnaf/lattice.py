@@ -54,7 +54,7 @@ class LatticeInstance(Record):
         return (0,) * self.n
 
     def check_point(self, p) -> Point:
-        p = tuple(int(v) for v in p)
+        p = intmat.int_tuple(p)
         if len(p) != self.n:
             raise ValueError(f"point has length {len(p)}, expected {self.n}")
         return p

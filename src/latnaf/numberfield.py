@@ -205,7 +205,7 @@ def build(min_poly) -> NumberFieldInstance:
     and a zero constant term; warns when the polynomial is reducible;
     rejects repeated roots because they degenerate the embedding norm.
     """
-    coeffs = tuple(int(c) for c in min_poly)
+    coeffs = intmat.int_tuple(min_poly)
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree at least 1")
     if coeffs[-1] != 1:

@@ -14,20 +14,22 @@ M is positive definite exactly when every P_i > 0. Ball enumeration
 an offset t = a / q through the integer vector y = a + q x, so no
 rational number is formed: each level takes one integer center
 P_i a_i + c_i, one isqrt of its budget and two floor divisions for the
-range of x_i. The smallest eigenvalue of a symmetric integer matrix
-comes from Sturm counts on its characteristic polynomial
-(``min_eigenvalue_real``).
+range of x_i. The same pivots decide whether M - s I is positive
+definite (``definite``), which is whether every eigenvalue of M exceeds
+s; bisection on that test gives the smallest eigenvalue of a symmetric
+integer matrix (``min_eigenvalue_real``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from itertools import combinations
+from math import floor, isqrt, lcm
 from operator import mul
 
 from . import intmat
-from .errors import BallSizeError, PrecisionCapError
-from .exactreal import CReal, Interval, sqrt_lower, sqrt_upper
+from .errors import BallSizeError
+from .exactreal import CReal, Interval
 from .record import Record
 
 Gram = tuple[tuple[Fraction, ...], ...]
@@ -64,32 +66,36 @@ class LDL(Record):
         vars(self).update(den=den, pivots=pivots, upper=upper, weights=weights, scale=scale)
 
 
-def ldl(m, den: int = 1) -> LDL | None:
-    """The integer LDL of the symmetric Gram matrix m / den (m integer,
-    den > 0), or None when it is not positive definite: Sylvester's
-    criterion, read off the pivots of the elimination."""
-    n = len(m)
+def _eliminate(m) -> list[list[int]] | None:
+    """Fraction-free (Bareiss) elimination of the symmetric integer
+    matrix m on and above its diagonal, which then holds the leading
+    principal minors P_i, or None at the first P_i <= 0, where m is not
+    positive definite (Sylvester's criterion)."""
     a = [list(row) for row in m]
-    pivots = []
     prev = 1
-    for k in range(n):
-        p = a[k][k]
+    for k, rk in enumerate(a):
+        p = rk[k]
         if p <= 0:
             return None
-        pivots.append(p)
-        for j in range(k + 1, n):
-            for i in range(k + 1, n):
-                a[j][i] = (p * a[j][i] - a[j][k] * a[k][i]) // prev  # exact (Bareiss)
+        for j in range(k + 1, len(a)):
+            rj, c = a[j], rk[j]  # rk[j] is a[j][k], by symmetry
+            for i in range(j, len(a)):
+                rj[i] = (p * rj[i] - c * rk[i]) // prev  # exact (Bareiss)
         prev = p
-    pairs = [prev_p * p for prev_p, p in zip([1, *pivots], pivots)]
+    return a
+
+
+def ldl(m, den: int = 1) -> LDL | None:
+    """The integer LDL of the symmetric Gram matrix m / den (m integer,
+    den > 0), or None when it is not positive definite."""
+    a = _eliminate(m)
+    if a is None:
+        return None
+    pivots = tuple(row[i] for i, row in enumerate(a))
+    pairs = [prev_p * p for prev_p, p in zip((1, *pivots), pivots)]
     scale = lcm(*pairs)
-    return LDL(
-        den,
-        tuple(pivots),
-        tuple(tuple(a[i][i + 1:]) for i in range(n)),
-        tuple(scale // w for w in pairs),
-        scale,
-    )
+    upper = tuple(tuple(row[i + 1:]) for i, row in enumerate(a))
+    return LDL(den, pivots, upper, tuple(scale // w for w in pairs), scale)
 
 
 def enumerate_with_offset(form: LDL, a, q: int, bound, cap: int | None = None):
@@ -210,71 +216,60 @@ def covering_radius_sq_exact(g: Gram) -> Fraction | None:
     return None
 
 
-def min_eigenvalue_real(mat: intmat.Matrix, cap_bits: int) -> CReal:
-    """Smallest eigenvalue of a symmetric integer matrix as a certified
-    real; exact whenever that eigenvalue is rational.
+def _shifted(m: intmat.Matrix, s: int) -> list[list[int]]:
+    return [[v - s * (i == k) for k, v in enumerate(row)] for i, row in enumerate(m)]
 
-    The eigenvalues are the roots of the monic integer characteristic
-    polynomial. Up to 2 x 2 the quadratic formula gives the smallest.
-    Larger matrices take the squarefree part q of that polynomial (all
-    its roots are real) and bisect from its Cauchy bound with Sturm
-    counts until a bracket (lo, hi] narrower than 1 holds the smallest
-    root and no other. A rational root of a monic integer polynomial is
-    an integer, so the eigenvalue is rational exactly when the bracket's
-    integer is a root of q. Raises PrecisionCapError when isolating the
-    smallest eigenvalue from the next one needs brackets narrower than
-    2^-cap_bits. The interval at b bits is the bracket refined in place
-    to width at most 2^-b.
+
+def definite(m: intmat.Matrix, s: int) -> bool:
+    """Whether M - s I is positive definite: every eigenvalue of M exceeds s."""
+    return _eliminate(_shifted(m, s)) is not None
+
+
+def min_eigenvalue_real(mat: intmat.Matrix) -> CReal:
+    """Smallest eigenvalue lambda of a symmetric integer matrix M as a
+    certified real; exact whenever lambda is rational.
+
+    lambda > s exactly when M - s I is positive definite (``definite``),
+    so bisection on that test from below Gershgorin's bound to the least
+    diagonal entry brackets lambda in (hi - 1, hi] for an integer hi.
+    Rational zeros of the monic characteristic polynomial are integers,
+    so lambda is rational exactly when it is hi: when M - hi I is
+    singular with no negative principal minor (singular alone also holds
+    when hi is a larger eigenvalue). Else the interval at b bits is
+    [a, a + 1] / 2^b for the a with 2^b M - a I definite and
+    2^b M - (a + 1) I not, bisected from the finest bracket so far.
     """
-    n = len(mat)
-    if n == 1:
-        return CReal.from_rational(mat[0][0])
-    if n == 2:
-        # lambda solves x^2 - tr x + det; symmetric, so disc >= 0
-        tr = mat[0][0] + mat[1][1]
-        disc = tr * tr - 4 * (mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0])
-        root = isqrt(disc)
-        if root * root == disc:
-            return CReal.from_rational(Fraction(tr - root, 2))
-        return CReal.from_refinable(
-            lambda bits: Interval(
-                (tr - sqrt_upper(disc, bits)) / 2, (tr - sqrt_lower(disc, bits)) / 2
-            )
-        )
-    # imported on first use: the package's largest module, needed here
-    # only by matrix bases above 2 x 2
-    from . import roots
 
-    q = roots.squarefree_part(intmat.char_poly(mat))
-    chain = roots.sturm_chain(q)
-    lo = Fraction(-roots.root_bound(q))
-    hi = -lo
-    v_lo, v_hi = roots.variations(chain, lo), roots.variations(chain, hi)
-    floor_width = Fraction(1, 1 << cap_bits)
-    # invariant: no root <= lo, at least one in (lo, hi]
-    while v_lo - v_hi > 1 or hi - lo >= 1:
-        if v_lo - v_hi > 1 and hi - lo < floor_width:
-            raise PrecisionCapError(
-                f"smallest eigenvalue not isolated at {cap_bits} precision bits"
-            )
-        mid = (lo + hi) / 2
-        v_mid = roots.variations(chain, mid)
-        if v_lo - v_mid >= 1:
-            hi, v_hi = mid, v_mid
-        else:
-            lo, v_lo = mid, v_mid
-    for k in range(ceil(lo), floor(hi) + 1):
-        if roots.sign_at(q, Fraction(k)) == 0:
-            return CReal.from_rational(k)
-    dq = roots.derivative(q)
-    s_lo = roots.sign_at(q, lo)
-    state = [lo, hi]
+    def bisect(m, lo: int, hi: int) -> int:  # m - lo I definite, m - hi I not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if definite(m, mid) else (lo, mid)
+        return lo
+
+    diag = [row[i] for i, row in enumerate(mat)]
+    gershgorin = min(d + abs(d) - sum(map(abs, row)) for d, row in zip(diag, mat))
+    hi = bisect(mat, gershgorin - 1, min(diag)) + 1
+    shifted = _shifted(mat, hi)
+    minors = (
+        intmat.determinant([[shifted[i][k] for k in idx] for i in idx])
+        for r in range(len(mat), 0, -1)  # det(M - hi I) first
+        for idx in combinations(range(len(mat)), r)
+    )
+    if next(minors) == 0 and all(v >= 0 for v in minors):
+        return CReal.from_rational(hi)
+    state = [0, hi - 1]  # lambda lies in (a, a + 1) / 2^b for [b, a]
     memo: dict[int, Interval] = {}
 
     def atom(bits: int) -> Interval:
         if bits not in memo:
-            state[:] = roots.narrow(q, dq, *state, s_lo, Fraction(1, 1 << bits))
-            memo[bits] = Interval(*state)
+            b, a = state
+            if bits <= b:
+                a >>= b - bits
+            else:
+                k = bits - b
+                a = bisect([[v << bits for v in row] for row in mat], a << k, (a + 1) << k)
+                state[:] = bits, a
+            memo[bits] = Interval(Fraction(a, 1 << bits), Fraction(a + 1, 1 << bits))
         return memo[bits]
 
     return CReal.from_refinable(atom)

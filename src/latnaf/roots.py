@@ -106,12 +106,6 @@ def exact_quotient(a: Poly, b: Poly) -> Poly | None:
     return None if r else tuple(q)
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'): the same roots, each simple."""
-    g = poly_gcd(p, derivative(p))
-    return tuple(p) if len(g) == 1 else exact_quotient(p, g)
-
-
 def sign_at(p: Poly, x: Fraction) -> int:
     """Sign of p(x), from the integer sum of c_i num^i den^(d - i)."""
     num, den = x.numerator, x.denominator

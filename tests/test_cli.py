@@ -250,6 +250,17 @@ def test_malformed_json_reports_position(capsys, tmp_path):
     assert "column" in err
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    # json.load raises RecursionError long before this depth
+    depth = 100_000
+    p = tmp_path / "nested.json"
+    p.write_text('{"base": {"minpoly": ' + "[" * depth + "]" * depth + "}}", encoding="utf-8")
+    code, out, err = run(capsys, "info", "--instance", str(p))
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "info", "--instance", "/nonexistent/x.json")
     assert code == 2

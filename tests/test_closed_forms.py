@@ -1,8 +1,8 @@
 """Each stdlib closed form against the sympy path it replaces: trial
 division against ``sympy.factorint``, integer bisection against
 ``sympy.integer_nthroot``, the discriminant of a monic quadratic
-against ``sympy.Poly`` and root isolation, and the 2 x 2 eigenvalue
-formula against isolation of the characteristic polynomial."""
+against ``sympy.Poly`` and root isolation, and the smallest eigenvalue
+of 2 x 2 matrices against isolation of the characteristic polynomial."""
 
 import warnings
 from fractions import Fraction
@@ -143,7 +143,7 @@ def test_two_by_two_min_eigenvalue_overlaps_isolation(a, b, d):
     # whose eigenvalues are q times the rational one's
     q = lcm(a.denominator, b.denominator, d.denominator)
     a, b, d = int(a * q), int(b * q), int(d * q)
-    ev = qf.min_eigenvalue_real([[a, b], [b, d]], 4096)
+    ev = qf.min_eigenvalue_real([[a, b], [b, d]])
     poly = sympy.Poly([1, -(a + d), a * d - b * b], X)
     assert ev.is_exact() == (not poly.is_irreducible)
     for bits in (64, 256):

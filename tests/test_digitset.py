@@ -208,3 +208,9 @@ def test_digit_set_frozen_and_ordered():
     assert ds.digits == tuple(sorted(ds.digits))
     with pytest.raises(Exception):
         ds.digits = ()
+
+
+def test_from_digits_refuses_non_integer_coordinates():
+    # int() would keep 1.9 as the digit 1
+    with pytest.raises(ValueError, match="not an integer: 1.9"):
+        dsm.from_digits(nfm.build([-2, 1]), 2, [(1.9,), (-1,)])

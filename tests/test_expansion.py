@@ -192,3 +192,10 @@ def test_nonzero_digit_density(coeffs, w):
         steps += len(e.word)
     want = 1 / (w + Fraction(1, abs(ds.inst.det) - 1))
     assert abs(Fraction(nonzero, steps) - want) <= Fraction(1, 100)
+
+
+def test_expand_refuses_a_non_integer_point():
+    # int() would expand 0 instead
+    ds = dsm.build_minimal_norm(nfm.build([-2, 1]), 2)
+    with pytest.raises(ValueError, match="not an integer: 0.5"):
+        em.expand(ds, (0.5,))

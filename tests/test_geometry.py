@@ -11,7 +11,9 @@ import warnings
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS, Interval, sqrt_upper
 import quadform_reference as ref
 
 BASES = [[5, -5, 1], [2, -1, 1], [5, -4, 1]]  # power sums, equal modulus twice
+X = sympy.Symbol("x")
 
 
 def _pair(coeffs):
@@ -72,6 +75,24 @@ def test_enclosure_norm_context_brackets_exact(coeffs):
     assert loose.r_sq <= ctx.r_sq <= ctx.R_sq <= loose.R_sq
 
 
+def _min_eigenvalue(m) -> Interval:
+    """The smallest eigenvalue of the symmetric integer matrix m, within
+    2^-256: mpmath's Jacobi estimate at a precision 320 bits past the
+    entries', certified by sympy's Sturm counts on the characteristic
+    polynomial (no root at or below lo, one in (lo, hi]). A reference
+    independent of the LDL that decides the level and kappa, and far
+    cheaper than sympy isolating every root."""
+    prec = max(abs(v) for row in m for v in row).bit_length() + 320
+    with mpmath.workprec(prec):
+        est = min(mpmath.eigsy(mpmath.matrix(m), eigvals_only=True))
+        mid = Fraction(int(mpmath.floor(est * 2**257)), 2**257)
+    lo, hi = mid - Fraction(1, 2**257), mid + Fraction(1, 2**257)
+    cp = sympy.Matrix(m).charpoly(X)
+    assert cp.count_roots(None, sympy.Rational(lo.numerator, lo.denominator)) == 0
+    assert cp.count_roots(*(sympy.Rational(v.numerator, v.denominator) for v in (lo, hi))) >= 1
+    return Interval(lo, hi)
+
+
 def _check_kappa(geo):
     """The enclosure level and kappa against lambda, the smallest
     eigenvalue of the integer midpoint matrix M, with c = n max H.
@@ -84,8 +105,8 @@ def _check_kappa(geo):
     2 c / lambda, read with the eigenvalue's interval ends on the safe
     side, and 0 when c is 0."""
     den, m, h = geo._level(64)
-    ev = qf.min_eigenvalue_real(m, DEFAULT_PRECISION_CAP_BITS)
-    lam = ev.interval(64).lo
+    iv = _min_eigenvalue(m)
+    lam = iv.lo
     if not any(map(any, h)):
         h = tuple(tuple(1 for _ in row) for row in h)
     rejected = 0
@@ -108,8 +129,7 @@ def _check_kappa(geo):
         assert kappa == 0
         return
     if bits != 64:
-        ev = qf.min_eigenvalue_real(m, DEFAULT_PRECISION_CAP_BITS)
-    iv = ev.interval(256)
+        iv = _min_eigenvalue(m)
     assert c < kappa * iv.lo and kappa * iv.hi <= 2 * c
     assert kappa.numerator == 1 and kappa.denominator & (kappa.denominator - 1) == 0
 
@@ -262,8 +282,9 @@ def _check_gram_inside_enclosure(coeffs, kind, data):
     exact = dsm.geometry(nf)
     forced = dsm.Geometry(nf.lattice, nf, None, DEFAULT_PRECISION_CAP_BITS)
     if n <= 5:
-        # above degree 5 the eigenvalue reference alone takes seconds:
-        # Sturm sequences on 2^70-scale integer entries
+        # checking kappa on every degree triples this test's time: the
+        # forged levels of degrees 6 to 8 rebuild enclosures at finer
+        # precision, and the reference's Sturm counts grow with them
         _check_kappa(forced)
     bound = 2 * min(nf.gram[i][i] for i in range(n))
     assert set(exact.ball(bound)) <= set(forced.ball(bound))

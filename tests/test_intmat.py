@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -125,3 +126,13 @@ def test_unimodular_inverse():
     assert intmat.mat_mul(u, inv) == intmat.identity(2)
     with pytest.raises(ValueError):
         intmat.unimodular_inverse(((2, 0), (0, 1)))
+
+
+def test_int_tuple_refuses_what_int_would_truncate():
+    assert intmat.int_tuple([3, -4, True]) == (3, -4, 1)
+    assert intmat.int_tuple(iter([7])) == (7,)
+    for bad in (0.5, 2.0, Fraction(5, 2), "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            intmat.int_tuple((1, bad))
+    with pytest.raises(ValueError, match="not an integer: 1.9"):
+        intmat.mat_from_rows([[2, 1.9], [0, 1]])

@@ -106,3 +106,10 @@ def test_check_point_length():
     with pytest.raises(ValueError):
         inst.check_point((1, 2, 3))
     assert inst.check_point([1, 2]) == (1, 2)
+
+
+def test_non_integer_entries_are_refused_not_truncated():
+    with pytest.raises(ValueError, match="not an integer: 2.5"):
+        lattice.LatticeInstance.from_matrix([[2.5]])
+    with pytest.raises(ValueError, match="not an integer: 0.5"):
+        lattice.apply_phi(_inst([[2]]), (0.5,))

@@ -2,8 +2,9 @@
 private names, whether by import or by attribute access; no function
 memoizes through a functools cache; no check rests on an assertion;
 nothing imports sympy, which is a test-only dependency, nor dataclasses
-or typing; ``import latnaf`` loads no submodule and a CLI call only the
-modules its subcommand runs; and the names and calls the benchmark's
+or typing; every module parses as Python 3.10, the oldest version the
+package declares; ``import latnaf`` loads no submodule and a CLI call only
+the modules its subcommand runs; and the names and calls the benchmark's
 tracer and worker (``perfbench/``) rely on are still there."""
 
 import ast
@@ -133,6 +134,35 @@ def test_layout_checks_catch_caches_and_asserts(tmp_path):
         "m.py:11: raise AssertionError",
         "m.py:14: raise AssertionError",
     ]
+
+
+def syntax_newer_than_310(pkg: Path) -> list[str]:
+    """Modules that Python 3.10, the oldest version pyproject.toml
+    accepts, could not parse (``except*``, PEP 695 type parameters):
+    tier-1 runs on a newer Python, which parses them without a word."""
+    hits = []
+    for path in sorted(pkg.glob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+        except SyntaxError as exc:
+            hits.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    return hits
+
+
+def test_sources_parse_as_python_310():
+    pyproject = (PKG.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    assert syntax_newer_than_310(PKG) == []
+
+
+def test_layout_check_catches_syntax_newer_than_310(tmp_path):
+    (tmp_path / "groups.py").write_text(
+        "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    )
+    (tmp_path / "generic.py").write_text("def first[T](xs: list[T]) -> T:\n    return xs[0]\n")
+    (tmp_path / "match.py").write_text("match 1:\n    case 1:\n        pass\n")
+    hits = syntax_newer_than_310(tmp_path)
+    assert [h.split(":")[0] for h in hits] == ["generic.py", "groups.py"]
 
 
 def module_level_sympy_imports(pkg: Path) -> list[str]:

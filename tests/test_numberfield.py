@@ -137,3 +137,8 @@ def test_weights_partition_degree():
     for coeffs in ([-2, 1], [2, -1, 1], [5, -5, 1], [-2, 0, 0, 0, 1]):
         nf = nfm.build(coeffs)
         assert nf.s + 2 * nf.t == nf.degree
+
+
+def test_build_refuses_non_integer_coefficients():
+    with pytest.raises(ValueError, match="not an integer: 2.7"):
+        nfm.build([2.7, 1])

@@ -359,3 +359,9 @@ def test_sweep_kernel_faults_raise_at_the_reference_point(monkeypatch, broken, f
     want = _outcome(_reference_sweep, ds, 40)
     assert want[0] is fault
     assert _outcome(om.verify_empirically, ds, 40) == want
+
+
+def test_oracle_refuses_a_non_integer_point():
+    # int() would answer for 2
+    with pytest.raises(ValueError, match="not an integer: 2.9"):
+        om.min_weight_oracle(ds_int(2, 2), (2.9,))

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from latnaf import digitset as dsm
 from latnaf import lattice
 from latnaf import quadform as qf
-from latnaf.exactreal import DEFAULT_PRECISION_CAP_BITS as CAP
 from latnaf.errors import BallSizeError
-from latnaf.exactreal import PrecisionCapError, QuadExt
+from latnaf.exactreal import QuadExt
 
 import quadform_reference as ref
 
@@ -341,10 +340,10 @@ def test_covering_radius_closed_form_matches_vertex_scan(g):
 
 
 def test_min_eigenvalue():
-    assert qf.min_eigenvalue_real(((1, 0), (0, 1)), CAP).compare(1) == 0
-    assert qf.min_eigenvalue_real(((2, 0), (0, 3)), CAP).compare(2) == 0
+    assert qf.min_eigenvalue_real(((1, 0), (0, 1))).compare(1) == 0
+    assert qf.min_eigenvalue_real(((2, 0), (0, 3))).compare(2) == 0
     # eigenvalues of G_COMPLEX are 3 +- sqrt(2)
-    ev = qf.min_eigenvalue_real(((2, 1), (1, 4)), CAP)
+    ev = qf.min_eigenvalue_real(((2, 1), (1, 4)))
     iv = ev.interval(96)
     from latnaf.exactreal import sqrt_lower, sqrt_upper
 
@@ -369,24 +368,40 @@ def _near_tie_matrix():
 def test_min_eigenvalue_honours_the_cap():
     # separating the two smallest eigenvalues takes more than 64 bits
     near_tie, qr = _near_tie_matrix()
-    with pytest.raises(PrecisionCapError):
-        qf.min_eigenvalue_real(near_tie, 64)
-    ev = qf.min_eigenvalue_real(near_tie, CAP)
+    ev = qf.min_eigenvalue_real(near_tie)
     assert ev.interval(256).hi < qr
 
 
 def test_min_eigenvalue_width_follows_the_request():
     # the interval at b bits is 2^-b wide or a little less
     mat, qr = _near_tie_matrix()
-    ev = qf.min_eigenvalue_real(mat, CAP)
+    ev = qf.min_eigenvalue_real(mat)
     for bits in (64, 100, 256):
         iv = ev.interval(bits)
         assert F(1, 2 ** (2 * bits)) < iv.width() <= F(1, 2**bits), bits
     # the eigenvalue sits about 2^-84 below q r
     assert F(1, 2**85) < qr - ev.interval(256).hi < F(1, 2**83)
-    with pytest.raises(PrecisionCapError):
-        qf.min_eigenvalue_real(mat, 80)
-    assert qf.min_eigenvalue_real(mat, 90).interval(64).hi < qr
+
+
+def test_min_eigenvalue_not_exact_when_only_a_larger_one_is_an_integer():
+    # eigenvalues 2 and (5 +- sqrt 5) / 2: M - 2 I is singular, but the
+    # smallest eigenvalue is (5 - sqrt 5) / 2, about 1.382
+    ev = qf.min_eigenvalue_real(((2, 0, 0), (0, 2, 1), (0, 1, 3)))
+    assert not ev.is_exact()
+    iv = ev.interval(64)
+    assert iv.hi < 2 and iv.width() <= F(1, 2**64)
+    # lo <= (5 - sqrt 5) / 2 <= hi, squared: both sides are positive
+    assert (5 - 2 * iv.hi) ** 2 <= 5 <= (5 - 2 * iv.lo) ** 2
+
+
+@pytest.mark.parametrize(
+    "mat, lam",
+    [(((5,),), 5), (((2, 0), (0, 2)), 2), (((2, 0, 0), (0, 2, 0), (0, 0, 4)), 2)],
+)
+def test_min_eigenvalue_exact_on_integer_eigenvalues(mat, lam):
+    ev = qf.min_eigenvalue_real(mat)
+    assert ev.is_exact()
+    assert ev.compare(lam) == 0
 
 
 @pytest.mark.parametrize(

@@ -195,7 +195,7 @@ def test_min_eigenvalue_matches_sympy(mat, scale):
     fracs = [[Fraction(v, scale) for v in row] for row in mat]
     q = lcm(*(v.denominator for row in fracs for v in row))
     rows = [[int(v * q) for v in row] for row in fracs]
-    ev = qf.min_eigenvalue_real(rows, 4096)
+    ev = qf.min_eigenvalue_real(rows)
     lam = min(sympy.Matrix(rows).charpoly(X).as_expr().as_poly(X).real_roots())
     assert ev.is_exact() == isinstance(lam, sympy.Rational)
     for bits in (64, 256):
