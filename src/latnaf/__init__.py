@@ -78,15 +78,16 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     # not cached here: the defining module's attribute is read on every
     # access, so whatever rebinds it (a tracer, a test's monkeypatch) is
-    # what the package hands out. __import__, not importlib, so that
-    # -X importtime still lists each submodule.
+    # what the package hands out. The first load goes through __import__,
+    # not importlib, so that -X importtime still lists each submodule.
     module = f"{__name__}.{_HOME.get(name, name)}"
-    try:
-        __import__(module)
-    except ModuleNotFoundError as exc:
-        if exc.name != module:
-            raise
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    if module not in sys.modules:
+        try:
+            __import__(module)
+        except ModuleNotFoundError as exc:
+            if exc.name != module:
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     return getattr(sys.modules[module], name) if name in _HOME else sys.modules[module]
 
 

@@ -292,11 +292,11 @@ class DigitSet(Record):
     phi^w, where phi^-w = A / q (``_pullback``), and the digits grouped
     by class modulo phi, keyed on adj(phi) d mod det (p - d lies in the
     image of phi exactly when adj(phi) (p - d) is divisible by det). One
-    source template writes ``divide``, ``leap`` and ``divisions`` out for
+    source template writes ``divide``, ``walk`` and ``divisions`` out for
     the set's n (``_division_kernel``) on the first division, so a set
     that is only built and printed never compiles it.
 
-    ``leap`` is the block step of that kernel. A nonzero digit d is
+    ``walk`` loops the block step of that kernel. A nonzero digit d is
     congruent to its point p modulo phi^w, so p - d = phi^w x with x
     integral: the next w - 1 division steps see the points phi^(w-1) x,
     ..., phi x, all divisible by phi, and give zero digits. One product
@@ -343,7 +343,7 @@ class DigitSet(Record):
             table[i] = (d, ad, intmat.mat_vec(block[0], d))
         vars(self).update(
             geo=geo, w=w, digits=digits, family=family,
-            _tables=(adj, det, block, rows, table, by_class, zero),
+            _tables=(adj, det, block, rows, table, by_class, zero, (zero,) * (w - 1)),
         )
 
     @cached_property
@@ -371,12 +371,12 @@ class DigitSet(Record):
         divides p."""
         return self._kernel[1](p)
 
-    @property
-    def leap(self):
-        """The block step, a plain function of p: (zero, p / phi) when phi
-        divides p, else (d, (p - d) / phi^w) for the digit d congruent to
-        p modulo phi^w, standing for d and the w - 1 zero digits that
-        follow it. Fetch it once and call it: no method binding per call."""
+    @cached_property
+    def walk(self):
+        """The block loop, a plain function walk(p, cap): the word of the
+        point p (a list, least significant digit first) when p reaches
+        zero within cap digits, else None; no cycle check, so a cycle
+        runs into the cap. A kernel fault raises what ``divide`` does."""
         return self._kernel[2]
 
     @cached_property
@@ -414,33 +414,34 @@ def _fault(entry, p) -> MalformedDigitSetError:
     return MalformedDigitSetError(f"digit {entry[0]} is not congruent to {p} modulo the base image")
 
 
-def _division_kernel(adj, det, block, rows, table, by_class, zero):
-    """(divide, divisions, leap) of a digit set, written out for its n
+def _division_kernel(adj, det, block, rows, table, by_class, zero, pad):
+    """(divide, divisions, walk) of a digit set, written out for its n
     from one source template and compiled by one ``exec``. ``DigitSet``
     calls it on its first division, not when the set is built: building
     and printing a set needs no kernel.
 
-    divide and leap are one quotient body built twice. quotient(mat,
-    den, slot) reads the table entry at the class index of p modulo
-    phi^w, the mixed-radix sum of (u_i p) mod m_i times its stride, None
-    standing for the zero digit (a class inside phi Z^n): then it
-    returns (zero, adj(phi) p / det), else (d, (mat p - entry[slot]) /
-    den), raising ``_fault`` on a nonzero remainder. An entry is (d,
-    adj(phi) d, A d) with phi^-w = A / q, block being (A, q); divide is
-    quotient(adj(phi), det, 1) and leap is quotient(A, q, 2). divisions
-    looks up the digits congruent to p modulo phi in by_class.
+    divide and walk share one quotient body, step(mat, den, slot). It
+    reads the table entry at the class index of x modulo phi^w, the
+    mixed-radix sum of (u_i x) mod m_i times its stride, None standing
+    for the zero digit (a class inside phi Z^n): then q = adj(phi) x /
+    det, else q = (mat x - entry[slot]) / den, raising ``_fault`` on a
+    nonzero remainder. An entry is (d, adj(phi) d, A d) with phi^-w =
+    A / q, block being (A, q). divide is step(adj(phi), det, 1); walk
+    loops step(A, q, 2) on locals x0 ... x{n-1}, writing the digit and,
+    unless q is zero, pad (the w - 1 forced zeros) after a nonzero one.
+    divisions looks up the digits congruent to p modulo phi in by_class.
 
     The source carries names and shape only: a product per nonzero
     coefficient, an index term per Smith modulus above 1. Every
     coefficient, modulus, stride and divisor is a parameter of the
     generated factory, read from a closure cell beside table, by_class,
-    zero and ``_fault``. Literals would read a little faster, but an
+    zero, pad and ``_fault``. Literals would read a little faster, but an
     integer past ``sys.get_int_max_str_digits()`` digits cannot be
     formatted, and as cells no value reaches ``exec``.
     """
     n = len(adj)
     mat, den = block
-    cells = dict(table=table, by_class=by_class, zero=zero, _fault=_fault, det=det, den=den)
+    cells = dict(table=table, by_class=by_class, zero=zero, pad=pad, _fault=_fault, det=det, den=den)
 
     def dot(name, row):
         terms = []
@@ -462,34 +463,45 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero):
     adj_p = [dot(f"a{i}_", row) for i, row in enumerate(adj)]
     mat_p = [dot(f"b{i}_", row) for i, row in enumerate(mat)]
 
-    def settle(exprs, dv, digit):
+    def settle(exprs, dv, point):
         return [
             *(f"q{k}, r{k} = divmod({e}, {dv})" for k, e in enumerate(exprs)),
             f"if {' or '.join(f'r{k}' for k in range(n))}:",
-            "    raise _fault(entry, p)",
-            f"return {digit}, {tup('q{k}')}",
+            f"    raise _fault(entry, {point})",
         ]
 
-    def quotient(name, exprs, dv, slot):
+    def step(exprs, dv, slot, point, zero_tail, digit_tail):
         return [
-            f"def {name}(p):",
-            f"    {tup('x{k}')} = p",
-            f"    entry = table[{' + '.join(index) or '0'}]",
-            "    if entry is None:",
-            *(f"        {s}" for s in settle(adj_p, "det", "zero")),
+            f"entry = table[{' + '.join(index) or '0'}]",
+            "if entry is None:",
+            *(f"    {s}" for s in [*settle(adj_p, "det", point), *zero_tail]),
+            "else:",
             f"    {tup('e{k}')} = entry[{slot}]",
-            *(f"    {s}" for s in settle([f"{e} - e{k}" for k, e in enumerate(exprs)], dv, "entry[0]")),
+            *(f"    {s}" for s in settle([f"{e} - e{k}" for k, e in enumerate(exprs)], dv, point)),
+            *(f"    {s}" for s in digit_tail),
         ]
 
+    q, x, nonzero = tup("q{k}"), tup("x{k}"), " or ".join(f"x{k}" for k in range(n))
     lines = [
-        *quotient("divide", adj_p, "det", 1),
-        *quotient("leap", mat_p, "den", 2),
+        "def divide(p):",
+        f"    {x} = p",
+        *(f"    {s}" for s in step(adj_p, "det", 1, "p", [f"return zero, {q}"], [f"return entry[0], {q}"])),
+        "def walk(p, cap):",
+        f"    {x} = p",
+        "    word = []",
+        f"    while {nonzero}:",
+        "        if len(word) >= cap:",
+        "            return None",
+        *(f"        {s}" for s in step(mat_p, "den", 2, x, [f"{x} = {q}", "word.append(zero)"], [
+            f"{x} = {q}", "word.append(entry[0])", f"if {nonzero}:", "    word += pad",
+        ])),
+        "    return word",
         "def divisions(p):",
-        f"    {tup('x{k}')} = p",
+        f"    {x} = p",
         *(f"    t{k} = {e}" for k, e in enumerate(adj_p)),
         f"    cls = by_class.get({tup('t{k} % det')}, ())",
         f"    return [(d, {tup('(t{k} - e{k}) // det')}) for d, {tup('e{k}')} in cls]",
-        "return divide, divisions, leap",
+        "return divide, divisions, walk",
     ]
     scope: dict = {}
     exec(f"def factory({', '.join(cells)}):\n" + "\n".join(f"    {s}" for s in lines), scope)

@@ -11,15 +11,16 @@ back. Words are least significant first.
 After a nonzero digit d the window form is forced: d is congruent to
 its point p modulo phi^w, so p - d = phi^w x with x integral, and the
 next w - 1 steps see phi^(w-1) x, ..., phi x, each divisible by the base,
-and strip zeros. ``expand`` therefore runs on ``DigitSet.leap``, which
-takes those w steps at once: one class index and one product
-A (p - d) / q per nonzero digit (phi^-w = A / q, up to sign the
-adjugate of phi^w over |det|^w), and a plain division step per free
-zero. That block loop keeps no visited set: it ends at zero, at the
-step cap or on a kernel fault. Whenever it does not reach zero within
-the cap (a cycle, a long word, a kernel fault) the step loop reruns from
-the start and reports what it finds, so both loops give the same
-Expansion, CycleReport or error.
+and strip zeros. ``expand`` therefore runs on ``DigitSet.walk``, one
+kernel call per point that loops those w steps as one block step: one
+class index and one product A (p - d) / q per nonzero digit (phi^-w =
+A / q, up to sign the adjugate of phi^w over |det|^w), and a plain
+division step per free zero, on the point's coordinates held in locals.
+That block loop keeps no visited set: it ends at zero, at the step cap
+or on a kernel fault. Whenever it does not reach zero within the cap (a
+cycle, a long word, a kernel fault) the step loop on ``DigitSet.divide``
+reruns from the start and reports what it finds, so both loops give the
+same Expansion, CycleReport or error.
 
 The default step cap allows max(w, s) steps per coordinate bit of the
 point (``DigitSet.steps_per_bit``), s being the least number of inverse
@@ -47,7 +48,9 @@ class Expansion(Record):
     w: int
 
     def __init__(self, point: Point, word: tuple[Point, ...], w: int):
-        vars(self).update(point=point, word=word, w=w)
+        # one per expand call: plain stores, no keyword dict
+        fields = self.__dict__
+        fields["point"], fields["word"], fields["w"] = point, word, w
 
     @property
     def weight(self) -> int:
@@ -90,35 +93,24 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
     """Full expansion of a point: an Expansion on success, a CycleReport
     when the orbit falls into a nonzero cycle (so no word exists).
 
-    Words of at most max_steps digits come from the block loop on
-    ``DigitSet.leap``. Anything else reruns the step loop from the
-    start: orbits are eventually periodic, so its cycle detection fires
-    long before the step cap on well-formed instances; the cap is a hard
-    abort against hostile configurations.
+    Words of at most max_steps digits come from one ``DigitSet.walk``
+    call. Anything else reruns the step loop from the start: orbits are
+    eventually periodic, so its cycle detection fires long before the
+    step cap on well-formed instances; the cap is a hard abort against
+    hostile configurations.
     """
-    inst = ds.inst
-    start = inst.check_point(p)
+    start = ds.inst.check_point(p)
     if max_steps is None:
         max_steps = default_step_limit(ds, start)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    zero = inst.zero()
-    leap = ds.leap
-    pad = [zero] * (ds.w - 1)
-    digits: list[Point] = []
-    cur = start
     try:
-        # a leap is entered below the cap and ends at zero with one digit,
-        # so reaching zero means the word fits in max_steps
-        while cur != zero and len(digits) < max_steps:
-            d, cur = leap(cur)
-            digits.append(d)
-            if d != zero and cur != zero:
-                digits += pad
+        word = ds.walk(start, max_steps)
     except MalformedDigitSetError:
-        pass
-    if cur == zero:
-        return Expansion(start, tuple(digits), ds.w)
+        word = None
+    if word is not None:
+        return Expansion(start, tuple(word), ds.w)
+    zero = ds.inst.zero()
     divide = ds.divide
     seen: dict[Point, int] = {}  # orbit points in visiting order
     cur = start

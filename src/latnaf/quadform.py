@@ -16,8 +16,9 @@ rational number is formed: each level takes one integer center
 P_i a_i + c_i, one isqrt of its budget and two floor divisions for the
 range of x_i. The same pivots decide whether M - s I is positive
 definite (``definite``), which is whether every eigenvalue of M exceeds
-s; bisection on that test gives the smallest eigenvalue of a symmetric
-integer matrix (``min_eigenvalue_real``).
+s; narrowing on that test, guided by Laguerre and Newton steps on
+det(M - s I), gives the smallest eigenvalue of a symmetric integer
+matrix (``min_eigenvalue_real``).
 """
 
 from __future__ import annotations
@@ -225,30 +226,79 @@ def definite(m: intmat.Matrix, s: int) -> bool:
     return _eliminate(_shifted(m, s)) is not None
 
 
+def _estimates(m: intmat.Matrix, s: int) -> tuple[int, int, int]:
+    """Integer estimates (lower bound, guess, upper bound) of lambda - s,
+    lambda the smallest eigenvalue of M, when M - s I is positive
+    definite. With t_i = lambda_i - s > 0, the sums of the principal
+    k-minors of M - s I are the elementary symmetric e_k(t), so their
+    last Bareiss pivots give G = sum 1 / t_i = e_(n-1) / e_n and
+    H = sum 1 / t_i^2 = G^2 - 2 e_(n-2) / e_n. With t_1 = min t_i:
+    - Laguerre's step n / (G + sqrt((n - 1) (n H - G^2))) on det(M - s I),
+      a real-rooted polynomial, is at most t_1; from far below it lands
+      near the eigenvalues, and it converges cubically to a simple one;
+    - m / G, m = G^2 / H rounded (about the multiplicity of lambda near
+      it), is Newton's step for an m-fold root: it converges
+      quadratically whatever m, but may pass lambda;
+    - G / H is at least t_1 (1 / t_i^2 <= 1 / (t_1 t_i)), and within
+      O(t_1^2) of it near lambda, whatever the multiplicity.
+    """
+    a = _shifted(m, s)
+    n = len(a)
+
+    def e(k: int) -> int:  # each principal minor is its last pivot
+        total = 0
+        for keep in combinations(range(n), k):
+            minor = [[a[i][j] for j in keep] for i in keep]
+            total += _eliminate(minor)[-1][-1] if keep else 1
+        return total
+
+    en, en1, en2 = e(n), e(n - 1), e(n - 2) if n > 1 else 0
+    den = en1 * en1 - 2 * en2 * en  # H e_n^2
+    spread = (n - 1) * (n * den - en1 * en1)  # (n - 1)(n H - G^2) e_n^2
+    root = isqrt(spread)
+    root += root * root < spread
+    mult = (2 * en1 * en1 + den) // (2 * den)
+    return n * en // (en1 + root), mult * en // en1, -(-en1 * en // den)
+
+
 def min_eigenvalue_real(mat: intmat.Matrix) -> CReal:
     """Smallest eigenvalue lambda of a symmetric integer matrix M as a
     certified real; exact whenever lambda is rational.
 
     lambda > s exactly when M - s I is positive definite (``definite``),
-    so bisection on that test from below Gershgorin's bound to the least
+    so narrowing on that test from below Gershgorin's bound to the least
     diagonal entry brackets lambda in (hi - 1, hi] for an integer hi.
     Rational zeros of the monic characteristic polynomial are integers,
     so lambda is rational exactly when it is hi: when M - hi I is
     singular with no negative principal minor (singular alone also holds
     when hi is a larger eigenvalue). Else the interval at b bits is
     [a, a + 1] / 2^b for the a with 2^b M - a I definite and
-    2^b M - (a + 1) I not, bisected from the finest bracket so far.
+    2^b M - (a + 1) I not, narrowed from the finest bracket so far.
+
+    Narrowing a bracket (lo, hi] evaluates the minors of M - lo I once
+    for three estimates of lambda (``_estimates``) and tests each; if
+    the bracket is still wider than 1 it tests one below its upper end,
+    then its midpoint, so every round at least halves it, as bisection
+    would. Each new end rests on a ``definite`` test, never on an
+    estimate alone.
     """
 
-    def bisect(m, lo: int, hi: int) -> int:  # m - lo I definite, m - hi I not
+    def cut(m, lo: int, hi: int, t: int) -> tuple[int, int]:
+        if not lo < t < hi:
+            return lo, hi
+        return (t, hi) if definite(m, t) else (lo, t)
+
+    def narrow(m, lo: int, hi: int) -> int:  # m - lo I definite, m - hi I not
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if definite(m, mid) else (lo, mid)
+            for t in [lo + v for v in _estimates(m, lo)]:
+                lo, hi = cut(m, lo, hi, t)
+            lo, hi = cut(m, lo, hi, hi - 1)
+            lo, hi = cut(m, lo, hi, (lo + hi) // 2)
         return lo
 
     diag = [row[i] for i, row in enumerate(mat)]
     gershgorin = min(d + abs(d) - sum(map(abs, row)) for d, row in zip(diag, mat))
-    hi = bisect(mat, gershgorin - 1, min(diag)) + 1
+    hi = narrow(mat, gershgorin - 1, min(diag)) + 1
     shifted = _shifted(mat, hi)
     minors = (
         intmat.determinant([[shifted[i][k] for k in idx] for i in idx])
@@ -267,7 +317,7 @@ def min_eigenvalue_real(mat: intmat.Matrix) -> CReal:
                 a >>= b - bits
             else:
                 k = bits - b
-                a = bisect([[v << bits for v in row] for row in mat], a << k, (a + 1) << k)
+                a = narrow([[v << bits for v in row] for row in mat], a << k, (a + 1) << k)
                 state[:] = bits, a
             memo[bits] = Interval(Fraction(a, 1 << bits), Fraction(a + 1, 1 << bits))
         return memo[bits]

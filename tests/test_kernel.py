@@ -1,8 +1,9 @@
 """Property tests of the division kernel ``DigitSet.divide`` /
 ``DigitSet.divisions`` against the reference path of ``lattice``
-(``solve_divisibility`` and ``residue_key``), of its block step
-``DigitSet.leap`` against w division steps (and against one at w = 1,
-where both are the same quotient body), of the expansions and
+(``solve_divisibility`` and ``residue_key``), of its block loop
+``DigitSet.walk`` against the step loop on ``divide`` (w division steps
+per nonzero digit, one at w = 1, where both run the same quotient body),
+of the expansions and
 weights built on it, and of the integer norm brackets against
 ``quadform_reference.eval_quadratic`` on the midpoint Gram matrix. The
 systems cover the kernel written out for n = 1, 2, 3 and 4, with cyclic
@@ -161,36 +162,69 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _step_word(ds, p, cap):
+    """The word of the step loop on ``DigitSet.divide`` within cap
+    digits as a list, or None where that loop finds a cycle or the cap."""
+    out = _reference_expand(ds, p, cap, dsm.DigitSet.divide)
+    return list(out.word) if isinstance(out, em.Expansion) else None
+
+
+def _check_walk(ds, p, cap):
+    """walk(p, cap) is the step loop's word; when there is one, the block
+    structure holds (w - 1 zeros after each nonzero digit but the last)
+    and the word needs a cap of exactly its length."""
+    want = _step_word(ds, p, cap)
+    assert ds.walk(p, cap) == want
+    if want:
+        zero = ds.inst.zero()
+        for i, d in enumerate(want[:-1]):
+            if d != zero:
+                assert want[i + 1:i + ds.w] == [zero] * (ds.w - 1)
+        assert ds.walk(p, len(want)) == want
+        assert ds.walk(p, len(want) - 1) is None
+
+
+WALKED = SYSTEMS + ["m23w2", "cycle211w3"]
+
+
 @SETTINGS
-@given(st.one_of(points(10**6, SYSTEMS + ["m23w2"]), points(10**60, SYSTEMS + ["m23w2"])))
-@example(("q541w3", (-16, 6)))
-@example(("m4w3", (-2, 0, -1, 0)))
-def test_leap_matches_w_division_steps(case):
-    """One divide when the digit is zero; otherwise the digit and the
-    point w divide steps on, the w - 1 steps between giving zero digits."""
+@given(
+    st.one_of(points(10**6, WALKED), points(10**60, WALKED)),
+    st.one_of(st.none(), st.integers(1, 40)),
+)
+@example(("q541w3", (-16, 6)), None)
+@example(("m4w3", (-2, 0, -1, 0)), None)
+@example(("cycle211w3", (5, 8)), None)  # on the cycle
+@example(("cycle211w3", (5, -29)), None)  # enters the cycle mid-block
+@example(("t3w3", (1000,)), 7)  # the word 1 0 0 10 0 0 1: the cap at its length
+@example(("t3w3", (1000,)), 5)  # the cap inside the zero run after 10
+@example(("t3w3", (0,)), 1)  # the empty word
+def test_walk_matches_the_step_loop(case, cap):
+    """One walk call gives the word of the division steps: a plain step
+    per zero digit and, after a nonzero digit, the point w divide steps
+    on, the w - 1 steps between giving zero digits. No word (a cycle, the
+    cap) is None."""
     name, p = case
     ds = system(name)
-    zero = ds.inst.zero()
-    d, q = ds.divide(p)
-    if d != zero:
-        for _ in range(ds.w - 1):
-            z, q = ds.divide(q)
-            assert z == zero
-    assert ds.leap(p) == (d, q)
+    _check_walk(ds, p, em.default_step_limit(ds, p) if cap is None else cap)
 
 
 WIDTH_ONE = ["t3w1", "q541w1", "c3101w1", "m4w1"]
 
 
 @SETTINGS
-@given(st.one_of(points(10**6, WIDTH_ONE), points(10**60, WIDTH_ONE)))
-def test_leap_is_divide_at_width_one(case):
+@given(
+    st.one_of(points(10**6, WIDTH_ONE), points(10**60, WIDTH_ONE)),
+    st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_walk_is_the_step_loop_at_width_one(case, cap):
     """At w = 1 the block step is the division step: (A, q) is
-    (+-adj(phi), |det|), so both closures give the same digit and quotient
-    for every n."""
+    (+-adj(phi), |det|) and the pad is empty, so walk gives the divide
+    loop's word digit for digit for every n."""
     name, p = case
     ds = system(name)
-    assert ds.leap(p) == ds.divide(p)
+    assert inspect.getclosurevars(ds.walk).nonlocals["pad"] == ()
+    _check_walk(ds, p, em.default_step_limit(ds, p) if cap is None else cap)
 
 
 @SETTINGS
@@ -228,26 +262,51 @@ def test_expand_matches_reference_loop(case, max_steps):
     assert _outcome(em.expand, ds, p, max_steps) == _reference_expand(ds, p, max_steps)
 
 
+def test_a_terminating_point_takes_one_walk_call(monkeypatch):
+    """expand calls the kernel once per point: one walk call, and no
+    DigitSet.divide call unless the walk finds no word (a cycle here)."""
+    walks, divides = [], []
+
+    def counting_walk(self):
+        kernel = self._kernel[2]
+        return lambda p, cap: walks.append(p) or kernel(p, cap)
+
+    divide = dsm.DigitSet.divide
+    monkeypatch.setattr(dsm.DigitSet, "walk", property(counting_walk))
+    monkeypatch.setattr(dsm.DigitSet, "divide", lambda self, p: divides.append(p) or divide(self, p))
+    for name in SYSTEMS:
+        ds = system(name)
+        n = ds.inst.n
+        for p in [(0,) * n, (7,) * n, tuple(10**6 - 3 * i for i in range(n)), (-10**100,) * n]:
+            walks.clear()
+            e = em.expand(ds, p)
+            assert em.value(ds.inst, e.word) == p
+            assert walks == [p] and divides == []
+    e = em.expand(system("cycle211w3"), (5, 8))
+    assert isinstance(e, em.CycleReport) and walks[-1] == (5, 8) and len(divides) == 3
+
+
 @pytest.mark.parametrize("name", SYSTEMS + ["m23w2"])
 def test_divide_on_a_corrupted_table_raises(name):
     """Every digit's class emptied, and every class inside phi Z^n given
     that digit: each remainder coordinate of adj(phi) (p - digit) mod det
     is checked (m23w2 has digits whose first coordinate divides and whose
-    second does not). leap raises what divide raises; expand meets the
-    fault in its block step, reruns its step loop and raises what that
-    loop on divide raises."""
+    second does not). walk raises what divide raises at its first point;
+    expand meets the fault in its walk, reruns its step loop and raises
+    what that loop on divide raises."""
     ds = system(name)
     ds = dsm.DigitSet(ds.geo, ds.w, ds.digits, ds.family)  # a table of its own
     table = inspect.getclosurevars(ds._kernel[0]).nonlocals["table"]
     intact = list(table)
     p = intmat.mat_vec(ds.inst.phi, (1,) + (0,) * (ds.inst.n - 1))
+    walk = lambda x: ds.walk(x, em.default_step_limit(ds, x))  # noqa: E731
     for i, entry in enumerate(intact):
         if entry is None:
             continue
         d = entry[0]
         table[:] = intact
         table[i] = None
-        for division in (ds.divide, ds.leap):
+        for division in (ds.divide, walk):
             with pytest.raises(MalformedDigitSetError, match=re.escape(
                 f"no digit covers the residue class of {d}"
             )):
@@ -256,7 +315,7 @@ def test_divide_on_a_corrupted_table_raises(name):
         assert want[0] is MalformedDigitSetError
         assert _outcome(em.expand, ds, d) == want
         table[:] = [e or entry for e in intact]
-        for division in (ds.divide, ds.leap):
+        for division in (ds.divide, walk):
             with pytest.raises(MalformedDigitSetError, match=re.escape(
                 f"digit {d} is not congruent to {p} modulo the base image"
             )):
@@ -270,14 +329,14 @@ def test_divide_on_a_corrupted_table_raises(name):
 def test_points_of_the_wrong_dimension_raise(name):
     ds = system(name)
     for p in [(1,) * (ds.inst.n - 1), (1,) * (ds.inst.n + 1)]:
-        for division in (ds.divide, ds.divisions, ds.leap):
+        for division in (ds.divide, ds.divisions, lambda x: ds.walk(x, 100)):
             with pytest.raises(ValueError):
                 division(p)
 
 
 def test_expand_makes_no_generic_matrix_products(monkeypatch):
     """The five systems of the expand-stream benchmark and the 4 x 4 m4w3
-    expand, divide, leap and list their divisions without a single
+    expand, divide, walk and list their divisions without a single
     intmat.mat_vec call: every n runs the written-out kernel."""
     names = ("t2w2", "t3w3", "q541w3", "m31w2", "c3101w4", "m4w3")
     systems = [system(name) for name in names]
@@ -289,7 +348,7 @@ def test_expand_makes_no_generic_matrix_products(monkeypatch):
         for p in [(7,) * n, tuple(10**6 - 3 * i for i in range(n)), (10**100 + 1,) * n]:
             assert em.value(ds.inst, em.expand(ds, p).word) == p
             ds.divide(p)
-            ds.leap(p)
+            assert ds.walk(p, em.default_step_limit(ds, p))
             ds.divisions(p)
     assert calls == []
     lattice.solve_divisibility(systems[0].inst, (7,))  # the counter sees module calls
@@ -300,8 +359,14 @@ def test_expand_makes_no_generic_matrix_products(monkeypatch):
 def test_kernel_constants_past_the_int_string_limit(w):
     """adj(phi) of [[2, 10^5000], [0, 3]] holds -10^5000, past the 4,300
     digits an int may be formatted to by default: the kernel takes it
-    from a closure cell, not from its source. divide, leap and divisions
-    agree with solve_divisibility on seeded random points."""
+    from a closure cell, not from its source. divide and divisions agree
+    with solve_divisibility on seeded random points. A random point's
+    word here runs to tens of thousands of digits (phi^-1 maps it to
+    about 10^5000), so walk is checked on the values of seeded random
+    w-NAF words of up to 40 digits instead: it returns the word itself,
+    which division gives by uniqueness (each nonzero digit is the one
+    of its point's class modulo phi^w), and the step loop's word.
+    """
     inst = lattice.LatticeInstance.from_matrix([[2, 10**5000], [0, 3]])
     reps = lattice.residue_system(inst, w)
     digits = [r for r in reps if lattice.solve_divisibility(inst, r, 1) is None]
@@ -312,10 +377,17 @@ def test_kernel_constants_past_the_int_string_limit(w):
         p = (rng.randrange(-bound, bound), rng.randrange(-bound, bound))
         d, q = _reference_divide(ds, p)
         assert ds.divide(p) == (d, q)
-        if d != zero:
-            q = lattice.solve_divisibility(inst, tuple(a - b for a, b in zip(p, d)), w)
-        assert ds.leap(p) == (d, q)
         assert ds.divisions(p) == _reference_divisions(ds, p)
+    for length in range(1, 41):
+        word = []
+        while len(word) < length - 1:
+            d = rng.choice(ds.digits)
+            block = [d] if d == zero else [d, *[zero] * (w - 1)]
+            word += block if len(word) + len(block) < length else [zero]
+        word.append(rng.choice(ds.nonzero_digits))
+        p = em.value(inst, word)
+        assert ds.walk(p, length) == word == _step_word(ds, p, length)
+        assert ds.walk(p, length - 1) is None
 
 
 # a Gram matrix with denominators, so the common-denominator scaling shows

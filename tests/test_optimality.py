@@ -339,8 +339,8 @@ def test_sweep_kernel_faults_raise_at_the_reference_point(monkeypatch, broken, f
     breaks the window of every word reaching 9 through a nonzero digit
     (first swept: 23), and a failure at the broken point stops every orbit
     through it. The fault met first in sweep order is the one raised.
-    expand takes its block steps on DigitSet.leap, which never calls
-    divide; a leap that always faults makes it rerun its step loop, so
+    expand takes its block steps in DigitSet.walk, which never calls
+    divide; a walk that always faults makes it rerun its step loop, so
     both sweeps meet the planted faults through divide."""
     ds = ds_int(3, 2)
     divide = dsm.DigitSet.divide
@@ -351,11 +351,11 @@ def test_sweep_kernel_faults_raise_at_the_reference_point(monkeypatch, broken, f
         d, q = divide(self, p)
         return ((1,), q) if p == (9,) else (d, q)
 
-    def deferring_leap(p):
+    def deferring_walk(p, cap):
         raise MalformedDigitSetError(f"block step deferred at {p}")
 
     monkeypatch.setattr(dsm.DigitSet, "divide", faulty)
-    monkeypatch.setattr(dsm.DigitSet, "leap", property(lambda self: deferring_leap))
+    monkeypatch.setattr(dsm.DigitSet, "walk", property(lambda self: deferring_walk))
     want = _outcome(_reference_sweep, ds, 40)
     assert want[0] is fault
     assert _outcome(om.verify_empirically, ds, 40) == want

@@ -394,6 +394,43 @@ def test_min_eigenvalue_not_exact_when_only_a_larger_one_is_an_integer():
     assert (5 - 2 * iv.hi) ** 2 <= 5 <= (5 - 2 * iv.lo) ** 2
 
 
+BAND4 = tuple(tuple(3 if i == k else abs(i - k) == 1 for k in range(4)) for i in range(4))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        ((2, 0, 0), (0, 2, 1), (0, 1, 3)),
+        BAND4,  # eigenvalues 3 + 2 cos(k pi / 5)
+        ((2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 2, 1), (0, 0, 1, 3)),  # a double lambda
+        _near_tie_matrix()[0],
+    ],
+)
+def test_min_eigenvalue_intervals_nest_and_stay_certified(mat):
+    """Up to 4096 bits, each finer interval nests in the coarser one, is
+    [a, a + 1] / 2^b, and M - s I is definite at its low end s and not
+    at its high end. A coarser interval asked after a finer one, and a
+    fresh real asked at once for 4096 bits, give the same intervals."""
+    ev = qf.min_eigenvalue_real(mat)
+    assert not ev.is_exact()
+    seen = {}
+    for bits in (64, 65, 100, 128, 256, 1000, 2048, 4096):
+        iv = ev.interval(bits)
+        assert iv.width() == F(1, 2**bits)
+        a = iv.lo * 2**bits
+        assert a.denominator == 1
+        scaled = [[v << bits for v in row] for row in mat]
+        assert qf.definite(scaled, int(a)) and not qf.definite(scaled, int(a) + 1)
+        if seen:
+            prev = seen[max(seen)]
+            assert prev.lo <= iv.lo and iv.hi <= prev.hi
+        seen[bits] = iv
+    fresh = qf.min_eigenvalue_real(mat)
+    for bits in (4096, 1000, 100, 65):
+        iv = fresh.interval(bits)
+        assert (iv.lo, iv.hi) == (seen[bits].lo, seen[bits].hi)
+
+
 @pytest.mark.parametrize(
     "mat, lam",
     [(((5,),), 5), (((2, 0), (0, 2)), 2), (((2, 0, 0), (0, 2, 0), (0, 0, 4)), 2)],
