@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import mul
+from operator import index, mul
 
 from . import intmat, lattice, numberfield, quadform
 from .errors import (
@@ -305,7 +305,8 @@ class DigitSet(Record):
     the classes outside phi Z^n, so a point with no table entry is
     divisible by phi and one with an entry is not. ``divide`` is the
     block step of width 1, the same body read with adj(phi) / det and
-    adj(phi) d in place of A / q and A d.
+    adj(phi) d in place of A / q and A d; ``walk`` is the whole fast
+    path of ``expansion.expand``.
     """
 
     geo: Geometry
@@ -348,7 +349,7 @@ class DigitSet(Record):
 
     @cached_property
     def _kernel(self) -> tuple:
-        return _division_kernel(*self._tables)
+        return _division_kernel(*self._tables, lambda: self.steps_per_bit)
 
     @property
     def inst(self) -> lattice.LatticeInstance:
@@ -373,10 +374,12 @@ class DigitSet(Record):
 
     @cached_property
     def walk(self):
-        """The block loop, a plain function walk(p, cap): the word of the
-        point p (a list, least significant digit first) when p reaches
-        zero within cap digits, else None; no cycle check, so a cycle
-        runs into the cap. A kernel fault raises what ``divide`` does."""
+        """The block loop, a plain function walk(p, cap): (point, word) when
+        the raw point p reaches zero within cap digits (None: the default
+        cap), point being p through ``operator.index`` and word a tuple,
+        least significant digit first; else None, as no cycle is checked.
+        A bad point raises TypeError or ValueError, a kernel fault what
+        ``divide`` does: ``expand`` then reruns its checks and step loop."""
         return self._kernel[2]
 
     @cached_property
@@ -414,7 +417,7 @@ def _fault(entry, p) -> MalformedDigitSetError:
     return MalformedDigitSetError(f"digit {entry[0]} is not congruent to {p} modulo the base image")
 
 
-def _division_kernel(adj, det, block, rows, table, by_class, zero, pad):
+def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_per_bit):
     """(divide, divisions, walk) of a digit set, written out for its n
     from one source template and compiled by one ``exec``. ``DigitSet``
     calls it on its first division, not when the set is built: building
@@ -427,21 +430,27 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad):
     det, else q = (mat x - entry[slot]) / den, raising ``_fault`` on a
     nonzero remainder. An entry is (d, adj(phi) d, A d) with phi^-w =
     A / q, block being (A, q). divide is step(adj(phi), det, 1); walk
-    loops step(A, q, 2) on locals x0 ... x{n-1}, writing the digit and,
-    unless q is zero, pad (the w - 1 forced zeros) after a nonzero one.
-    divisions looks up the digits congruent to p modulo phi in by_class.
+    reads its raw point into locals x0 ... x{n-1} through index, a cap
+    None as 64 + spb (8 + x0.bit_length() + ...), and loops step(A, q, 2),
+    writing the digit and, unless q is zero, pad (the w - 1 forced zeros)
+    after a nonzero one. divisions looks up the digits congruent to p
+    modulo phi in by_class.
 
     The source carries names and shape only: a product per nonzero
     coefficient, an index term per Smith modulus above 1. Every
     coefficient, modulus, stride and divisor is a parameter of the
     generated factory, read from a closure cell beside table, by_class,
-    zero, pad and ``_fault``. Literals would read a little faster, but an
-    integer past ``sys.get_int_max_str_digits()`` digits cannot be
-    formatted, and as cells no value reaches ``exec``.
+    zero, pad, index and ``_fault``. Literals would read a little faster,
+    but an integer past ``sys.get_int_max_str_digits()`` digits cannot be
+    formatted, and as cells no value reaches ``exec``. The cell spb is
+    filled from the steps_per_bit callable on the first walk without a
+    cap: that count can take far longer than the kernel (16,611 matrix
+    powers for [[2, 10^5000], [0, 3]]), and an explicit cap needs none.
     """
     n = len(adj)
     mat, den = block
     cells = dict(table=table, by_class=by_class, zero=zero, pad=pad, _fault=_fault, det=det, den=den)
+    cells.update(index=index, steps_per_bit=steps_per_bit, spb=None)
 
     def dot(name, row):
         terms = []
@@ -454,12 +463,12 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad):
     def tup(fmt):
         return "(" + "".join(fmt.format(k=k) + ", " for k in range(n)) + ")"
 
-    index = []
+    index_terms = []
     for i, (row, m, stride) in enumerate(rows):
         if m > 1:
             cells[f"m{i}"], cells[f"s{i}"] = m, stride
             term = f"({dot(f'u{i}_', row)}) % m{i}"
-            index.append(f"{term} * s{i}" if stride > 1 else term)
+            index_terms.append(f"{term} * s{i}" if stride > 1 else term)
     adj_p = [dot(f"a{i}_", row) for i, row in enumerate(adj)]
     mat_p = [dot(f"b{i}_", row) for i, row in enumerate(mat)]
 
@@ -472,7 +481,7 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad):
 
     def step(exprs, dv, slot, point, zero_tail, digit_tail):
         return [
-            f"entry = table[{' + '.join(index) or '0'}]",
+            f"entry = table[{' + '.join(index_terms) or '0'}]",
             "if entry is None:",
             *(f"    {s}" for s in [*settle(adj_p, "det", point), *zero_tail]),
             "else:",
@@ -487,7 +496,13 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad):
         f"    {x} = p",
         *(f"    {s}" for s in step(adj_p, "det", 1, "p", [f"return zero, {q}"], [f"return entry[0], {q}"])),
         "def walk(p, cap):",
+        "    nonlocal spb",
         f"    {x} = p",
+        f"    {x} = p = {tup('index(x{k})')}",
+        "    if cap is None:",
+        "        if spb is None:",
+        "            spb = steps_per_bit()",
+        f"        cap = 64 + spb * (8{''.join(f' + x{k}.bit_length()' for k in range(n))})",
         "    word = []",
         f"    while {nonzero}:",
         "        if len(word) >= cap:",
@@ -495,7 +510,7 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad):
         *(f"        {s}" for s in step(mat_p, "den", 2, x, [f"{x} = {q}", "word.append(zero)"], [
             f"{x} = {q}", "word.append(entry[0])", f"if {nonzero}:", "    word += pad",
         ])),
-        "    return word",
+        "    return p, tuple(word)",
         "def divisions(p):",
         f"    {x} = p",
         *(f"    t{k} = {e}" for k, e in enumerate(adj_p)),

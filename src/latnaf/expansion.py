@@ -16,11 +16,12 @@ kernel call per point that loops those w steps as one block step: one
 class index and one product A (p - d) / q per nonzero digit (phi^-w =
 A / q, up to sign the adjugate of phi^w over |det|^w), and a plain
 division step per free zero, on the point's coordinates held in locals.
-That block loop keeps no visited set: it ends at zero, at the step cap
-or on a kernel fault. Whenever it does not reach zero within the cap (a
-cycle, a long word, a kernel fault) the step loop on ``DigitSet.divide``
-reruns from the start and reports what it finds, so both loops give the
-same Expansion, CycleReport or error.
+The call checks the raw point and sizes the default cap itself. Its
+loop keeps no visited set: it ends at zero, at the step cap or on a
+kernel fault. Whenever it gives no word (a bad point or cap, a cycle, a
+long word, a kernel fault) the checks and the step loop on
+``DigitSet.divide`` rerun from the start and report what they find, so
+both loops give the same Expansion, CycleReport or error.
 
 The default step cap allows max(w, s) steps per coordinate bit of the
 point (``DigitSet.steps_per_bit``), s being the least number of inverse
@@ -84,7 +85,8 @@ def default_step_limit(ds: DigitSet, p) -> int:
     """Generous cap, well above the geometric-decay bound on orbit entry
     into the invariant ball plus the cycle length the ball can hold:
     ``DigitSet.steps_per_bit`` steps per coordinate bit of the integer
-    point p (a negative coordinate has the bits of its absolute value)."""
+    point p (a negative coordinate has the bits of its absolute value),
+    as ``DigitSet.walk`` sizes it itself when given no cap."""
     size = sum(map(int.bit_length, p))
     return 64 + ds.steps_per_bit * (8 + size)
 
@@ -94,22 +96,23 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
     when the orbit falls into a nonzero cycle (so no word exists).
 
     Words of at most max_steps digits come from one ``DigitSet.walk``
-    call. Anything else reruns the step loop from the start: orbits are
-    eventually periodic, so its cycle detection fires long before the
-    step cap on well-formed instances; the cap is a hard abort against
-    hostile configurations.
+    call. Anything else, a bad point or max_steps too, reruns the checks
+    and the step loop from the start: orbits are eventually periodic, so
+    its cycle detection fires long before the step cap on well-formed
+    instances; the cap is a hard abort against hostile configurations.
     """
+    p = tuple(p)  # the walk would use up an iterator the step loop rereads
+    try:
+        found = ds.walk(p, max_steps) if max_steps is None or max_steps >= 1 else None
+    except (TypeError, ValueError, MalformedDigitSetError):
+        found = None
+    if found is not None:
+        return Expansion(*found, ds.w)
     start = ds.inst.check_point(p)
     if max_steps is None:
         max_steps = default_step_limit(ds, start)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    try:
-        word = ds.walk(start, max_steps)
-    except MalformedDigitSetError:
-        word = None
-    if word is not None:
-        return Expansion(start, tuple(word), ds.w)
     zero = ds.inst.zero()
     divide = ds.divide
     seen: dict[Point, int] = {}  # orbit points in visiting order

@@ -164,23 +164,26 @@ def _outcome(fn, *args):
 
 def _step_word(ds, p, cap):
     """The word of the step loop on ``DigitSet.divide`` within cap
-    digits as a list, or None where that loop finds a cycle or the cap."""
+    digits as a tuple, or None where that loop finds a cycle or the cap."""
     out = _reference_expand(ds, p, cap, dsm.DigitSet.divide)
-    return list(out.word) if isinstance(out, em.Expansion) else None
+    return out.word if isinstance(out, em.Expansion) else None
 
 
 def _check_walk(ds, p, cap):
-    """walk(p, cap) is the step loop's word; when there is one, the block
-    structure holds (w - 1 zeros after each nonzero digit but the last)
-    and the word needs a cap of exactly its length."""
+    """walk(p, cap) is (p, the step loop's word), None without a word,
+    and a cap of None is default_step_limit; when there is a word, the
+    block structure holds (w - 1 zeros after each nonzero digit but the
+    last) and the word needs a cap of exactly its length."""
     want = _step_word(ds, p, cap)
-    assert ds.walk(p, cap) == want
+    assert ds.walk(p, cap) == (want if want is None else (p, want))
+    if cap == em.default_step_limit(ds, p):
+        assert ds.walk(p, None) == ds.walk(p, cap)
     if want:
         zero = ds.inst.zero()
         for i, d in enumerate(want[:-1]):
             if d != zero:
-                assert want[i + 1:i + ds.w] == [zero] * (ds.w - 1)
-        assert ds.walk(p, len(want)) == want
+                assert want[i + 1:i + ds.w] == (zero,) * (ds.w - 1)
+        assert ds.walk(p, len(want)) == (p, want)
         assert ds.walk(p, len(want) - 1) is None
 
 
@@ -263,27 +266,148 @@ def test_expand_matches_reference_loop(case, max_steps):
 
 
 def test_a_terminating_point_takes_one_walk_call(monkeypatch):
-    """expand calls the kernel once per point: one walk call, and no
-    DigitSet.divide call unless the walk finds no word (a cycle here)."""
-    walks, divides = [], []
+    """expand calls the kernel once per point: one walk call, and no call
+    to LatticeInstance.check_point, expansion.default_step_limit or
+    DigitSet.divide unless the walk finds no word (a cycle here), when
+    the step loop checks the point, sizes the cap and divides."""
+    walks, checks, limits, divides = [], [], [], []
 
     def counting_walk(self):
         kernel = self._kernel[2]
         return lambda p, cap: walks.append(p) or kernel(p, cap)
 
-    divide = dsm.DigitSet.divide
+    def counting(calls, fn):
+        return lambda *args: calls.append(args[-1]) or fn(*args)
+
     monkeypatch.setattr(dsm.DigitSet, "walk", property(counting_walk))
-    monkeypatch.setattr(dsm.DigitSet, "divide", lambda self, p: divides.append(p) or divide(self, p))
+    monkeypatch.setattr(dsm.DigitSet, "divide", counting(divides, dsm.DigitSet.divide))
+    check_point = lattice.LatticeInstance.check_point
+    monkeypatch.setattr(lattice.LatticeInstance, "check_point", counting(checks, check_point))
+    monkeypatch.setattr(em, "default_step_limit", counting(limits, em.default_step_limit))
     for name in SYSTEMS:
         ds = system(name)
         n = ds.inst.n
         for p in [(0,) * n, (7,) * n, tuple(10**6 - 3 * i for i in range(n)), (-10**100,) * n]:
             walks.clear()
             e = em.expand(ds, p)
+            assert walks == [p] and checks == limits == divides == []
             assert em.value(ds.inst, e.word) == p
-            assert walks == [p] and divides == []
+            checks.clear()  # value checks every digit
     e = em.expand(system("cycle211w3"), (5, 8))
-    assert isinstance(e, em.CycleReport) and walks[-1] == (5, 8) and len(divides) == 3
+    assert isinstance(e, em.CycleReport) and walks[-1] == (5, 8)
+    assert checks == limits == [(5, 8)] and len(divides) == 3
+
+
+# a fresh set, so its steps_per_bit can be planted before the first division
+BOUNDARY = (((1, -1), (1, 1)), 2)
+
+
+def test_the_default_cap_is_default_step_limit_at_its_boundary():
+    """With steps_per_bit planted at 1 before the set's first division,
+    the default cap, 64 + (8 + the point's coordinate bits), is short
+    enough to reach: base 1 + i needs about two digits per bit of
+    (2^k, 4). The word of (2^71, 4) is as long as that cap, the one of
+    (2^71 - 3, 4) one digit longer: walk without a cap gives the first
+    and not the second, and expand raises the cap of default_step_limit."""
+    rows, w = BOUNDARY
+    ds = dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix(rows), w)
+    assert "_kernel" not in vars(ds) and ds.steps_per_bit == 3
+    vars(ds)["steps_per_bit"] = 1
+    at, past = (2**71, 4), (2**71 - 3, 4)
+    assert em.default_step_limit(ds, at) == 64 + 8 + 72 + 3
+    words = {p: em.expand(ds, p, 10**4).word for p in (at, past)}
+    assert len(words[at]) == em.default_step_limit(ds, at)
+    assert len(words[past]) == em.default_step_limit(ds, past) + 1
+    assert ds.walk(at, None) == (at, words[at])
+    assert ds.walk(past, None) is None
+    assert em.expand(ds, at) == em.Expansion(at, words[at], w)
+    limit = em.default_step_limit(ds, past)
+    with pytest.raises(LatnafError, match=f"^expansion exceeded {limit} steps$"):
+        em.expand(ds, past)
+
+
+class _Int(int):
+    """An int subclass that shows in a repr, were it kept."""
+
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
+def _checked_entry(ds, p, max_steps):
+    """expand entered through check_point: the point checked, then the
+    default cap sized and max_steps checked, then the reference loop."""
+    start = ds.inst.check_point(p)
+    if max_steps is None:
+        max_steps = em.default_step_limit(ds, start)
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    return _reference_expand(ds, start, max_steps, dsm.DigitSet.divide)
+
+
+def _entry_outcome(fn, *args):
+    """The repr of an Expansion or CycleReport, or (error type, message)."""
+    try:
+        out = fn(*args)
+    except (TypeError, ValueError, LatnafError) as exc:
+        return type(exc), str(exc)
+    return out if isinstance(out, tuple) else repr(out)
+
+
+def raw_points(names):
+    """Strategy: (system name, a point as a caller may pass it): a list or
+    tuple of ints, bools and int subclasses, now and then a coordinate
+    too many or too few, a float or a Fraction, or a bare int."""
+    good = st.one_of(st.integers(-10**6, 10**6), st.booleans(), st.integers(-10**6, 10**6).map(_Int))
+    bad = st.one_of(st.floats(), st.fractions())
+
+    def forms(name):
+        n = system(name).inst.n
+        coords = st.lists(good, min_size=n, max_size=n) | st.lists(
+            good | bad, min_size=max(n - 1, 0), max_size=n + 1
+        )
+        return st.tuples(st.just(name), coords | coords.map(tuple) | st.integers())
+
+    return st.sampled_from(names).flatmap(forms)
+
+
+@SETTINGS
+@given(raw_points(SYSTEMS + ["cycle211w3"]), st.one_of(st.none(), st.integers(-1, 40)))
+@example(("q541w3", [7, -3]), None)
+@example(("q541w3", (True, False)), None)
+@example(("m4w3", (_Int(5), True, -2, _Int(-9))), 3)
+@example(("cycle211w3", [5, 8]), None)  # a cycle entered through a list
+@example(("q541w3", (1, 2, 3)), None)  # wrong length
+@example(("q541w3", [1]), 5)
+@example(("t2w2", (0.5,)), None)
+@example(("t2w2", (2.0,)), 10)
+@example(("q541w3", (1, Fraction(1, 2))), None)
+@example(("q541w3", (Fraction(4, 1), 1)), 10)
+@example(("t2w2", 5), None)  # not iterable
+@example(("t2w2", (7,)), 0)  # max_steps below 1
+@example(("t2w2", (0,)), -1)
+@example(("t2w2", (0.5,)), 0)  # the point's error comes first
+@example(("q541w3", (1, 2, 3)), 0)
+@example(("t2w2", 5), 0)
+def test_expand_entry_matches_the_check_point_path(case, max_steps):
+    """expand hands the raw point to walk and reruns the checks only when
+    the walk gives no word: the Expansion, CycleReport, error type,
+    message and precedence are those of checking the point first."""
+    name, p = case
+    ds = system(name)
+    want = _entry_outcome(_checked_entry, ds, p, max_steps)
+    assert _entry_outcome(em.expand, ds, p, max_steps) == want
+
+
+@pytest.mark.parametrize("name, p", [
+    ("q541w3", (7, -3)), ("cycle211w3", (5, 8)), ("q541w3", (1, 2, 3)), ("t2w2", (0.5,)), ("t2w2", ()),
+])
+def test_expand_reads_an_iterator_point_once(name, p):
+    """An iterator is used up by its first reading: expand reads it once,
+    so a cycle, a wrong length or a non-integer is reported on the point
+    the caller passed."""
+    ds = system(name)
+    want = _entry_outcome(_checked_entry, ds, iter(p), None)
+    assert _entry_outcome(em.expand, ds, iter(p), None) == want == _entry_outcome(em.expand, ds, p, None)
 
 
 @pytest.mark.parametrize("name", SYSTEMS + ["m23w2"])
@@ -300,13 +424,14 @@ def test_divide_on_a_corrupted_table_raises(name):
     intact = list(table)
     p = intmat.mat_vec(ds.inst.phi, (1,) + (0,) * (ds.inst.n - 1))
     walk = lambda x: ds.walk(x, em.default_step_limit(ds, x))  # noqa: E731
+    default_walk = lambda x: ds.walk(x, None)  # noqa: E731
     for i, entry in enumerate(intact):
         if entry is None:
             continue
         d = entry[0]
         table[:] = intact
         table[i] = None
-        for division in (ds.divide, walk):
+        for division in (ds.divide, walk, default_walk):
             with pytest.raises(MalformedDigitSetError, match=re.escape(
                 f"no digit covers the residue class of {d}"
             )):
@@ -315,7 +440,7 @@ def test_divide_on_a_corrupted_table_raises(name):
         assert want[0] is MalformedDigitSetError
         assert _outcome(em.expand, ds, d) == want
         table[:] = [e or entry for e in intact]
-        for division in (ds.divide, walk):
+        for division in (ds.divide, walk, default_walk):
             with pytest.raises(MalformedDigitSetError, match=re.escape(
                 f"digit {d} is not congruent to {p} modulo the base image"
             )):
@@ -329,7 +454,7 @@ def test_divide_on_a_corrupted_table_raises(name):
 def test_points_of_the_wrong_dimension_raise(name):
     ds = system(name)
     for p in [(1,) * (ds.inst.n - 1), (1,) * (ds.inst.n + 1)]:
-        for division in (ds.divide, ds.divisions, lambda x: ds.walk(x, 100)):
+        for division in (ds.divide, ds.divisions, lambda x: ds.walk(x, 100), lambda x: ds.walk(x, None)):
             with pytest.raises(ValueError):
                 division(p)
 
@@ -346,9 +471,10 @@ def test_expand_makes_no_generic_matrix_products(monkeypatch):
     for ds in systems:
         n = ds.inst.n
         for p in [(7,) * n, tuple(10**6 - 3 * i for i in range(n)), (10**100 + 1,) * n]:
-            assert em.value(ds.inst, em.expand(ds, p).word) == p
+            word = em.expand(ds, p).word
+            assert em.value(ds.inst, word) == p
             ds.divide(p)
-            assert ds.walk(p, em.default_step_limit(ds, p))
+            assert ds.walk(p, em.default_step_limit(ds, p)) == ds.walk(p, None) == (p, word)
             ds.divisions(p)
     assert calls == []
     lattice.solve_divisibility(systems[0].inst, (7,))  # the counter sees module calls
@@ -386,7 +512,7 @@ def test_kernel_constants_past_the_int_string_limit(w):
             word += block if len(word) + len(block) < length else [zero]
         word.append(rng.choice(ds.nonzero_digits))
         p = em.value(inst, word)
-        assert ds.walk(p, length) == word == _step_word(ds, p, length)
+        assert ds.walk(p, length) == (p, tuple(word)) == (p, _step_word(ds, p, length))
         assert ds.walk(p, length - 1) is None
 
 

@@ -317,14 +317,21 @@ def test_sweep_non_terminating_set_raises_as_reference():
 
 def test_sweep_step_cap_raises_at_the_reference_point(monkeypatch):
     """A cap of 3 steps at 27 alone: its word 0001 is four long, and all
-    but its first step is already known when the sweep reaches it."""
+    but its first step is already known when the sweep reaches it. The
+    sweep's own walk reads default_step_limit; expand sizes its default
+    cap inside DigitSet.walk, so both expands are handed the cap."""
     default = em.default_step_limit
+    expand = em.expand
 
     def limit(ds, p):
         return 3 if p == (27,) else default(ds, p)
 
-    monkeypatch.setattr(em, "default_step_limit", limit)
+    def capped(ds, p, max_steps=None):
+        return expand(ds, p, limit(ds, p) if max_steps is None else max_steps)
+
     monkeypatch.setattr(om, "default_step_limit", limit)
+    monkeypatch.setattr(em, "expand", capped)
+    monkeypatch.setattr(om, "expand", capped)
     ds = ds_int(3, 2)
     want = _outcome(_reference_sweep, ds, 40)
     assert want == (LatnafError, "expansion exceeded 3 steps")
