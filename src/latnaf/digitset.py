@@ -28,11 +28,14 @@ that expansion, orbit search and the weight oracle all run, and the block
 step p -> (p - d) / phi^w of expansion. Both are one quotient body read
 with two matrices: the division step is the block step of width 1. The
 digit table is built once, when the set is validated, and one source
-template writes the kernel out for the set's dimension on its first use.
+template writes the kernel out for the set's dimension on its first use;
+the weight oracle's search over every congruent digit is a second kernel
+from the same template, written on the first oracle call.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -43,6 +46,7 @@ from .errors import (
     ConsistencyError,
     InstanceError,
     MalformedDigitSetError,
+    NormCapError,
     NotExpandingError,
 )
 from .exactreal import (
@@ -294,7 +298,10 @@ class DigitSet(Record):
     image of phi exactly when adj(phi) (p - d) is divisible by det). One
     source template writes ``divide``, ``walk`` and ``divisions`` out for
     the set's n (``_division_kernel``) on the first division, so a set
-    that is only built and printed never compiles it.
+    that is only built and printed never compiles it. The same template
+    helpers write ``oracle``, the weight oracle's whole search
+    (``_oracle_kernel``), on the set's first oracle call: expansion never
+    runs it, so it never pays for it.
 
     ``walk`` loops the block step of that kernel. A nonzero digit d is
     congruent to its point p modulo phi^w, so p - d = phi^w x with x
@@ -383,19 +390,57 @@ class DigitSet(Record):
         return self._kernel[2]
 
     @cached_property
+    def oracle(self):
+        """The zero-one search of ``optimality.min_weight_oracle``, a plain
+        function oracle(start, limit) compiled on first use: the least
+        weight of a digit word of value start (a point tuple), or None
+        when no word is found. A state whose 64-bit norm bracket has its
+        lower end, an integer over the den of ``Geometry.norm_sq_interval``,
+        above limit raises NormCapError carrying it."""
+        adj, det, _, _, _, by_class, _, _ = self._tables
+        return _oracle_kernel(adj, det, by_class, self.geo._level(64))
+
+    @cached_property
+    def invariant_ball_bound(self) -> Fraction:
+        """Rational M with: every orbit of the division map eventually
+        enters and never leaves the ball of norm M. One division step maps
+        norm b to at most u * (b + max digit norm), so the fixed point is
+        u / (1 - u) * (max digit norm), taken with the first upper end of
+        u below 1 at 64, 128, ... bits."""
+        geo = self.geo
+        bits = 64
+        while (u_hi := geo.u.interval(bits).hi) >= 1:
+            bits *= 2
+            if bits > geo.precision_cap_bits:
+                raise PrecisionCapError("could not separate the contraction factor from 1")
+        md_hi = sqrt_upper(max_digit_norm_sq_upper(self), 64)
+        return u_hi * md_hi / (1 - u_hi)
+
+    @cached_property
     def steps_per_bit(self) -> int:
         """Division steps the default step cap allows per coordinate bit:
         max(w, s) for the least s with 4 |adj(phi)^s|_F^2 <= det^(2s), in
         integers from phi alone. adj(phi)^s / det^s is phi^-s and the
         Frobenius norm bounds the spectral one, so s inverse steps at least
         halve the coordinate norm; below w0, w steps need not. No such s
-        exists unless phi is expanding, and then this is w."""
+        exists unless phi is expanding, and then this is w.
+
+        The scan is linear: for a non-normal phi, |phi^-s|_F can rise
+        again, so the condition need not hold for every s past the least
+        one and a bisection could overshoot it. An entry of adj(phi)^s of
+        b bits makes the left side at least 2^(2b), which exceeds det^(2s)
+        once 2b passes its bit length: the exact sum of squares is formed
+        only when that test leaves the comparison open."""
         if not lattice.is_expanding(self.inst):
             return self.w
         adj, det = self.inst.adjugate, self.inst.det
-        power, s = adj, 1
-        while 4 * sum(v * v for row in power for v in row) > det ** (2 * s):
-            power, s = intmat.mat_mul(power, adj), s + 1
+        power, s, sq = adj, 1, det * det
+        rhs = sq  # det^(2s)
+        while (
+            2 * max(v.bit_length() for row in power for v in row) > rhs.bit_length()
+            or 4 * sum(v * v for row in power for v in row) > rhs
+        ):
+            power, s, rhs = intmat.mat_mul(power, adj), s + 1, rhs * sq
         return max(self.w, s)
 
     @cached_property
@@ -417,6 +462,41 @@ def _fault(entry, p) -> MalformedDigitSetError:
     return MalformedDigitSetError(f"digit {entry[0]} is not congruent to {p} modulo the base image")
 
 
+def _escape(state):
+    raise NormCapError(f"state {state} escapes the norm cap", state)
+
+
+class _Template:
+    """Source helpers of one generated kernel for dimension n. The source
+    carries names and shape only: every value it reads is a parameter of
+    the generated factory, read from a closure cell. Literals would read a
+    little faster, but an integer past ``sys.get_int_max_str_digits()``
+    digits cannot be formatted, and as cells no value reaches ``exec``."""
+
+    def __init__(self, n: int, **cells):
+        self.n, self.cells = n, cells
+
+    def dot(self, name: str, row) -> str:
+        """row . (x0, ..., x{n-1}): a product per nonzero coefficient, each
+        coefficient the cell name{k}."""
+        terms = []
+        for k, v in enumerate(row):
+            if v:
+                self.cells[f"{name}{k}"] = v
+                terms.append(f"{name}{k} * x{k}")
+        return " + ".join(terms)
+
+    def tup(self, fmt: str) -> str:
+        """A tuple display of fmt for k = 0 ... n - 1."""
+        return "(" + "".join(fmt.format(k=k) + ", " for k in range(self.n)) + ")"
+
+    def compile(self, lines: list[str]):
+        """Runs lines as the body of the factory over the cells."""
+        scope: dict = {}
+        exec(f"def factory({', '.join(self.cells)}):\n" + "\n".join(f"    {s}" for s in lines), scope)
+        return scope["factory"](**self.cells)
+
+
 def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_per_bit):
     """(divide, divisions, walk) of a digit set, written out for its n
     from one source template and compiled by one ``exec``. ``DigitSet``
@@ -436,37 +516,25 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
     after a nonzero one. divisions looks up the digits congruent to p
     modulo phi in by_class.
 
-    The source carries names and shape only: a product per nonzero
-    coefficient, an index term per Smith modulus above 1. Every
-    coefficient, modulus, stride and divisor is a parameter of the
-    generated factory, read from a closure cell beside table, by_class,
-    zero, pad, index and ``_fault``. Literals would read a little faster,
-    but an integer past ``sys.get_int_max_str_digits()`` digits cannot be
-    formatted, and as cells no value reaches ``exec``. The cell spb is
-    filled from the steps_per_bit callable on the first walk without a
-    cap: that count can take far longer than the kernel (16,611 matrix
-    powers for [[2, 10^5000], [0, 3]]), and an explicit cap needs none.
+    The source (``_Template``) has a product per nonzero coefficient and
+    an index term per Smith modulus above 1; every coefficient, modulus,
+    stride and divisor is a cell beside table, by_class, zero, pad, index
+    and ``_fault``. The cell spb is filled from the steps_per_bit callable
+    on the first walk without a cap: that count can take far longer than
+    the kernel (16,611 matrix powers for [[2, 10^5000], [0, 3]]), and an
+    explicit cap needs none.
     """
     n = len(adj)
     mat, den = block
-    cells = dict(table=table, by_class=by_class, zero=zero, pad=pad, _fault=_fault, det=det, den=den)
-    cells.update(index=index, steps_per_bit=steps_per_bit, spb=None)
-
-    def dot(name, row):
-        terms = []
-        for k, v in enumerate(row):
-            if v:
-                cells[f"{name}{k}"] = v
-                terms.append(f"{name}{k} * x{k}")
-        return " + ".join(terms)
-
-    def tup(fmt):
-        return "(" + "".join(fmt.format(k=k) + ", " for k in range(n)) + ")"
-
+    src = _Template(
+        n, table=table, by_class=by_class, zero=zero, pad=pad, _fault=_fault, det=det, den=den,
+        index=index, steps_per_bit=steps_per_bit, spb=None,
+    )
+    dot, tup = src.dot, src.tup
     index_terms = []
     for i, (row, m, stride) in enumerate(rows):
         if m > 1:
-            cells[f"m{i}"], cells[f"s{i}"] = m, stride
+            src.cells[f"m{i}"], src.cells[f"s{i}"] = m, stride
             term = f"({dot(f'u{i}_', row)}) % m{i}"
             index_terms.append(f"{term} * s{i}" if stride > 1 else term)
     adj_p = [dot(f"a{i}_", row) for i, row in enumerate(adj)]
@@ -491,7 +559,7 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
         ]
 
     q, x, nonzero = tup("q{k}"), tup("x{k}"), " or ".join(f"x{k}" for k in range(n))
-    lines = [
+    return src.compile([
         "def divide(p):",
         f"    {x} = p",
         *(f"    {s}" for s in step(adj_p, "det", 1, "p", [f"return zero, {q}"], [f"return entry[0], {q}"])),
@@ -517,10 +585,90 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
         f"    cls = by_class.get({tup('t{k} % det')}, ())",
         f"    return [(d, {tup('(t{k} - e{k}) // det')}) for d, {tup('e{k}')} in cls]",
         "return divide, divisions, walk",
-    ]
-    scope: dict = {}
-    exec(f"def factory({', '.join(cells)}):\n" + "\n".join(f"    {s}" for s in lines), scope)
-    return scope["factory"](**cells)
+    ])
+
+
+def _oracle_kernel(adj, det, by_class, level):
+    """oracle(start, limit) of a digit set, written out for its n by the
+    template of ``_division_kernel`` and compiled on the set's first
+    oracle call: the zero-one breadth-first search of
+    ``optimality.min_weight_oracle`` over the states a word of any
+    congruent digits passes through.
+
+    A popped state sits in locals x0 ... x{n-1}; its distance is read
+    from dist, and zero returns it. The class key adj(phi) x mod det is
+    taken once, as divisions takes it. A state in the zero class has one
+    edge, its quotient by phi, of cost 0, pushed at the front; any other
+    has one edge of cost 1 per digit of its class, (adj(phi) x -
+    adj(phi) d) / det in digit order, pushed at the back. As adj(phi) x
+    and adj(phi) d leave the same remainders mod det, that edge is
+    adj(phi) x // det - adj(phi) d // det, and steps holds the second
+    term per digit: no edge divides. A state reached more cheaply than
+    before is checked against the norm cap first: the lower end of its
+    bracket at ``level`` = (D, M, H), the 64-bit level of
+    ``Geometry._level``, Q_M(y) - |y|^T H |y| (no H on an exact Gram
+    matrix), summed over i <= k with M_ik + M_ki and H_ik + H_ki off the
+    diagonal, is an integer over D compared with limit. Past it, the cell
+    escape raises NormCapError with the state. A drained queue returns
+    None: no word of value start stays under the cap.
+    """
+    n = len(adj)
+    _, m, h = level
+    steps = {
+        key: tuple(tuple(v // det for v in ad) for _, ad in cls) for key, cls in by_class.items()
+    }
+    src = _Template(n, det=det, steps=steps, deque=deque, escape=_escape)
+    adj_p = [src.dot(f"a{i}_", row) for i, row in enumerate(adj)]
+    low, wide = [], []
+    for i in range(n):
+        for k in range(i, n):
+            c = m[i][k] + m[k][i] if k > i else m[i][i] - (h[i][i] if h else 0)
+            e = h[i][k] + h[k][i] if h and k > i else 0
+            if c:
+                src.cells[f"g{i}_{k}"] = c
+                low.append(f"g{i}_{k} * (y{i} * y{k})")
+            if e:
+                src.cells[f"h{i}_{k}"] = e
+                wide.append(f"h{i}_{k} * abs(y{i} * y{k})")
+    lo = " + ".join(low) or "0"
+    if wide:
+        lo = f"{lo} - ({' + '.join(wide)})"
+    x, y, tup = src.tup("x{k}"), src.tup("y{k}"), src.tup
+
+    def relax(cost, push):
+        return [
+            f"if seen(nxt, {cost} + 1) > {cost}:",
+            f"    if {lo} > limit:",
+            "        escape(nxt)",
+            f"    dist[nxt] = {cost}",
+            f"    {push}(nxt)",
+        ]
+
+    return src.compile([
+        "def oracle(start, limit):",
+        "    dist = {start: 0}",
+        "    queue = deque((start,))",
+        "    pop, seen = queue.popleft, dist.get",
+        "    push, push_zero = queue.append, queue.appendleft",
+        "    while queue:",
+        "        cur = pop()",
+        "        base = dist[cur]",
+        f"        {x} = cur",
+        f"        if not ({' or '.join(f'x{k}' for k in range(n))}):",
+        "            return base",
+        *(f"        t{k} = {e}" for k, e in enumerate(adj_p)),
+        *(f"        q{k}, k{k} = t{k} // det, t{k} % det" for k in range(n)),
+        f"        if not ({' or '.join(f'k{k}' for k in range(n))}):",
+        f"            nxt = {y} = {tup('q{k}')}",
+        *(f"            {s}" for s in relax("base", "push_zero")),
+        "            continue",
+        "        cost = base + 1",
+        f"        for {tup('f{k}')} in steps.get({tup('k{k}')}, ()):",
+        f"            nxt = {y} = {tup('q{k} - f{k}')}",
+        *(f"            {s}" for s in relax("cost", "push")),
+        "    return None",
+        "return oracle",
+    ])
 
 
 def _expanding_geometry(source, w: int) -> Geometry:

@@ -17,14 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import lattice
-from .digitset import (
-    DigitSet,
-    FAMILY_INTERVAL,
-    Geometry,
-    max_digit_norm_sq_upper,
-)
-from .errors import ConsistencyError, PrecisionCapError
-from .exactreal import CReal, sqrt_upper
+from .digitset import DigitSet, FAMILY_INTERVAL
+from .errors import ConsistencyError
+from .exactreal import CReal
 from .expansion import CycleReport, step
 from .record import Record
 
@@ -62,29 +57,13 @@ class NadsVerdict(Record):
         return self.status != STATUS_COUNTEREXAMPLE
 
 
-def _u_hi(geo: Geometry) -> Fraction:
-    """Rational upper bound on the inverse contraction factor, strictly
-    below 1 (the factor itself is, since the base is expanding)."""
-    bits = 64
-    while True:
-        hi = geo.u.interval(bits).hi
-        if hi < 1:
-            return hi
-        bits *= 2
-        if bits > geo.precision_cap_bits:
-            raise PrecisionCapError(
-                "could not separate the contraction factor from 1"
-            )
-
-
 def invariant_ball_bound(ds: DigitSet) -> Fraction:
     """Rational M with: every orbit of the division map eventually enters
     and never leaves the ball of norm M. One division step maps norm b to
     at most u * (b + max digit norm), so the fixed point is
-    u / (1 - u) * (max digit norm)."""
-    u_hi = _u_hi(ds.geo)
-    md_hi = sqrt_upper(max_digit_norm_sq_upper(ds), 64)
-    return u_hi * md_hi / (1 - u_hi)
+    u / (1 - u) * (max digit norm). Computed once per set
+    (``DigitSet.invariant_ball_bound``)."""
+    return ds.invariant_ball_bound
 
 
 def certify(ds: DigitSet) -> NadsVerdict | None:

@@ -11,7 +11,8 @@ Two independent instruments:
   step strips any congruent digit (not only the canonical one), edges
   cost 1 for a nonzero digit and 0 otherwise. The oracle realizes the
   true minimum weight over all words and owes nothing to the window
-  recoding, so agreement is evidence, not circularity.
+  recoding, so agreement is evidence, not circularity. Its whole search
+  is one call of the digit set's generated kernel (``DigitSet.oracle``).
 
 Both stay inside the ball that one division step provably cannot leave,
 which makes the searches finite and complete.
@@ -135,7 +136,10 @@ def min_weight_oracle(
     """Minimum weight over ALL digit words with value p (not only window
     forms): zero-one shortest path on lattice states, where a state q
     steps to (q - digit)/base at cost one for a nonzero digit and zero
-    for the zero digit.
+    for the zero digit. The whole search is one call of the set's
+    generated ``DigitSet.oracle``; this function checks the point and
+    turns the norm cap into the integer limit that kernel compares the
+    lower bracket ends of states with.
 
     Raises NormCapError when the frontier provably exceeds the cap
     (cap too small), and LatnafError when no word exists at all.
@@ -154,27 +158,13 @@ def min_weight_oracle(
     # an integer over den, exceeds cap_sq
     limit = floor(cap_sq * den)
 
-    dist: dict[Point, int] = {start: 0}
-    queue: deque[Point] = deque([start])
-    while queue:
-        cur = queue.popleft()
-        base = dist[cur]
-        if cur == zero:
-            return base
-        for d, nxt in ds.divisions(cur):
-            cost = 0 if d == zero else 1
-            if nxt in dist and dist[nxt] <= base + cost:
-                continue
-            if geo.norm_sq_interval(nxt)[0] > limit:
-                raise NormCapError(
-                    f"state {nxt} escapes the norm cap {norm_cap}", nxt
-                )
-            dist[nxt] = base + cost
-            if cost == 0:
-                queue.appendleft(nxt)
-            else:
-                queue.append(nxt)
-    raise LatnafError(f"no digit word represents {start} within the cap")
+    try:
+        weight = ds.oracle(start, limit)
+    except NormCapError as e:
+        raise NormCapError(f"state {e.state} escapes the norm cap {norm_cap}", e.state) from None
+    if weight is None:
+        raise LatnafError(f"no digit word represents {start} within the cap")
+    return weight
 
 
 def _distance_table(ds: DigitSet, bound: Fraction) -> dict:

@@ -5,7 +5,7 @@ import pytest
 
 from latnaf import digitset as dsm
 from latnaf import expansion as em
-from latnaf import lattice
+from latnaf import intmat, lattice
 from latnaf import numberfield as nfm
 from latnaf.errors import LatnafError
 
@@ -159,6 +159,42 @@ def test_long_word_below_w0_fits_the_default_cap():
     assert len(e.word) == 2621
     assert em.value(ds.inst, e.word) == p
     assert em.is_wnaf(e)
+
+
+def _reference_steps_per_bit(ds):
+    """Reference: the least s with 4 |adj(phi)^s|_F^2 <= det^(2s) by a
+    linear scan forming every sum of squares and every power of det."""
+    if not lattice.is_expanding(ds.inst):
+        return ds.w
+    adj, det = ds.inst.adjugate, ds.inst.det
+    power, s = adj, 1
+    while 4 * sum(v * v for row in power for v in row) > det ** (2 * s):
+        power, s = intmat.mat_mul(power, adj), s + 1
+    return max(ds.w, s)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[2, 10], [0, -2]], 2),
+    ([[2, 10**40], [0, -2]], 2),
+    ([[2, 10**300], [0, 3]], 998),
+    ([[1, -1], [1, 1]], 3),
+    ([[3, 1], [-1, 3]], 1),
+    ([[2, 7, 1], [0, 3, 5], [0, 0, -2]], 5),
+])
+def test_steps_per_bit_matches_the_reference_scan(rows, want):
+    """[[2, b], [0, -2]] is not normal: phi^-s is 2^-s I for even s and
+    has a corner b 2^-(s+1) for odd s, so |phi^-s|_F falls and rises
+    again and the condition holds at s = 2 but fails at s = 3."""
+    ds = dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix(rows), 1)
+    assert ds.steps_per_bit == _reference_steps_per_bit(ds) == want
+    if rows[1][1] == -2:
+        adj, det = ds.inst.adjugate, ds.inst.det
+        holds = []
+        power = adj
+        for s in range(1, 4):
+            holds.append(4 * sum(v * v for row in power for v in row) <= det ** (2 * s))
+            power = intmat.mat_mul(power, adj)
+        assert holds == [False, True, False]
 
 
 def test_hand_built_set_on_a_non_expanding_base_reports_its_cycle():

@@ -1,11 +1,16 @@
 import random
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latnaf import digitset as dsm
 from latnaf import expansion as em
+from latnaf import lattice
 from latnaf import nadscheck as ncm
 from latnaf import numberfield as nfm
 from latnaf import optimality as om
@@ -17,6 +22,7 @@ from latnaf.errors import (
     MalformedDigitSetError,
     NormCapError,
 )
+from latnaf.exactreal import sqrt_upper
 
 
 def ds_int(tau, w):
@@ -372,3 +378,201 @@ def test_oracle_refuses_a_non_integer_point():
     # int() would answer for 2
     with pytest.raises(ValueError, match="not an integer: 2.9"):
         om.min_weight_oracle(ds_int(2, 2), (2.9,))
+
+
+# --- the oracle kernel vs the step-by-step search it replaced ---
+
+
+def _reference_oracle(ds, p, norm_cap=None):
+    """Reference: min_weight_oracle as a Python zero-one BFS, one
+    divisions call per state and one norm bracket per new state."""
+    inst = ds.inst
+    start = inst.check_point(p)
+    zero = inst.zero()
+    if start == zero:
+        return 0
+    geo = ds.geo
+    if norm_cap is None:
+        norm_cap = om.default_norm_cap(ds)
+    _, hi, den = geo.norm_sq_interval(start)
+    limit = floor(max(Fraction(norm_cap) ** 2, Fraction(hi, den)) * den)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        base = dist[cur]
+        if cur == zero:
+            return base
+        for d, nxt in ds.divisions(cur):
+            cost = 0 if d == zero else 1
+            if nxt in dist and dist[nxt] <= base + cost:
+                continue
+            if geo.norm_sq_interval(nxt)[0] > limit:
+                raise NormCapError(f"state {nxt} escapes the norm cap {norm_cap}", nxt)
+            dist[nxt] = base + cost
+            if cost == 0:
+                queue.appendleft(nxt)
+            else:
+                queue.append(nxt)
+    raise LatnafError(f"no digit word represents {start} within the cap")
+
+
+def _oracle_outcome(oracle, ds, p, norm_cap=None):
+    """The weight, or the exception's type, message, args and state."""
+    try:
+        return oracle(ds, p, norm_cap)
+    except (LatnafError, ValueError) as e:
+        return type(e), str(e), e.args, getattr(e, "state", None)
+
+
+ORACLE_SYSTEMS = {  # name: (build, coordinate bound of the drawn points)
+    "t2w2": (lambda: ds_int(2, 2), 10**6),
+    "t3w2": (DIFFERENTIAL["t3w2"][0], 10**6),
+    "q541w3": (DIFFERENTIAL["q541w3"][0], 1000),
+    "m31w2": (
+        lambda: dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix([[3, 1], [-1, 3]]), 2),
+        300,
+    ),
+    "c3101w4": (DIFFERENTIAL["c3101w4"][0], 12),
+    "custom541": (DIFFERENTIAL["custom541"][0], 300),
+    "far78": (lambda: dsm.from_digits(nfm.build([-3, 1]), 1, [(0,), (7,), (8,)]), 300),
+    "unreachable013": (lambda: dsm.from_digits(nfm.build([-2, 1]), 2, [(0,), (1,), (3,)]), 300),
+}
+CUSTOM_ORACLE = ("custom541", "far78", "unreachable013")
+
+
+@lru_cache(maxsize=None)
+def oracle_system(name):
+    return ORACLE_SYSTEMS[name][0]()
+
+
+def _drawn_point(name):
+    bound = ORACLE_SYSTEMS[name][1]
+    n = oracle_system(name).inst.n
+    return st.tuples(*[st.integers(-bound, bound)] * n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(set(ORACLE_SYSTEMS) - set(CUSTOM_ORACLE))).flatmap(
+    lambda name: st.tuples(st.just(name), _drawn_point(name))
+))
+def test_oracle_kernel_matches_reference_bfs(case):
+    name, p = case
+    ds = oracle_system(name)
+    want = _oracle_outcome(_reference_oracle, ds, p)
+    assert _oracle_outcome(om.min_weight_oracle, ds, p) == want
+
+
+@pytest.mark.parametrize("name", CUSTOM_ORACLE)
+def test_oracle_kernel_matches_reference_bfs_on_custom_sets(name):
+    """A moved digit, and two sets of positive digits, {7, 8} at base 3
+    and {1, 3} at base 2, from which every step of a negative point stays
+    negative, so it reaches no word. The same weights and the same
+    LatnafError."""
+    ds = oracle_system(name)
+    rng = random.Random(f"oracle-custom/{name}")
+    pts = [tuple(rng.randint(-300, 300) for _ in range(ds.inst.n)) for _ in range(30)]
+    pts += [tuple(v for _ in range(ds.inst.n)) for v in range(-4, 5)]
+    outcomes = []
+    for p in pts:
+        want = _oracle_outcome(_reference_oracle, ds, p)
+        assert _oracle_outcome(om.min_weight_oracle, ds, p) == want, p
+        outcomes.append(want)
+    raised = [o for o in outcomes if isinstance(o, tuple)]
+    assert bool(raised) == (name != "custom541")
+    assert all(o[0] is LatnafError and "no digit word" in o[1] for o in raised)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_oracle_kernel_matches_reference_bfs_under_small_caps(name):
+    """Explicit caps from 1 up: the same weight, or a NormCapError on the
+    same state with the same message."""
+    ds = oracle_system(name)
+    rng = random.Random(f"oracle-caps/{name}")
+    bound = min(ORACLE_SYSTEMS[name][1], 40)
+    kinds = set()
+    n = ds.inst.n
+    for cap in (1, 2, Fraction(7, 2), 6, 12, 30):
+        pts = [(1,) * n, (-2,) + (1,) * (n - 1)]
+        pts += [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(5)]
+        for p in pts:
+            want = _oracle_outcome(_reference_oracle, ds, p, cap)
+            assert _oracle_outcome(om.min_weight_oracle, ds, p, cap) == want, (p, cap)
+            kinds.add(want[0] if isinstance(want, tuple) else int)
+    # on t2w2, t3w2 and {0, 1, 3} the states of these points stay within
+    # the start's norm, which the cap never goes below
+    assert int in kinds
+    assert (NormCapError in kinds) == (name not in ("t2w2", "t3w2", "unreachable013"))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_oracle_kernel_matches_reference_bfs_on_bad_and_zero_points(name):
+    ds = oracle_system(name)
+    n = ds.inst.n
+    for p in [(0,) * n, (2.9,) + (1,) * (n - 1), (1,) * (n + 1)]:
+        want = _oracle_outcome(_reference_oracle, ds, p)
+        assert _oracle_outcome(om.min_weight_oracle, ds, p) == want, p
+    assert om.min_weight_oracle(ds, (0,) * n) == 0
+
+
+def test_an_oracle_call_is_one_kernel_call(monkeypatch):
+    """min_weight_oracle brackets the start point's norm and hands the
+    search to the generated kernel: no divisions call and no further
+    norm bracket, whatever the number of states. The kernel is compiled
+    on a set's first oracle call, and expansion, orbit search and the
+    sweep never compile it."""
+    divisions, brackets, compiled = [], [], []
+
+    def counting(calls, fn):
+        return lambda *args: calls.append(args[-1]) or fn(*args)
+
+    monkeypatch.setattr(dsm.DigitSet, "divisions", counting(divisions, dsm.DigitSet.divisions))
+    monkeypatch.setattr(
+        dsm.Geometry, "norm_sq_interval", counting(brackets, dsm.Geometry.norm_sq_interval)
+    )
+    monkeypatch.setattr(dsm, "_oracle_kernel", counting(compiled, dsm._oracle_kernel))
+    for name in ("t2w2", "t3w2", "q541w3", "m31w2", "c3101w4"):
+        ds = ORACLE_SYSTEMS[name][0]()
+        n = ds.inst.n
+        em.expand(ds, (7,) * n)
+        ncm.invariant_ball_bound(ds)  # brackets every digit, once per set
+        assert compiled == []
+        for p in [(5,) * n, (-9,) + (4,) * (n - 1), (11,) * n]:
+            divisions.clear()
+            brackets.clear()
+            assert om.min_weight_oracle(ds, p) == _reference_oracle(ds, p)
+            assert brackets[0] == p and len(brackets) > 1 and divisions  # the reference
+            divisions.clear()
+            brackets.clear()
+            om.min_weight_oracle(ds, p)
+            assert divisions == [] and brackets == [p]
+        assert len(compiled) == 1
+        compiled.clear()
+    ds = ds_int(3, 2)
+    ncm.decide(ds)
+    om.verify_empirically(ds, 30)
+    assert compiled == []
+
+
+def _reference_ball_bound(ds):
+    """Reference: the invariant-ball bound as nadscheck computed it per call."""
+    bits = 64
+    while (u_hi := ds.geo.u.interval(bits).hi) >= 1:
+        bits *= 2
+    md_hi = sqrt_upper(dsm.max_digit_norm_sq_upper(ds), 64)
+    return u_hi * md_hi / (1 - u_hi)
+
+
+def test_the_invariant_ball_bound_is_computed_once_per_set(monkeypatch):
+    sets = [ORACLE_SYSTEMS[name][0]() for name in ("t2w2", "q541w3", "m31w2", "custom541")]
+    want = [_reference_ball_bound(ds) for ds in sets]
+    calls = []
+    real = dsm.max_digit_norm_sq_upper
+    monkeypatch.setattr(dsm, "max_digit_norm_sq_upper", lambda ds: calls.append(ds) or real(ds))
+    for ds, bound in zip(sets, want):
+        for _ in range(3):
+            assert ncm.invariant_ball_bound(ds) == bound
+        assert om.default_norm_cap(ds) == 2 * bound
+        om.min_weight_oracle(ds, (3,) * ds.inst.n)
+        om.verify_empirically(ds, 3)
+    assert calls == sets
