@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import inf, lcm, prod
 from operator import index, mul
 
 from . import intmat, lattice, numberfield, quadform
@@ -394,11 +394,18 @@ class DigitSet(Record):
         """The zero-one search of ``optimality.min_weight_oracle``, a plain
         function oracle(start, limit) compiled on first use: the least
         weight of a digit word of value start (a point tuple), or None
-        when no word is found. A state whose 64-bit norm bracket has its
-        lower end, an integer over the den of ``Geometry.norm_sq_interval``,
-        above limit raises NormCapError carrying it."""
+        when no word is found. The search stops once the least distance of
+        a state equal to a nonzero digit is settled (``_oracle_kernel``).
+        A state it relaxes whose 64-bit norm bracket has its lower end, an
+        integer over the den of ``Geometry.norm_sq_interval``, above limit
+        raises NormCapError carrying it. As the stopped search relaxes a
+        prefix of the states the search run to zero relaxes, it raises
+        only where that one raises on the same state, and returns the
+        exact weight where that one would escape after the answer is
+        settled."""
         adj, det, _, _, _, by_class, _, _ = self._tables
-        return _oracle_kernel(adj, det, by_class, self.geo._level(64))
+        digits = frozenset(self.nonzero_digits)
+        return _oracle_kernel(adj, det, by_class, digits, self.geo._level(64))
 
     @cached_property
     def invariant_ball_bound(self) -> Fraction:
@@ -588,18 +595,18 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
     ])
 
 
-def _oracle_kernel(adj, det, by_class, level):
+def _oracle_kernel(adj, det, by_class, digits, level):
     """oracle(start, limit) of a digit set, written out for its n by the
     template of ``_division_kernel`` and compiled on the set's first
     oracle call: the zero-one breadth-first search of
     ``optimality.min_weight_oracle`` over the states a word of any
-    congruent digits passes through.
+    congruent digits passes through, stopped once its answer is settled.
 
-    A popped state sits in locals x0 ... x{n-1}; its distance is read
-    from dist, and zero returns it. The class key adj(phi) x mod det is
-    taken once, as divisions takes it. A state in the zero class has one
-    edge, its quotient by phi, of cost 0, pushed at the front; any other
-    has one edge of cost 1 per digit of its class, (adj(phi) x -
+    A zero start returns 0. A popped state sits in locals x0 ... x{n-1}
+    and its distance is read from dist. The class key adj(phi) x mod det
+    is taken once, as divisions takes it. A state in the zero class has
+    one edge, its quotient by phi, of cost 0, pushed at the front; any
+    other has one edge of cost 1 per digit of its class, (adj(phi) x -
     adj(phi) d) / det in digit order, pushed at the back. As adj(phi) x
     and adj(phi) d leave the same remainders mod det, that edge is
     adj(phi) x // det - adj(phi) d // det, and steps holds the second
@@ -609,15 +616,37 @@ def _oracle_kernel(adj, det, by_class, level):
     ``Geometry._level``, Q_M(y) - |y|^T H |y| (no H on an exact Gram
     matrix), summed over i <= k with M_ik + M_ki and H_ik + H_ki off the
     diagonal, is an integer over D compared with limit. Past it, the cell
-    escape raises NormCapError with the state. A drained queue returns
-    None: no word of value start stays under the cap.
+    escape raises NormCapError with the state.
+
+    The stop. A nonzero state x reaches zero only through a cost-1 edge
+    with digit d = x (the quotient of a nonzero state by phi is nonzero),
+    so the weight is 1 + the least distance of a state that equals a
+    nonzero digit (the frozenset cell digits). reach holds the least
+    distance at which a relaxed state equals one: 0 for a start in
+    digits, the cell never (infinity) until one is found. Zero-one search
+    pops states in nondecreasing distance: when it pops one at distance
+    b, every state at a true distance below b has been popped, and was
+    relaxed at that distance. So once a popped distance is >= reach, no
+    digit state closer than reach is left, and reach + 1 is returned.
+    Until then a cost-0 edge relaxes at base < reach and a cost-1 edge
+    at base + 1 <= reach, so a digit state found simply sets reach. Zero
+    itself is never relaxed: its only edges in leave digit states, and a
+    popped digit state returns before its edges are taken.
+
+    The relaxations are therefore a prefix of those of the search run to
+    zero, in the same order. Where that search returns a weight, this
+    returns the same one; this raises NormCapError only on the state
+    where that search raises it; and where that search would escape
+    after the answer is settled, this returns the exact weight. A
+    drained queue returns None: no digit state, hence no word of value
+    start, was reached under the cap.
     """
     n = len(adj)
     _, m, h = level
     steps = {
         key: tuple(tuple(v // det for v in ad) for _, ad in cls) for key, cls in by_class.items()
     }
-    src = _Template(n, det=det, steps=steps, deque=deque, escape=_escape)
+    src = _Template(n, det=det, steps=steps, digits=digits, deque=deque, escape=_escape, never=inf)
     adj_p = [src.dot(f"a{i}_", row) for i, row in enumerate(adj)]
     low, wide = [], []
     for i in range(n):
@@ -640,12 +669,17 @@ def _oracle_kernel(adj, det, by_class, level):
             f"if seen(nxt, {cost} + 1) > {cost}:",
             f"    if {lo} > limit:",
             "        escape(nxt)",
+            "    if nxt in digits:",
+            f"        reach = {cost}",
             f"    dist[nxt] = {cost}",
             f"    {push}(nxt)",
         ]
 
     return src.compile([
         "def oracle(start, limit):",
+        f"    if not ({' or '.join(f'start[{k}]' for k in range(n))}):",
+        "        return 0",
+        "    reach = 0 if start in digits else never",
         "    dist = {start: 0}",
         "    queue = deque((start,))",
         "    pop, seen = queue.popleft, dist.get",
@@ -653,9 +687,9 @@ def _oracle_kernel(adj, det, by_class, level):
         "    while queue:",
         "        cur = pop()",
         "        base = dist[cur]",
+        "        if base >= reach:",
+        "            return reach + 1",
         f"        {x} = cur",
-        f"        if not ({' or '.join(f'x{k}' for k in range(n))}):",
-        "            return base",
         *(f"        t{k} = {e}" for k, e in enumerate(adj_p)),
         *(f"        q{k}, k{k} = t{k} // det, t{k} % det" for k in range(n)),
         f"        if not ({' or '.join(f'k{k}' for k in range(n))}):",

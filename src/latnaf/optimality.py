@@ -12,10 +12,16 @@ Two independent instruments:
   cost 1 for a nonzero digit and 0 otherwise. The oracle realizes the
   true minimum weight over all words and owes nothing to the window
   recoding, so agreement is evidence, not circularity. Its whole search
-  is one call of the digit set's generated kernel (``DigitSet.oracle``).
+  is one call of the digit set's generated kernel (``DigitSet.oracle``),
+  which stops once the least weight is settled.
 
-Both stay inside the ball that one division step provably cannot leave,
-which makes the searches finite and complete.
+The oracle checks each state it relaxes against a norm cap, by default
+twice the radius of the ball that orbits of the division map enter and
+never leave (``nadscheck.invariant_ball_bound``). A state past the cap
+raises NormCapError instead of being dropped, so no answer comes from a
+pruned search; as the search stops once the weight is settled, a cap it
+would pass only later does not raise. The empirical sweep's reverse
+table covers at least that ball, which forward minimum paths never leave.
 """
 
 from __future__ import annotations
@@ -139,10 +145,15 @@ def min_weight_oracle(
     for the zero digit. The whole search is one call of the set's
     generated ``DigitSet.oracle``; this function checks the point and
     turns the norm cap into the integer limit that kernel compares the
-    lower bracket ends of states with.
+    lower bracket ends of states with. The search stops as soon as the
+    least distance of a state equal to a nonzero digit is settled: zero
+    is reached only through such a state, at cost one.
 
-    Raises NormCapError when the frontier provably exceeds the cap
-    (cap too small), and LatnafError when no word exists at all.
+    Raises NormCapError when a state the search relaxes before that
+    provably exceeds the cap (cap too small), on the same state where
+    the search run to zero raises it; a cap that search would exceed only
+    after the answer is settled gives the exact weight. Raises
+    LatnafError when no word exists at all.
     """
     inst = ds.inst
     start = inst.check_point(p)
@@ -153,10 +164,9 @@ def min_weight_oracle(
     if norm_cap is None:
         norm_cap = default_norm_cap(ds)
     _, hi, den = geo.norm_sq_interval(start)
-    cap_sq = max(Fraction(norm_cap) ** 2, Fraction(hi, den))
-    # every bracket shares den: a state escapes once its lower end,
-    # an integer over den, exceeds cap_sq
-    limit = floor(cap_sq * den)
+    # every bracket shares den: a state escapes once its lower end, an
+    # integer over den, exceeds max(cap^2, hi / den); hi is an integer
+    limit = max(floor(Fraction(norm_cap) ** 2 * den), hi)
 
     try:
         weight = ds.oracle(start, limit)

@@ -383,9 +383,13 @@ def test_oracle_refuses_a_non_integer_point():
 # --- the oracle kernel vs the step-by-step search it replaced ---
 
 
-def _reference_oracle(ds, p, norm_cap=None):
+def _reference_oracle(ds, p, norm_cap=None, settle=True):
     """Reference: min_weight_oracle as a Python zero-one BFS, one
-    divisions call per state and one norm bracket per new state."""
+    divisions call per state and one norm bracket per new state. best is
+    1 + the least distance at which a relaxed state equals a nonzero
+    digit, the only states with an edge to zero. With settle, the search
+    returns best once a popped state is at distance best - 1 or more;
+    without, it runs on until it pops zero."""
     inst = ds.inst
     start = inst.check_point(p)
     zero = inst.zero()
@@ -396,11 +400,15 @@ def _reference_oracle(ds, p, norm_cap=None):
         norm_cap = om.default_norm_cap(ds)
     _, hi, den = geo.norm_sq_interval(start)
     limit = floor(max(Fraction(norm_cap) ** 2, Fraction(hi, den)) * den)
+    digits = set(ds.nonzero_digits)
+    best = 1 if start in digits else None
     dist = {start: 0}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
         base = dist[cur]
+        if settle and best is not None and base >= best - 1:
+            return best
         if cur == zero:
             return base
         for d, nxt in ds.divisions(cur):
@@ -410,11 +418,18 @@ def _reference_oracle(ds, p, norm_cap=None):
             if geo.norm_sq_interval(nxt)[0] > limit:
                 raise NormCapError(f"state {nxt} escapes the norm cap {norm_cap}", nxt)
             dist[nxt] = base + cost
+            if nxt in digits and (best is None or base + cost + 1 < best):
+                best = base + cost + 1
             if cost == 0:
                 queue.appendleft(nxt)
             else:
                 queue.append(nxt)
     raise LatnafError(f"no digit word represents {start} within the cap")
+
+
+def _full_reference_oracle(ds, p, norm_cap=None):
+    """Reference: the same search run on until it pops zero."""
+    return _reference_oracle(ds, p, norm_cap, settle=False)
 
 
 def _oracle_outcome(oracle, ds, p, norm_cap=None):
@@ -439,6 +454,7 @@ ORACLE_SYSTEMS = {  # name: (build, coordinate bound of the drawn points)
     "unreachable013": (lambda: dsm.from_digits(nfm.build([-2, 1]), 2, [(0,), (1,), (3,)]), 300),
 }
 CUSTOM_ORACLE = ("custom541", "far78", "unreachable013")
+DECIDED_ORACLE = sorted(set(ORACLE_SYSTEMS) - set(CUSTOM_ORACLE))
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +469,7 @@ def _drawn_point(name):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.sampled_from(sorted(set(ORACLE_SYSTEMS) - set(CUSTOM_ORACLE))).flatmap(
+@given(st.sampled_from(DECIDED_ORACLE).flatmap(
     lambda name: st.tuples(st.just(name), _drawn_point(name))
 ))
 def test_oracle_kernel_matches_reference_bfs(case):
@@ -500,9 +516,57 @@ def test_oracle_kernel_matches_reference_bfs_under_small_caps(name):
             assert _oracle_outcome(om.min_weight_oracle, ds, p, cap) == want, (p, cap)
             kinds.add(want[0] if isinstance(want, tuple) else int)
     # on t2w2, t3w2 and {0, 1, 3} the states of these points stay within
-    # the start's norm, which the cap never goes below
+    # the start's norm, which the cap never goes below; on m31w2 and
+    # q541w3 only digit starts escaped the search run to zero, and a
+    # digit start settles before it relaxes a state
     assert int in kinds
-    assert (NormCapError in kinds) == (name not in ("t2w2", "t3w2", "unreachable013"))
+    assert (NormCapError in kinds) == (name in ("c3101w4", "custom541", "far78"))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_stopped_oracle_against_the_search_run_to_zero(name):
+    """The stopped kernel against the full search under every cap: the
+    same weight wherever the full search returns one; a NormCapError only
+    where the full search raises the same one on the same state; and
+    where only the full search escapes, the weight under the default cap
+    (twice the invariant ball, which minimum paths never leave)."""
+    ds = oracle_system(name)
+    n = ds.inst.n
+    rng = random.Random(f"oracle-settled/{name}")
+    bound = min(ORACLE_SYSTEMS[name][1], 40)
+    pts = [(1,) * n, (-2,) + (1,) * (n - 1)]
+    pts += [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(12)]
+    early = []
+    for cap in (None, 1, 2, Fraction(7, 2), 6, 12, 30):
+        for p in pts:
+            got = _oracle_outcome(om.min_weight_oracle, ds, p, cap)
+            full = _oracle_outcome(_full_reference_oracle, ds, p, cap)
+            if got == full:
+                continue
+            assert isinstance(got, int) and full[0] is NormCapError, (p, cap)
+            assert got == _full_reference_oracle(ds, p), (p, cap)
+            early.append((p, cap))
+    # on t2w2, t3w2 and {0, 1, 3} no state passes the start's norm, and
+    # on {7, 8} every escape comes before the weight is settled
+    assert bool(early) == (name in ("c3101w4", "custom541", "m31w2", "q541w3"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(DECIDED_ORACLE).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.integers(0, len(oracle_system(name).nonzero_digits) - 1),
+    st.integers(0, 6),
+    _drawn_point(name),
+)))
+def test_oracle_weight_one_on_shifted_digits_and_at_most_the_expansion(case):
+    """phi^k d has the word of k zeros then d, so weight 1: at k = 0 the
+    start is itself a digit and the search settles before it relaxes a
+    state. At any point the oracle weighs no more than the w-NAF."""
+    name, i, k, p = case
+    ds = oracle_system(name)
+    d = ds.nonzero_digits[i]
+    assert om.min_weight_oracle(ds, lattice.apply_phi(ds.inst, d, k)) == 1
+    assert om.min_weight_oracle(ds, p) <= em.expand(ds, p).weight
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
@@ -540,7 +604,7 @@ def test_an_oracle_call_is_one_kernel_call(monkeypatch):
         for p in [(5,) * n, (-9,) + (4,) * (n - 1), (11,) * n]:
             divisions.clear()
             brackets.clear()
-            assert om.min_weight_oracle(ds, p) == _reference_oracle(ds, p)
+            assert om.min_weight_oracle(ds, p) == _full_reference_oracle(ds, p)
             assert brackets[0] == p and len(brackets) > 1 and divisions  # the reference
             divisions.clear()
             brackets.clear()
