@@ -394,18 +394,16 @@ class DigitSet(Record):
         """The zero-one search of ``optimality.min_weight_oracle``, a plain
         function oracle(start, limit) compiled on first use: the least
         weight of a digit word of value start (a point tuple), or None
-        when no word is found. The search stops once the least distance of
-        a state equal to a nonzero digit is settled (``_oracle_kernel``).
-        A state it relaxes whose 64-bit norm bracket has its lower end, an
-        integer over the den of ``Geometry.norm_sq_interval``, above limit
-        raises NormCapError carrying it. As the stopped search relaxes a
-        prefix of the states the search run to zero relaxes, it raises
-        only where that one raises on the same state, and returns the
-        exact weight where that one would escape after the answer is
-        settled."""
-        adj, det, _, _, _, by_class, _, _ = self._tables
-        digits = frozenset(self.nonzero_digits)
-        return _oracle_kernel(adj, det, by_class, digits, self.geo._level(64))
+        when no word is found. The search is bounded by the weight of the
+        w-NAF of start, a word of the set that walk's block step in the
+        same kernel takes (no division kernel is compiled), and stops once
+        its answer is settled (``_oracle_kernel``). A state it relaxes
+        whose 64-bit norm bracket has its lower end, an integer over the
+        den of ``Geometry.norm_sq_interval``, above limit raises
+        NormCapError carrying it: only where the search run to zero with
+        no bound raises too. Where that one returns a weight, this returns
+        the same one."""
+        return _oracle_kernel(*self._tables, self.geo._level(64), self.steps_per_bit)
 
     @cached_property
     def invariant_ball_bound(self) -> Fraction:
@@ -497,6 +495,40 @@ class _Template:
         """A tuple display of fmt for k = 0 ... n - 1."""
         return "(" + "".join(fmt.format(k=k) + ", " for k in range(self.n)) + ")"
 
+    def classes(self, adj, det, rows, table) -> None:
+        """Readies ``step`` on a set's tables: the class index terms, and
+        adj_p, the products adj(phi) x."""
+        self.cells.update(table=table, det=det, _fault=_fault)
+        terms = []
+        for i, (row, m, stride) in enumerate(rows):
+            if m > 1:
+                self.cells[f"m{i}"], self.cells[f"s{i}"] = m, stride
+                term = f"({self.dot(f'u{i}_', row)}) % m{i}"
+                terms.append(f"{term} * s{i}" if stride > 1 else term)
+        self.index = " + ".join(terms) or "0"
+        self.adj_p = [self.dot(f"a{i}_", row) for i, row in enumerate(adj)]
+
+    def step(self, exprs, dv, slot, point, zero_tail, digit_tail) -> list[str]:
+        """The quotient body of ``_division_kernel``: x0 ... x{n-1} into
+        q0 ... q{n-1}, then zero_tail or digit_tail."""
+
+        def settle(exprs, dv):
+            return [
+                *(f"q{k}, r{k} = divmod({e}, {dv})" for k, e in enumerate(exprs)),
+                f"if {' or '.join(f'r{k}' for k in range(self.n))}:",
+                f"    raise _fault(entry, {point})",
+            ]
+
+        return [
+            f"entry = table[{self.index}]",
+            "if entry is None:",
+            *(f"    {s}" for s in [*settle(self.adj_p, "det"), *zero_tail]),
+            "else:",
+            f"    {self.tup('e{k}')} = entry[{slot}]",
+            *(f"    {s}" for s in settle([f"{e} - e{k}" for k, e in enumerate(exprs)], dv)),
+            *(f"    {s}" for s in digit_tail),
+        ]
+
     def compile(self, lines: list[str]):
         """Runs lines as the body of the factory over the cells."""
         scope: dict = {}
@@ -510,13 +542,14 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
     calls it on its first division, not when the set is built: building
     and printing a set needs no kernel.
 
-    divide and walk share one quotient body, step(mat, den, slot). It
-    reads the table entry at the class index of x modulo phi^w, the
-    mixed-radix sum of (u_i x) mod m_i times its stride, None standing
-    for the zero digit (a class inside phi Z^n): then q = adj(phi) x /
-    det, else q = (mat x - entry[slot]) / den, raising ``_fault`` on a
-    nonzero remainder. An entry is (d, adj(phi) d, A d) with phi^-w =
-    A / q, block being (A, q). divide is step(adj(phi), det, 1); walk
+    divide, walk and the oracle's w-NAF share one quotient body,
+    ``_Template.step`` with (mat, den, slot). It reads the table entry at
+    the class index of x modulo phi^w, the mixed-radix sum of (u_i x) mod
+    m_i times its stride, None standing for the zero digit (a class
+    inside phi Z^n): then q = adj(phi) x / det, else q = (mat x -
+    entry[slot]) / den, raising ``_fault`` on a nonzero remainder. An
+    entry is (d, adj(phi) d, A d) with phi^-w = A / q, block being (A,
+    q). divide is step(adj(phi), det, 1); walk
     reads its raw point into locals x0 ... x{n-1} through index, a cap
     None as 64 + spb (8 + x0.bit_length() + ...), and loops step(A, q, 2),
     writing the digit and, unless q is zero, pad (the w - 1 forced zeros)
@@ -534,37 +567,12 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
     n = len(adj)
     mat, den = block
     src = _Template(
-        n, table=table, by_class=by_class, zero=zero, pad=pad, _fault=_fault, det=det, den=den,
+        n, by_class=by_class, zero=zero, pad=pad, den=den,
         index=index, steps_per_bit=steps_per_bit, spb=None,
     )
-    dot, tup = src.dot, src.tup
-    index_terms = []
-    for i, (row, m, stride) in enumerate(rows):
-        if m > 1:
-            src.cells[f"m{i}"], src.cells[f"s{i}"] = m, stride
-            term = f"({dot(f'u{i}_', row)}) % m{i}"
-            index_terms.append(f"{term} * s{i}" if stride > 1 else term)
-    adj_p = [dot(f"a{i}_", row) for i, row in enumerate(adj)]
-    mat_p = [dot(f"b{i}_", row) for i, row in enumerate(mat)]
-
-    def settle(exprs, dv, point):
-        return [
-            *(f"q{k}, r{k} = divmod({e}, {dv})" for k, e in enumerate(exprs)),
-            f"if {' or '.join(f'r{k}' for k in range(n))}:",
-            f"    raise _fault(entry, {point})",
-        ]
-
-    def step(exprs, dv, slot, point, zero_tail, digit_tail):
-        return [
-            f"entry = table[{' + '.join(index_terms) or '0'}]",
-            "if entry is None:",
-            *(f"    {s}" for s in [*settle(adj_p, "det", point), *zero_tail]),
-            "else:",
-            f"    {tup('e{k}')} = entry[{slot}]",
-            *(f"    {s}" for s in settle([f"{e} - e{k}" for k, e in enumerate(exprs)], dv, point)),
-            *(f"    {s}" for s in digit_tail),
-        ]
-
+    src.classes(adj, det, rows, table)
+    tup, step, adj_p = src.tup, src.step, src.adj_p
+    mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
     q, x, nonzero = tup("q{k}"), tup("x{k}"), " or ".join(f"x{k}" for k in range(n))
     return src.compile([
         "def divide(p):",
@@ -595,59 +603,69 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
     ])
 
 
-def _oracle_kernel(adj, det, by_class, digits, level):
+def _oracle_kernel(adj, det, block, rows, table, by_class, zero, pad, level, spb):
     """oracle(start, limit) of a digit set, written out for its n by the
     template of ``_division_kernel`` and compiled on the set's first
     oracle call: the zero-one breadth-first search of
     ``optimality.min_weight_oracle`` over the states a word of any
-    congruent digits passes through, stopped once its answer is settled.
+    congruent digits passes through, bounded by the w-NAF's weight.
 
-    A zero start returns 0. A popped state sits in locals x0 ... x{n-1}
-    and its distance is read from dist. The class key adj(phi) x mod det
-    is taken once, as divisions takes it. A state in the zero class has
-    one edge, its quotient by phi, of cost 0, pushed at the front; any
-    other has one edge of cost 1 per digit of its class, (adj(phi) x -
-    adj(phi) d) / det in digit order, pushed at the back. As adj(phi) x
-    and adj(phi) d leave the same remainders mod det, that edge is
-    adj(phi) x // det - adj(phi) d // det, and steps holds the second
-    term per digit: no edge divides. A state reached more cheaply than
-    before is checked against the norm cap first: the lower end of its
-    bracket at ``level`` = (D, M, H), the 64-bit level of
+    The incumbent. The kernel first loops walk's block step
+    (``_Template.step``) from start under walk's default cap, 64 + spb (8
+    + the coordinate bit lengths), counting nonzero digits: U, the weight
+    of the w-NAF, or the cell never (infinity) with no word within the
+    cap, as on a cycle. The w-NAF is a word of the set (every remainder is
+    checked, a fault raising ``_fault`` as in walk), so the least weight
+    is at most U, and the search only rules out lighter words.
+
+    The search. A popped state sits in locals x0 ... x{n-1}; one popped
+    again after a cost-0 edge improved it is in done and skipped. The
+    class key adj(phi) x mod det is taken once, as divisions takes it. A
+    state in the zero class has one edge, its quotient by phi, of cost 0,
+    pushed at the front; any other has one edge of cost 1 per digit of
+    its class, (adj(phi) x - adj(phi) d) / det in digit order, pushed at
+    the back. As adj(phi) x and adj(phi) d leave the same remainders mod
+    det, that edge is adj(phi) x // det - adj(phi) d // det, and steps
+    holds the second term per digit: no edge divides. A state reached
+    more cheaply than before is checked against the norm cap first: the
+    lower end of its bracket at ``level`` = (D, M, H), the 64-bit level of
     ``Geometry._level``, Q_M(y) - |y|^T H |y| (no H on an exact Gram
     matrix), summed over i <= k with M_ik + M_ki and H_ik + H_ki off the
     diagonal, is an integer over D compared with limit. Past it, the cell
     escape raises NormCapError with the state.
 
-    The stop. A nonzero state x reaches zero only through a cost-1 edge
+    The bound. A nonzero state x reaches zero only through a cost-1 edge
     with digit d = x (the quotient of a nonzero state by phi is nonzero),
-    so the weight is 1 + the least distance of a state that equals a
-    nonzero digit (the frozenset cell digits). reach holds the least
-    distance at which a relaxed state equals one: 0 for a start in
-    digits, the cell never (infinity) until one is found. Zero-one search
-    pops states in nondecreasing distance: when it pops one at distance
-    b, every state at a true distance below b has been popped, and was
-    relaxed at that distance. So once a popped distance is >= reach, no
-    digit state closer than reach is left, and reach + 1 is returned.
-    Until then a cost-0 edge relaxes at base < reach and a cost-1 edge
-    at base + 1 <= reach, so a digit state found simply sets reach. Zero
-    itself is never relaxed: its only edges in leave digit states, and a
-    popped digit state returns before its edges are taken.
+    so the weight is 1 + the least distance of a state equal to a nonzero
+    digit (the frozenset cell digits). reach bounds that distance: U - 1
+    at first, then the distance of each closer digit state relaxed.
+    Zero-one search pops states in nondecreasing distance, each at its
+    true distance, so once a popped distance is >= reach, reach + 1 is
+    returned (a zero start at once, U being 0). Until then a cost-0 edge
+    relaxes at base < reach, and a pop with base + 1 >= reach takes no
+    cost-1 edge: those lead to no lighter word. A drained queue returns
+    reach + 1, or None while reach is infinite: no word under the cap.
 
-    The relaxations are therefore a prefix of those of the search run to
-    zero, in the same order. Where that search returns a weight, this
-    returns the same one; this raises NormCapError only on the state
-    where that search raises it; and where that search would escape
-    after the answer is settled, this returns the exact weight. A
-    drained queue returns None: no digit state, hence no word of value
-    start, was reached under the cap.
+    Left out of the relaxations of the search run to zero with no bound
+    are only states that search would not pop before this one returns,
+    and the rest keep their order. So where that search returns a
+    weight, this returns the same one; this raises NormCapError only
+    where that search raises too; and it may return the exact weight
+    where that search escapes.
     """
     n = len(adj)
     _, m, h = level
+    mat, den = block
     steps = {
         key: tuple(tuple(v // det for v in ad) for _, ad in cls) for key, cls in by_class.items()
     }
-    src = _Template(n, det=det, steps=steps, digits=digits, deque=deque, escape=_escape, never=inf)
-    adj_p = [src.dot(f"a{i}_", row) for i, row in enumerate(adj)]
+    digits = frozenset(e[0] for e in table if e is not None)
+    src = _Template(
+        n, den=den, w=len(pad) + 1, spb=spb, steps=steps, digits=digits, deque=deque,
+        escape=_escape, never=inf,
+    )
+    src.classes(adj, det, rows, table)
+    mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
     low, wide = [], []
     for i in range(n):
         for k in range(i, n):
@@ -662,7 +680,8 @@ def _oracle_kernel(adj, det, by_class, digits, level):
     lo = " + ".join(low) or "0"
     if wide:
         lo = f"{lo} - ({' + '.join(wide)})"
-    x, y, tup = src.tup("x{k}"), src.tup("y{k}"), src.tup
+    tup = src.tup
+    q, x, y = tup("q{k}"), tup("x{k}"), tup("y{k}")
 
     def relax(cost, push):
         return [
@@ -677,30 +696,44 @@ def _oracle_kernel(adj, det, by_class, digits, level):
 
     return src.compile([
         "def oracle(start, limit):",
-        f"    if not ({' or '.join(f'start[{k}]' for k in range(n))}):",
-        "        return 0",
-        "    reach = 0 if start in digits else never",
+        f"    {x} = start",
+        f"    cap = 64 + spb * (8{''.join(f' + x{k}.bit_length()' for k in range(n))})",
+        "    size = weight = 0",
+        f"    while {' or '.join(f'x{k}' for k in range(n))}:",
+        "        if size >= cap:",
+        "            weight = never",
+        "            break",
+        *(f"        {s}" for s in src.step(mat_p, "den", 2, x, [f"{x} = {q}", "size += 1"], [
+            f"{x} = {q}", "weight += 1", "size += w",
+        ])),
+        "    reach = weight - 1",
         "    dist = {start: 0}",
         "    queue = deque((start,))",
-        "    pop, seen = queue.popleft, dist.get",
+        "    done = set()",
+        "    pop, seen, expanded = queue.popleft, dist.get, done.add",
         "    push, push_zero = queue.append, queue.appendleft",
         "    while queue:",
         "        cur = pop()",
+        "        if cur in done:",
+        "            continue",
+        "        expanded(cur)",
         "        base = dist[cur]",
         "        if base >= reach:",
         "            return reach + 1",
         f"        {x} = cur",
-        *(f"        t{k} = {e}" for k, e in enumerate(adj_p)),
+        *(f"        t{k} = {e}" for k, e in enumerate(src.adj_p)),
         *(f"        q{k}, k{k} = t{k} // det, t{k} % det" for k in range(n)),
         f"        if not ({' or '.join(f'k{k}' for k in range(n))}):",
-        f"            nxt = {y} = {tup('q{k}')}",
+        f"            nxt = {y} = {q}",
         *(f"            {s}" for s in relax("base", "push_zero")),
         "            continue",
         "        cost = base + 1",
+        "        if cost >= reach:",
+        "            continue",
         f"        for {tup('f{k}')} in steps.get({tup('k{k}')}, ()):",
         f"            nxt = {y} = {tup('q{k} - f{k}')}",
         *(f"            {s}" for s in relax("cost", "push")),
-        "    return None",
+        "    return None if reach == never else reach + 1",
         "return oracle",
     ])
 

@@ -12,16 +12,20 @@ Two independent instruments:
   cost 1 for a nonzero digit and 0 otherwise. The oracle realizes the
   true minimum weight over all words and owes nothing to the window
   recoding, so agreement is evidence, not circularity. Its whole search
-  is one call of the digit set's generated kernel (``DigitSet.oracle``),
-  which stops once the least weight is settled.
+  is one call of the digit set's generated kernel (``DigitSet.oracle``).
+  That kernel starts from the weight U of the point's w-NAF: the w-NAF is
+  a word of the set, so the least weight is at most U, and the search
+  only rules out lighter words. It takes no edge that can only lead to
+  weight U or more, and stops once the least weight is settled.
 
 The oracle checks each state it relaxes against a norm cap, by default
 twice the radius of the ball that orbits of the division map enter and
 never leave (``nadscheck.invariant_ball_bound``). A state past the cap
 raises NormCapError instead of being dropped, so no answer comes from a
-pruned search; as the search stops once the weight is settled, a cap it
-would pass only later does not raise. The empirical sweep's reverse
-table covers at least that ball, which forward minimum paths never leave.
+search pruned by the cap; the states the bound and the stop leave out
+lead only to words no lighter than the answer, so a cap passed only
+there does not raise. The empirical sweep's reverse table covers at
+least that ball, which forward minimum paths never leave.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from math import floor
+from math import floor, inf
 
 from . import intmat, lattice, nadscheck
 from .digitset import DigitSet
@@ -145,25 +149,27 @@ def min_weight_oracle(
     for the zero digit. The whole search is one call of the set's
     generated ``DigitSet.oracle``; this function checks the point and
     turns the norm cap into the integer limit that kernel compares the
-    lower bracket ends of states with. The search stops as soon as the
-    least distance of a state equal to a nonzero digit is settled: zero
-    is reached only through such a state, at cost one.
+    lower bracket ends of states with. The point's w-NAF is a word of the
+    set, so its weight U bounds the answer: the search takes no edge that
+    can only lead to weight U or more (with no w-NAF, as on a cycle, it
+    has no bound), and stops once the answer is settled.
 
-    Raises NormCapError when a state the search relaxes before that
-    provably exceeds the cap (cap too small), on the same state where
-    the search run to zero raises it; a cap that search would exceed only
-    after the answer is settled gives the exact weight. Raises
+    Raises ValueError for a negative or non-finite cap, and NormCapError
+    when a state the search relaxes provably exceeds the cap (cap too
+    small), only where the search run to zero with no bound raises too:
+    where that search returns a weight, this returns the same one, and
+    where it escapes, this may return the exact weight. Raises
     LatnafError when no word exists at all.
     """
     inst = ds.inst
     start = inst.check_point(p)
-    zero = inst.zero()
-    if start == zero:
+    if norm_cap is not None and not (norm_cap == norm_cap and 0 <= norm_cap < inf):  # nan != nan
+        raise ValueError(f"norm cap {norm_cap} is not a finite non-negative number")
+    if start == inst.zero():
         return 0
-    geo = ds.geo
     if norm_cap is None:
         norm_cap = default_norm_cap(ds)
-    _, hi, den = geo.norm_sq_interval(start)
+    _, hi, den = ds.geo.norm_sq_interval(start)
     # every bracket shares den: a state escapes once its lower end, an
     # integer over den, exceeds max(cap^2, hi / den); hi is an integer
     limit = max(floor(Fraction(norm_cap) ** 2 * den), hi)

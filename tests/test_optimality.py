@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
@@ -135,6 +136,25 @@ def test_oracle_norm_cap_escape():
     ds = dsm.from_digits(nfm.build([-3, 1]), 1, [(0,), (7,), (8,)])
     with pytest.raises(NormCapError):
         om.min_weight_oracle(ds, (1,), norm_cap=1)
+
+
+@pytest.mark.parametrize("cap", [
+    -30, -1, Fraction(-1, 2), -0.5, float("inf"), float("-inf"), float("nan"), Decimal("NaN"),
+    Decimal("Infinity"),
+])
+def test_oracle_refuses_a_negative_or_non_finite_cap(cap):
+    # a negative cap would act as its absolute value once squared, and
+    # inf has no integer ratio; the zero start is checked too
+    ds = ds_int(3, 2)
+    for p in [(7,), (0,)]:
+        with pytest.raises(ValueError, match="norm cap"):
+            om.min_weight_oracle(ds, p, norm_cap=cap)
+
+
+def test_oracle_accepts_a_zero_or_float_cap():
+    ds = ds_int(3, 2)
+    assert om.min_weight_oracle(ds, (7,), norm_cap=0) == om.min_weight_oracle(ds, (7,))
+    assert om.min_weight_oracle(ds, (7,), norm_cap=2.5) == om.min_weight_oracle(ds, (7,))
 
 
 def test_oracle_unreachable_point_raises():
@@ -386,10 +406,13 @@ def test_oracle_refuses_a_non_integer_point():
 def _reference_oracle(ds, p, norm_cap=None, settle=True):
     """Reference: min_weight_oracle as a Python zero-one BFS, one
     divisions call per state and one norm bracket per new state. best is
-    1 + the least distance at which a relaxed state equals a nonzero
+    the least weight known: with settle, first that of expand(ds, p),
+    then 1 + the least distance at which a relaxed state equals a nonzero
     digit, the only states with an edge to zero. With settle, the search
-    returns best once a popped state is at distance best - 1 or more;
-    without, it runs on until it pops zero."""
+    takes no cost-1 edge that can only lead to weight best or more, and
+    returns best once a popped state is at distance best - 1 or more or
+    the queue drains; without, it starts with no bound and runs on until
+    it pops zero."""
     inst = ds.inst
     start = inst.check_point(p)
     zero = inst.zero()
@@ -401,7 +424,14 @@ def _reference_oracle(ds, p, norm_cap=None, settle=True):
     _, hi, den = geo.norm_sq_interval(start)
     limit = floor(max(Fraction(norm_cap) ** 2, Fraction(hi, den)) * den)
     digits = set(ds.nonzero_digits)
-    best = 1 if start in digits else None
+    best = None
+    if settle:
+        try:
+            found = em.expand(ds, start)
+        except LatnafError:  # no word within the step cap
+            found = None
+        if isinstance(found, em.Expansion):
+            best = found.weight
     dist = {start: 0}
     queue = deque([start])
     while queue:
@@ -413,6 +443,8 @@ def _reference_oracle(ds, p, norm_cap=None, settle=True):
             return base
         for d, nxt in ds.divisions(cur):
             cost = 0 if d == zero else 1
+            if settle and cost and best is not None and base + 2 >= best:
+                continue
             if nxt in dist and dist[nxt] <= base + cost:
                 continue
             if geo.norm_sq_interval(nxt)[0] > limit:
@@ -424,6 +456,8 @@ def _reference_oracle(ds, p, norm_cap=None, settle=True):
                 queue.appendleft(nxt)
             else:
                 queue.append(nxt)
+    if best is not None:
+        return best
     raise LatnafError(f"no digit word represents {start} within the cap")
 
 
@@ -502,7 +536,8 @@ def test_oracle_kernel_matches_reference_bfs_on_custom_sets(name):
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
 def test_oracle_kernel_matches_reference_bfs_under_small_caps(name):
     """Explicit caps from 1 up: the same weight, or a NormCapError on the
-    same state with the same message."""
+    same state with the same message. Against the search run to zero, the
+    outcome is the same, or the exact weight where that search escapes."""
     ds = oracle_system(name)
     rng = random.Random(f"oracle-caps/{name}")
     bound = min(ORACLE_SYSTEMS[name][1], 40)
@@ -515,12 +550,16 @@ def test_oracle_kernel_matches_reference_bfs_under_small_caps(name):
             want = _oracle_outcome(_reference_oracle, ds, p, cap)
             assert _oracle_outcome(om.min_weight_oracle, ds, p, cap) == want, (p, cap)
             kinds.add(want[0] if isinstance(want, tuple) else int)
+            full = _oracle_outcome(_full_reference_oracle, ds, p, cap)
+            if want != full:
+                assert full[0] is NormCapError, (p, cap)
+                assert want == _full_reference_oracle(ds, p, 10**6), (p, cap)
     # on t2w2, t3w2 and {0, 1, 3} the states of these points stay within
-    # the start's norm, which the cap never goes below; on m31w2 and
-    # q541w3 only digit starts escaped the search run to zero, and a
-    # digit start settles before it relaxes a state
+    # the start's norm, which the cap never goes below; on m31w2, q541w3
+    # and c3101w4 the w-NAF's weight settles every escape of the search
+    # run to zero before the escaping state is relaxed
     assert int in kinds
-    assert (NormCapError in kinds) == (name in ("c3101w4", "custom541", "far78"))
+    assert (NormCapError in kinds) == (name in ("custom541", "far78"))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
@@ -616,6 +655,45 @@ def test_an_oracle_call_is_one_kernel_call(monkeypatch):
     ncm.decide(ds)
     om.verify_empirically(ds, 30)
     assert compiled == []
+
+
+def test_an_oracle_call_compiles_no_division_kernel(monkeypatch):
+    """The kernel takes the w-NAF's weight with its own copy of walk's
+    block step: on a fresh set, an oracle call compiles no division
+    kernel and makes no divisions or walk call."""
+    compiled, divisions = [], []
+    real_kernel, real_divisions = dsm._division_kernel, dsm.DigitSet.divisions
+    monkeypatch.setattr(dsm, "_division_kernel", lambda *a: compiled.append(a) or real_kernel(*a))
+    monkeypatch.setattr(
+        dsm.DigitSet, "divisions", lambda self, p: divisions.append(p) or real_divisions(self, p)
+    )
+    for name in sorted(ORACLE_SYSTEMS):
+        ds = ORACLE_SYSTEMS[name][0]()
+        n = ds.inst.n
+        for p in [(5,) * n, (-9,) + (4,) * (n - 1), (1,) * n]:
+            _oracle_outcome(om.min_weight_oracle, ds, p)
+        assert "_kernel" not in vars(ds) and "walk" not in vars(ds), name
+        assert compiled == [] and divisions == [], name
+
+
+def test_oracle_without_a_w_naf_runs_the_unbounded_search():
+    """c3101w3 ([3, 1, 0, 1] at w = 3) has the six-point cycle of the
+    division map, so these points have no w-NAF and the search starts
+    with no bound. Every cycle point still has a word of weight 2."""
+    ds = dsm.build_minimal_norm(nfm.build([3, 1, 0, 1]), 3)
+    cycle = [(-3, 1, -1), (2, -1, 1), (-3, 2, -1), (3, -1, 1), (-2, 1, -1), (3, -2, 1)]
+    rng = random.Random("oracle-cycle/c3101w3")
+    pts = cycle + [tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(40)]
+    pts = [p for p in pts if isinstance(em.expand(ds, p), em.CycleReport)]
+    assert len(pts) > len(cycle)
+    for p in pts:
+        assert ds.walk(p, None) is None
+        want = _oracle_outcome(_full_reference_oracle, ds, p)
+        assert _oracle_outcome(om.min_weight_oracle, ds, p) == want, p
+        for cap in (1, 3):
+            want = _oracle_outcome(_reference_oracle, ds, p, cap)
+            assert _oracle_outcome(om.min_weight_oracle, ds, p, cap) == want, (p, cap)
+    assert [om.min_weight_oracle(ds, p) for p in cycle] == [2] * 6
 
 
 def _reference_ball_bound(ds):
