@@ -28,9 +28,9 @@ that expansion, orbit search and the weight oracle all run, and the block
 step p -> (p - d) / phi^w of expansion. Both are one quotient body read
 with two matrices: the division step is the block step of width 1. The
 digit table is built once, when the set is validated, and one source
-template writes the kernel out for the set's dimension on its first use;
-the weight oracle's search over every congruent digit is a second kernel
-from the same template, written on the first oracle call.
+template writes the kernel, with the weight oracle's search over every
+congruent digit, out for the set's dimension on its first use; a source
+of one shape is compiled once per process.
 """
 
 from __future__ import annotations
@@ -296,12 +296,11 @@ class DigitSet(Record):
     phi^w, where phi^-w = A / q (``_pullback``), and the digits grouped
     by class modulo phi, keyed on adj(phi) d mod det (p - d lies in the
     image of phi exactly when adj(phi) (p - d) is divisible by det). One
-    source template writes ``divide``, ``walk`` and ``divisions`` out for
-    the set's n (``_division_kernel``) on the first division, so a set
-    that is only built and printed never compiles it. The same template
-    helpers write ``oracle``, the weight oracle's whole search
-    (``_oracle_kernel``), on the set's first oracle call: expansion never
-    runs it, so it never pays for it.
+    source template writes ``divide``, ``walk``, ``divisions``
+    (``_division_lines``) and ``oracle``, the weight oracle's whole search
+    (``_oracle_lines``), out for the set's n on its first division or
+    oracle call (a set only built and printed writes none), and sets of
+    one shape share one compiled factory (``_Template``).
 
     ``walk`` loops the block step of that kernel. A nonzero digit d is
     congruent to its point p modulo phi^w, so p - d = phi^w x with x
@@ -356,7 +355,19 @@ class DigitSet(Record):
 
     @cached_property
     def _kernel(self) -> tuple:
-        return _division_kernel(*self._tables, lambda: self.steps_per_bit)
+        """(divide, divisions, walk, oracle): one template, one compile."""
+        adj, det, (mat, den), rows, table, by_class, zero, pad = self._tables
+        src = _Template(
+            len(adj), by_class=by_class, zero=zero, pad=pad, den=den, index=index,
+            steps_per_bit=lambda: self.steps_per_bit, spb=None,
+        )
+        src.classes(adj, det, rows, table)
+        mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
+        return src.compile([
+            *_division_lines(src, mat_p),
+            *_oracle_lines(src, mat_p, self.geo._level(64), det, table, by_class, len(pad) + 1),
+            "return divide, divisions, walk, oracle",
+        ])
 
     @property
     def inst(self) -> lattice.LatticeInstance:
@@ -391,19 +402,13 @@ class DigitSet(Record):
 
     @cached_property
     def oracle(self):
-        """The zero-one search of ``optimality.min_weight_oracle``, a plain
-        function oracle(start, limit) compiled on first use: the least
-        weight of a digit word of value start (a point tuple), or None
-        when no word is found. The search is bounded by the weight of the
-        w-NAF of start, a word of the set that walk's block step in the
-        same kernel takes (no division kernel is compiled), and stops once
-        its answer is settled (``_oracle_kernel``). A state it relaxes
-        whose 64-bit norm bracket has its lower end, an integer over the
-        den of ``Geometry.norm_sq_interval``, above limit raises
-        NormCapError carrying it: only where the search run to zero with
-        no bound raises too. Where that one returns a weight, this returns
-        the same one."""
-        return _oracle_kernel(*self._tables, self.geo._level(64), self.steps_per_bit)
+        """oracle(start, limit), the zero-one search of
+        ``optimality.min_weight_oracle`` in the set's one kernel
+        (``_oracle_lines``): the least weight of a digit word of value start
+        (a point tuple), or None when no word is found. A state it relaxes
+        whose 64-bit norm bracket has its lower end, an integer over the den
+        of ``Geometry.norm_sq_interval``, above limit raises NormCapError with it."""
+        return self._kernel[3]
 
     @cached_property
     def invariant_ball_bound(self) -> Fraction:
@@ -473,10 +478,14 @@ def _escape(state):
 
 class _Template:
     """Source helpers of one generated kernel for dimension n. The source
-    carries names and shape only: every value it reads is a parameter of
-    the generated factory, read from a closure cell. Literals would read a
-    little faster, but an integer past ``sys.get_int_max_str_digits()``
-    digits cannot be formatted, and as cells no value reaches ``exec``."""
+    carries only a shape (n, the nonzero pattern of the coefficients, the
+    Smith moduli above 1, the bracket terms): every value it reads is a
+    closure cell of the generated factory, so no integer is formatted past
+    ``sys.get_int_max_str_digits()``, and sets of one shape can share one
+    compiled factory with cells of their own. Its one globals dict keeps
+    the interpreter's cached builtin lookups valid from set to set."""
+
+    factories: dict = {}  # source text -> factory, the 64 used last
 
     def __init__(self, n: int, **cells):
         self.n, self.cells = n, cells
@@ -509,7 +518,7 @@ class _Template:
         self.adj_p = [self.dot(f"a{i}_", row) for i, row in enumerate(adj)]
 
     def step(self, exprs, dv, slot, point, zero_tail, digit_tail) -> list[str]:
-        """The quotient body of ``_division_kernel``: x0 ... x{n-1} into
+        """The quotient body of ``_division_lines``: x0 ... x{n-1} into
         q0 ... q{n-1}, then zero_tail or digit_tail."""
 
         def settle(exprs, dv):
@@ -531,16 +540,19 @@ class _Template:
 
     def compile(self, lines: list[str]):
         """Runs lines as the body of the factory over the cells."""
-        scope: dict = {}
-        exec(f"def factory({', '.join(self.cells)}):\n" + "\n".join(f"    {s}" for s in lines), scope)
-        return scope["factory"](**self.cells)
+        text = f"def factory({', '.join(self.cells)}):\n" + "\n".join(f"    {s}" for s in lines)
+        factory = self.factories.pop(text, None)
+        if factory is None:
+            exec(compile(text, "<kernel>", "exec"), scope := {})
+            factory = scope["factory"]
+        self.factories[text] = factory
+        if len(self.factories) > 64:
+            self.factories.pop(next(iter(self.factories)), None)  # the least recently used
+        return factory(**self.cells)
 
 
-def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_per_bit):
-    """(divide, divisions, walk) of a digit set, written out for its n
-    from one source template and compiled by one ``exec``. ``DigitSet``
-    calls it on its first division, not when the set is built: building
-    and printing a set needs no kernel.
+def _division_lines(src: _Template, mat_p: list[str]) -> list[str]:
+    """The lines of divide, walk and divisions in ``DigitSet._kernel``.
 
     divide, walk and the oracle's w-NAF share one quotient body,
     ``_Template.step`` with (mat, den, slot). It reads the table entry at
@@ -548,36 +560,27 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
     m_i times its stride, None standing for the zero digit (a class
     inside phi Z^n): then q = adj(phi) x / det, else q = (mat x -
     entry[slot]) / den, raising ``_fault`` on a nonzero remainder. An
-    entry is (d, adj(phi) d, A d) with phi^-w = A / q, block being (A,
-    q). divide is step(adj(phi), det, 1); walk
-    reads its raw point into locals x0 ... x{n-1} through index, a cap
-    None as 64 + spb (8 + x0.bit_length() + ...), and loops step(A, q, 2),
-    writing the digit and, unless q is zero, pad (the w - 1 forced zeros)
-    after a nonzero one. divisions looks up the digits congruent to p
-    modulo phi in by_class.
+    entry is (d, adj(phi) d, A d) with phi^-w = A / q, mat_p being the
+    products A x and den q. divide is step(adj(phi), det, 1); walk reads
+    its raw point into locals x0 ... x{n-1} through index, a cap None as
+    64 + spb (8 + x0.bit_length() + ...), and loops step(A, q, 2), writing
+    the digit and, unless q is zero, pad (the w - 1 forced zeros) after a
+    nonzero one. divisions looks up the digits congruent to p modulo phi
+    in by_class.
 
-    The source (``_Template``) has a product per nonzero coefficient and
-    an index term per Smith modulus above 1; every coefficient, modulus,
-    stride and divisor is a cell beside table, by_class, zero, pad, index
-    and ``_fault``. The cell spb is filled from the steps_per_bit callable
-    on the first walk without a cap: that count can take far longer than
-    the kernel (16,611 matrix powers for [[2, 10^5000], [0, 3]]), and an
-    explicit cap needs none.
+    Every coefficient, modulus, stride and divisor is a cell
+    (``_Template``) beside table, by_class, zero, pad, index and
+    ``_fault``. The cell spb is filled from the steps_per_bit callable on
+    the first walk without a cap or oracle call: that count can take far
+    longer than the kernel (16,611 matrix powers for [[2, 10^5000], [0,
+    3]]), and a division or an explicit cap needs none.
     """
-    n = len(adj)
-    mat, den = block
-    src = _Template(
-        n, by_class=by_class, zero=zero, pad=pad, den=den,
-        index=index, steps_per_bit=steps_per_bit, spb=None,
-    )
-    src.classes(adj, det, rows, table)
-    tup, step, adj_p = src.tup, src.step, src.adj_p
-    mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
+    n, tup, step = src.n, src.tup, src.step
     q, x, nonzero = tup("q{k}"), tup("x{k}"), " or ".join(f"x{k}" for k in range(n))
-    return src.compile([
+    return [
         "def divide(p):",
         f"    {x} = p",
-        *(f"    {s}" for s in step(adj_p, "det", 1, "p", [f"return zero, {q}"], [f"return entry[0], {q}"])),
+        *(f"    {s}" for s in step(src.adj_p, "det", 1, "p", [f"return zero, {q}"], [f"return entry[0], {q}"])),
         "def walk(p, cap):",
         "    nonlocal spb",
         f"    {x} = p",
@@ -596,19 +599,17 @@ def _division_kernel(adj, det, block, rows, table, by_class, zero, pad, steps_pe
         "    return p, tuple(word)",
         "def divisions(p):",
         f"    {x} = p",
-        *(f"    t{k} = {e}" for k, e in enumerate(adj_p)),
+        *(f"    t{k} = {e}" for k, e in enumerate(src.adj_p)),
         f"    cls = by_class.get({tup('t{k} % det')}, ())",
         f"    return [(d, {tup('(t{k} - e{k}) // det')}) for d, {tup('e{k}')} in cls]",
-        "return divide, divisions, walk",
-    ])
+    ]
 
 
-def _oracle_kernel(adj, det, block, rows, table, by_class, zero, pad, level, spb):
-    """oracle(start, limit) of a digit set, written out for its n by the
-    template of ``_division_kernel`` and compiled on the set's first
-    oracle call: the zero-one breadth-first search of
-    ``optimality.min_weight_oracle`` over the states a word of any
-    congruent digits passes through, bounded by the w-NAF's weight.
+def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class, w) -> list[str]:
+    """The lines of oracle(start, limit) in ``DigitSet._kernel``: the
+    zero-one breadth-first search of ``optimality.min_weight_oracle`` over
+    the states a word of any congruent digits passes through, bounded by
+    the w-NAF's weight.
 
     The incumbent. The kernel first loops walk's block step
     (``_Template.step``) from start under walk's default cap, 64 + spb (8
@@ -653,19 +654,13 @@ def _oracle_kernel(adj, det, block, rows, table, by_class, zero, pad, level, spb
     where that search raises too; and it may return the exact weight
     where that search escapes.
     """
-    n = len(adj)
+    n, tup = src.n, src.tup
     _, m, h = level
-    mat, den = block
-    steps = {
-        key: tuple(tuple(v // det for v in ad) for _, ad in cls) for key, cls in by_class.items()
-    }
-    digits = frozenset(e[0] for e in table if e is not None)
-    src = _Template(
-        n, den=den, w=len(pad) + 1, spb=spb, steps=steps, digits=digits, deque=deque,
-        escape=_escape, never=inf,
+    src.cells.update(
+        w=w, deque=deque, escape=_escape, never=inf,
+        steps={key: tuple(tuple(v // det for v in ad) for _, ad in cls) for key, cls in by_class.items()},
+        digits=frozenset(e[0] for e in table if e is not None),
     )
-    src.classes(adj, det, rows, table)
-    mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
     low, wide = [], []
     for i in range(n):
         for k in range(i, n):
@@ -680,7 +675,6 @@ def _oracle_kernel(adj, det, block, rows, table, by_class, zero, pad, level, spb
     lo = " + ".join(low) or "0"
     if wide:
         lo = f"{lo} - ({' + '.join(wide)})"
-    tup = src.tup
     q, x, y = tup("q{k}"), tup("x{k}"), tup("y{k}")
 
     def relax(cost, push):
@@ -694,9 +688,12 @@ def _oracle_kernel(adj, det, block, rows, table, by_class, zero, pad, level, spb
             f"    {push}(nxt)",
         ]
 
-    return src.compile([
+    return [
         "def oracle(start, limit):",
+        "    nonlocal spb",
         f"    {x} = start",
+        "    if spb is None:",
+        "        spb = steps_per_bit()",
         f"    cap = 64 + spb * (8{''.join(f' + x{k}.bit_length()' for k in range(n))})",
         "    size = weight = 0",
         f"    while {' or '.join(f'x{k}' for k in range(n))}:",
@@ -734,8 +731,7 @@ def _oracle_kernel(adj, det, block, rows, table, by_class, zero, pad, level, spb
         f"            nxt = {y} = {tup('q{k} - f{k}')}",
         *(f"            {s}" for s in relax("cost", "push")),
         "    return None if reach == never else reach + 1",
-        "return oracle",
-    ])
+    ]
 
 
 def _expanding_geometry(source, w: int) -> Geometry:

@@ -282,9 +282,13 @@ def verify_empirically(
     """Compare the window expansion's weight against the oracle on every
     lattice point of norm up to radius (or a seeded sample when the ball
     is larger than sample_threshold). Zero violations is the certified
-    expectation whenever check_hypotheses passes."""
+    expectation whenever check_hypotheses passes. Raises ValueError for a
+    non-finite radius; a negative one gives the empty report."""
     geo = ds.geo
-    radius = Fraction(radius)
+    try:
+        radius = Fraction(radius)
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError(f"radius {radius} is not a finite number") from None
     if radius < 0:
         return VerifyReport(0)
     r_sq = radius * radius

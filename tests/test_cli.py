@@ -96,7 +96,7 @@ def test_listing_sets_compiles_no_division_kernel(capsys, tmp_path, monkeypatch,
     def refuse(*args):
         raise RuntimeError("the division kernel was compiled")
 
-    monkeypatch.setattr(dsm, "_division_kernel", refuse)
+    monkeypatch.setattr(dsm, "_division_lines", refuse)
     for obj in (
         {"base": {"minpoly": [5, -4, 1]}, "w": 3},
         {"base": {"matrix": [[3, 1], [-1, 3]]}, "w": 2},

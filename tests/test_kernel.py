@@ -10,6 +10,7 @@ systems cover the kernel written out for n = 1, 2, 3 and 4, with cyclic
 and non-cyclic Z^n / phi^w Z^n."""
 
 import inspect
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -514,6 +515,7 @@ def test_kernel_constants_past_the_int_string_limit(w):
         p = em.value(inst, word)
         assert ds.walk(p, length) == (p, tuple(word)) == (p, _step_word(ds, p, length))
         assert ds.walk(p, length - 1) is None
+    assert "steps_per_bit" not in vars(ds)  # 16,611 matrix powers, read only without a cap
 
 
 # a Gram matrix with denominators, so the common-denominator scaling shows
@@ -563,3 +565,83 @@ def test_companion_matrix_twin_gives_identical_words(twins, p):
     field_ds, matrix_ds = twins
     assert matrix_ds.geo.nf is None and field_ds.geo.nf is not None
     assert em.expand(field_ds, p) == em.expand(matrix_ds, p)
+
+
+# sets by kernel shape: the n = 1 sets have one Smith modulus and one
+# coefficient per matrix; q541w3 and [2, -1, 1] at w = 3 are cyclic, with
+# every coefficient nonzero; m31w2 (Z/2 x Z/50) has a shape of its own
+SHAPES = {"t2w2": 1, "t3w2": 1, "t3w3": 1, "q541w3": 2, "q211w3": 2, "m31w2": 3}
+KERNEL = ("divide", "divisions", "walk", "oracle")
+
+
+def _fresh(name):
+    """A new set, with a kernel not yet built."""
+    if name == "m31w2":
+        return dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix(MATRICES[name][0]), 2)
+    coeffs, w = {"t2w2": ([-2, 1], 2), "t3w2": ([-3, 1], 2), "t3w3": ([-3, 1], 3),
+                 "q541w3": ([5, -4, 1], 3), "q211w3": ([2, -1, 1], 3)}[name]
+    return dsm.build_minimal_norm(nfm.build(coeffs), w)
+
+
+@pytest.mark.parametrize("order", [
+    ("t2w2", "t3w2", "t3w3", "q541w3", "q211w3", "m31w2"),
+    ("m31w2", "q211w3", "t3w3", "q541w3", "t3w2", "t2w2"),
+    ("t3w3", "q541w3", "m31w2", "t2w2", "q211w3", "t3w2"),
+])
+def test_sets_of_one_shape_share_code_and_never_cells(order):
+    """Whichever set comes first, every kernel function of a later set
+    of its shape runs the same code object under the same globals dict
+    (one per shape, so the interpreter's cached global lookups hold when
+    calls alternate between the sets), and no other shape's; no two sets
+    share a closure cell."""
+    dsm._Template.factories.clear()
+    sets = {name: _fresh(name) for name in order}
+    for ds in sets.values():
+        ds.divide((1,) * ds.inst.n)
+    for a, b in itertools.combinations(order, 2):
+        for fn, fa, fb in zip(KERNEL, sets[a]._kernel, sets[b]._kernel):
+            same = SHAPES[a] == SHAPES[b]
+            assert (fa.__code__ is fb.__code__) == same == (fa.__globals__ is fb.__globals__), (a, b, fn)
+            assert not set(map(id, fa.__closure__)) & set(map(id, fb.__closure__)), (a, b, fn)
+    assert len(dsm._Template.factories) == 3
+
+
+@lru_cache(maxsize=None)
+def _shared_and_fresh():
+    """Each set of SHAPES twice: built in turn, so that a set reuses the
+    factory of the first of its shape, and on its own, compiled after the
+    cache of factories was emptied."""
+    shared = {name: _fresh(name) for name in SHAPES}
+    for ds in shared.values():
+        ds.divide((0,) * ds.inst.n)  # builds the kernel
+    fresh = {}
+    for name in SHAPES:
+        dsm._Template.factories.clear()
+        fresh[name] = _fresh(name)
+        assert fresh[name].walk.__code__ is not shared[name].walk.__code__
+    return shared, fresh
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except LatnafError as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(sorted(SHAPES)).flatmap(lambda name: st.tuples(
+        st.just(name), st.tuples(*[st.integers(-500, 500)] * (1 if SHAPES[name] == 1 else 2)),
+    )),
+    st.one_of(st.none(), st.integers(1, 40)),
+    st.sampled_from([1, 40, 10**9]),
+)
+def test_shared_code_returns_what_fresh_code_returns(case, cap, limit):
+    """divide, divisions, walk and oracle of a set that runs the code of
+    another set of its shape return, or raise, what the same functions
+    compiled for the set alone do."""
+    name, p = case
+    shared, fresh = _shared_and_fresh()
+    for fn, args in zip(KERNEL, ((p,), (p,), (p, cap), (p, limit))):
+        assert _raised(getattr(shared[name], fn), *args) == _raised(getattr(fresh[name], fn), *args)

@@ -196,8 +196,19 @@ def test_verify_uncertified_base_two_still_optimal():
 
 
 def test_verify_negative_radius_vacuous():
-    report = om.verify_empirically(ds_int(3, 2), -1)
-    assert report.ok and report.points_checked == 0
+    for radius in (-1, -0.5, Fraction(-1, 3), Decimal("-2.5"), -10**400):
+        report = om.verify_empirically(ds_int(3, 2), radius)
+        assert report.ok and report.points_checked == 0
+
+
+@pytest.mark.parametrize("radius", [
+    float("inf"), float("-inf"), float("nan"), Decimal("Infinity"), Decimal("-Infinity"),
+    Decimal("NaN"), Decimal("sNaN"),
+])
+def test_verify_refuses_a_non_finite_radius(radius):
+    # inf has no integer ratio, as for the oracle's norm cap
+    with pytest.raises(ValueError, match="radius .* is not a finite number"):
+        om.verify_empirically(ds_int(3, 2), radius)
 
 
 @pytest.mark.parametrize("base, w, radius", [([-3, 1], 2, 40), ([5, -4, 1], 3, 6)])
@@ -618,13 +629,19 @@ def test_oracle_kernel_matches_reference_bfs_on_bad_and_zero_points(name):
     assert om.min_weight_oracle(ds, (0,) * n) == 0
 
 
+def _counting_compiles(monkeypatch):
+    """The lines of every kernel a set builds, by ``_Template.compile``."""
+    built, real = [], dsm._Template.compile
+    monkeypatch.setattr(dsm._Template, "compile", lambda self, lines: built.append(lines) or real(self, lines))
+    return built
+
+
 def test_an_oracle_call_is_one_kernel_call(monkeypatch):
     """min_weight_oracle brackets the start point's norm and hands the
     search to the generated kernel: no divisions call and no further
-    norm bracket, whatever the number of states. The kernel is compiled
-    on a set's first oracle call, and expansion, orbit search and the
-    sweep never compile it."""
-    divisions, brackets, compiled = [], [], []
+    norm bracket, whatever the number of states. After a division, the
+    set's one kernel is built, so an oracle call builds nothing."""
+    divisions, brackets = [], []
 
     def counting(calls, fn):
         return lambda *args: calls.append(args[-1]) or fn(*args)
@@ -633,13 +650,14 @@ def test_an_oracle_call_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(
         dsm.Geometry, "norm_sq_interval", counting(brackets, dsm.Geometry.norm_sq_interval)
     )
-    monkeypatch.setattr(dsm, "_oracle_kernel", counting(compiled, dsm._oracle_kernel))
+    built = _counting_compiles(monkeypatch)
     for name in ("t2w2", "t3w2", "q541w3", "m31w2", "c3101w4"):
         ds = ORACLE_SYSTEMS[name][0]()
         n = ds.inst.n
         em.expand(ds, (7,) * n)
+        assert len(built) == 1
+        built.clear()
         ncm.invariant_ball_bound(ds)  # brackets every digit, once per set
-        assert compiled == []
         for p in [(5,) * n, (-9,) + (4,) * (n - 1), (11,) * n]:
             divisions.clear()
             brackets.clear()
@@ -649,31 +667,52 @@ def test_an_oracle_call_is_one_kernel_call(monkeypatch):
             brackets.clear()
             om.min_weight_oracle(ds, p)
             assert divisions == [] and brackets == [p]
-        assert len(compiled) == 1
-        compiled.clear()
-    ds = ds_int(3, 2)
-    ncm.decide(ds)
-    om.verify_empirically(ds, 30)
-    assert compiled == []
+        assert built == []
 
 
-def test_an_oracle_call_compiles_no_division_kernel(monkeypatch):
+def test_an_oracle_call_builds_the_one_kernel(monkeypatch):
     """The kernel takes the w-NAF's weight with its own copy of walk's
-    block step: on a fresh set, an oracle call compiles no division
-    kernel and makes no divisions or walk call."""
-    compiled, divisions = [], []
-    real_kernel, real_divisions = dsm._division_kernel, dsm.DigitSet.divisions
-    monkeypatch.setattr(dsm, "_division_kernel", lambda *a: compiled.append(a) or real_kernel(*a))
+    block step: on a fresh set, an oracle call builds the set's one
+    kernel, once, and makes no divisions or walk call."""
+    divisions, real_divisions = [], dsm.DigitSet.divisions
     monkeypatch.setattr(
         dsm.DigitSet, "divisions", lambda self, p: divisions.append(p) or real_divisions(self, p)
     )
+    built = _counting_compiles(monkeypatch)
     for name in sorted(ORACLE_SYSTEMS):
         ds = ORACLE_SYSTEMS[name][0]()
         n = ds.inst.n
         for p in [(5,) * n, (-9,) + (4,) * (n - 1), (1,) * n]:
             _oracle_outcome(om.min_weight_oracle, ds, p)
-        assert "_kernel" not in vars(ds) and "walk" not in vars(ds), name
-        assert compiled == [] and divisions == [], name
+        assert len(built) == 1 and ds.oracle is ds._kernel[3], name
+        assert "walk" not in vars(ds) and divisions == [], name
+        built.clear()
+
+
+def test_a_first_division_computes_no_step_count_or_enclosure(monkeypatch):
+    """steps_per_bit is a lazy cell of the kernel, read by walk without
+    a cap and by the oracle: a set's first divisions compute none. The
+    oracle's bracket reads the 64-bit Gram level, which a minimal-norm set
+    holds from its build and an exact Gram matrix has for free: their
+    first division computes no Gram enclosure. A custom set on an
+    enclosure base computes that level on its first division, once."""
+    enclosures, real = [], nfm.gram_enclosure
+    monkeypatch.setattr(nfm, "gram_enclosure", lambda nf, bits: enclosures.append(bits) or real(nf, bits))
+    for name in sorted(ORACLE_SYSTEMS):
+        ds = ORACLE_SYSTEMS[name][0]()
+        p = (5,) * ds.inst.n
+        enclosures.clear()
+        ds.divide(p), ds.divisions(p), ds.walk(p, 40)
+        assert "steps_per_bit" not in vars(ds), name
+        assert enclosures == [], name
+        _oracle_outcome(om.min_weight_oracle, ds, p)
+        assert "steps_per_bit" in vars(ds), name
+    custom = dsm.from_digits(nfm.build([3, 1, 0, 1]), 4, oracle_system("c3101w4").digits)
+    assert custom.geo.gram is None
+    enclosures.clear()
+    custom.divide((5, 5, 5))
+    custom.walk((6, 5, 5), None)
+    assert enclosures == [64]
 
 
 def test_oracle_without_a_w_naf_runs_the_unbounded_search():
