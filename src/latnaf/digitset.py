@@ -24,13 +24,16 @@ of the inverse map) that the termination and optimality arguments
 consume.
 
 ``DigitSet`` owns its ``Geometry``, the division map p -> (p - d) / phi
-that expansion, orbit search and the weight oracle all run, and the block
-step p -> (p - d) / phi^w of expansion. Both are one quotient body read
-with two matrices: the division step is the block step of width 1. The
-digit table is built once, when the set is validated, and one source
-template writes the kernel, with the weight oracle's search over every
-congruent digit, out for the set's dimension on its first use; a source
-of one shape is compiled once per process.
+that orbit search and the weight oracle run, the block step p -> (p -
+d) / phi^w, and the window walk of expansion, which strips in one step
+every digit a point's class modulo phi^K fixes. The division step and
+the block step are one quotient body read with two matrices: the division
+step is the block step of width 1. The digit table is built once, when
+the set is validated, and one source template writes the kernel, with the
+weight oracle's search over every congruent digit, out for the set's
+dimension on its first division or oracle call; the window table and its
+walk are built on the first walk. A source of one shape is compiled once
+per process.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm, prod
+from math import floor, inf, lcm, prod
 from operator import index, mul
 
 from . import intmat, lattice, numberfield, quadform
@@ -63,6 +66,10 @@ Point = lattice.Point
 FAMILY_MINIMAL_NORM = "minimal-norm"
 FAMILY_INTERVAL = "interval"
 FAMILY_CUSTOM = "custom"
+
+# the most classes modulo phi^K a window table of DigitSet.walk covers
+# (more only when |det|^w itself exceeds it, K being w then)
+WINDOW_CLASSES = 256
 
 
 class Geometry(Record):
@@ -296,23 +303,27 @@ class DigitSet(Record):
     phi^w, where phi^-w = A / q (``_pullback``), and the digits grouped
     by class modulo phi, keyed on adj(phi) d mod det (p - d lies in the
     image of phi exactly when adj(phi) (p - d) is divisible by det). One
-    source template writes ``divide``, ``walk``, ``divisions``
-    (``_division_lines``) and ``oracle``, the weight oracle's whole search
-    (``_oracle_lines``), out for the set's n on its first division or
-    oracle call (a set only built and printed writes none), and sets of
-    one shape share one compiled factory (``_Template``).
+    source template writes ``divide``, ``divisions`` (``_division_lines``)
+    and ``oracle``, the weight oracle's whole search (``_oracle_lines``),
+    out for the set's n on its first division or oracle call, and
+    ``walk`` (``_window_lines``) with its window table on its first walk
+    (a set only built and printed writes none). Sets of one shape share
+    one compiled factory of each (``_Template``).
 
-    ``walk`` loops the block step of that kernel. A nonzero digit d is
-    congruent to its point p modulo phi^w, so p - d = phi^w x with x
-    integral: the next w - 1 division steps see the points phi^(w-1) x,
-    ..., phi x, all divisible by phi, and give zero digits. One product
-    A (p - d) / q therefore replaces w division steps. The table's
-    classes hold this for every point: the validated digits fill exactly
-    the classes outside phi Z^n, so a point with no table entry is
-    divisible by phi and one with an entry is not. ``divide`` is the
-    block step of width 1, the same body read with adj(phi) / det and
-    adj(phi) d in place of A / q and A d; ``walk`` is the whole fast
-    path of ``expansion.expand``.
+    The block step. A nonzero digit d is congruent to its point p modulo
+    phi^w, so p - d = phi^w x with x integral: the next w - 1 division
+    steps see the points phi^(w-1) x, ..., phi x, all divisible by phi,
+    and give zero digits. One product A (p - d) / q therefore replaces w
+    division steps. The table's classes hold this for every point: the
+    validated digits fill exactly the classes outside phi Z^n, so a point
+    with no table entry is divisible by phi and one with an entry is not.
+    ``divide`` is the block step of width 1, the same body read with
+    adj(phi) / det and adj(phi) d in place of A / q and A d; the oracle's
+    w-NAF loops the block step, and the window table is built with it.
+
+    The window walk, the whole fast path of ``expansion.expand``, goes
+    further: one table entry per class modulo phi^K holds every digit that
+    class fixes, so one product strips up to K digits (``walk``).
     """
 
     geo: Geometry
@@ -350,23 +361,23 @@ class DigitSet(Record):
             table[i] = (d, ad, intmat.mat_vec(block[0], d))
         vars(self).update(
             geo=geo, w=w, digits=digits, family=family,
-            _tables=(adj, det, block, rows, table, by_class, zero, (zero,) * (w - 1)),
+            _tables=(adj, det, block, rows, table, by_class, zero),
         )
 
     @cached_property
     def _kernel(self) -> tuple:
-        """(divide, divisions, walk, oracle): one template, one compile."""
-        adj, det, (mat, den), rows, table, by_class, zero, pad = self._tables
+        """(divide, divisions, oracle): one template, one compile."""
+        adj, det, (mat, den), rows, table, by_class, zero = self._tables
         src = _Template(
-            len(adj), by_class=by_class, zero=zero, pad=pad, den=den, index=index,
+            len(adj), by_class=by_class, zero=zero, den=den,
             steps_per_bit=lambda: self.steps_per_bit, spb=None,
         )
         src.classes(adj, det, rows, table)
         mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
         return src.compile([
-            *_division_lines(src, mat_p),
-            *_oracle_lines(src, mat_p, self.geo._level(64), det, table, by_class, len(pad) + 1),
-            "return divide, divisions, walk, oracle",
+            *_division_lines(src),
+            *_oracle_lines(src, mat_p, self.geo._level(64), det, table, by_class, self.w),
+            "return divide, divisions, oracle",
         ])
 
     @property
@@ -392,13 +403,51 @@ class DigitSet(Record):
 
     @cached_property
     def walk(self):
-        """The block loop, a plain function walk(p, cap): (point, word) when
+        """The window loop, a plain function walk(p, cap): (point, word) when
         the raw point p reaches zero within cap digits (None: the default
         cap), point being p through ``operator.index`` and word a tuple,
         least significant digit first; else None, as no cycle is checked.
         A bad point raises TypeError or ValueError, a kernel fault what
-        ``divide`` does: ``expand`` then reruns its checks and step loop."""
-        return self._kernel[2]
+        ``divide`` does at the point walked: ``expand`` then reruns its
+        checks and step loop.
+
+        The first access builds the set's window table over the classes
+        modulo phi^K, K the largest k >= w with |det|^k <= WINDOW_CLASSES
+        (K = w when |det|^w exceeds it), and writes the loop out for the
+        set's shape (``_window_lines``). The digit at position j of p
+        depends on p modulo phi^(j + w) only, so the digits at positions 0
+        ... K - w are the same for every point of a class modulo phi^K;
+        the w - 1 digits after a nonzero one are zero whatever follows. An
+        entry holds those s digits, positions 0 ... K - w and then through
+        the zeros forced by the last nonzero digit among them (K - w + 1
+        <= s <= K), and e = A_s v for their value v, phi^-s = A_s / q_s:
+        every point p of the class is v + phi^s x with x = (A_s p - e) /
+        q_s. A pass is one class index and one such product. At K = w an
+        entry is the block step: s = 1 on a class inside phi Z^n, s = w
+        with the class's digit otherwise."""
+        adj, det, (mat, den), rows, table, by_class, zero = self._tables
+        inst, w = self.inst, self.w
+        depth, size = w, abs(det) ** w
+        while size * abs(det) <= WINDOW_CLASSES:
+            depth, size = depth + 1, size * abs(det)
+        u, diag, u_inv = lattice.residue_structure(inst, depth)
+        fixed = depth - w + 1
+        one, q1 = (adj if det > 0 else tuple(tuple(-v for v in row) for row in adj)), abs(det)
+        powers = [intmat.mat_pow(one, fixed)]
+        while len(powers) < w:
+            powers.append(intmat.mat_mul(powers[-1], one))
+        pattern = sorted({(i, j) for a in powers for i, row in enumerate(a) for j, v in enumerate(row) if v})
+        pulls = [None] * fixed + [
+            (q1 ** (fixed + t), *(a[i][j] for i, j in pattern)) for t, a in enumerate(powers)
+        ]
+        src = _Template(
+            len(adj), zero=zero, pad=(zero,) * (w - 1), w=w, den=den, index=index, fixed=fixed,
+            pulls=pulls, steps_per_bit=lambda: self.steps_per_bit, spb=None,
+        )
+        src.classes(adj, det, rows, table)
+        mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
+        krows = [(row, m, prod(diag[i + 1:])) for i, (row, m) in enumerate(zip(u, diag))]
+        return src.compile([*_window_lines(src, mat_p, krows, u_inv, pattern), "return walk"])
 
     @cached_property
     def oracle(self):
@@ -408,7 +457,7 @@ class DigitSet(Record):
         (a point tuple), or None when no word is found. A state it relaxes
         whose 64-bit norm bracket has its lower end, an integer over the den
         of ``Geometry.norm_sq_interval``, above limit raises NormCapError with it."""
-        return self._kernel[3]
+        return self._kernel[2]
 
     @cached_property
     def invariant_ball_bound(self) -> Fraction:
@@ -425,6 +474,14 @@ class DigitSet(Record):
                 raise PrecisionCapError("could not separate the contraction factor from 1")
         md_hi = sqrt_upper(max_digit_norm_sq_upper(self), 64)
         return u_hi * md_hi / (1 - u_hi)
+
+    @cached_property
+    def default_norm_limit(self) -> int:
+        """floor(C^2 D) for the weight oracle's default norm cap C, twice
+        ``invariant_ball_bound``, and D the den of the 64-bit level of
+        ``Geometry.norm_sq_interval``: the integer that ``oracle`` compares
+        the lower bracket ends of states with."""
+        return floor((2 * self.invariant_ball_bound) ** 2 * self.geo._level(64)[0])
 
     @cached_property
     def steps_per_bit(self) -> int:
@@ -467,7 +524,7 @@ class DigitSet(Record):
 
 
 def _fault(entry, p) -> MalformedDigitSetError:
-    if entry is None:
+    if entry is None or not any(entry[0]):  # the zero digit: a class inside phi Z^n
         return MalformedDigitSetError(f"no digit covers the residue class of {p}")
     return MalformedDigitSetError(f"digit {entry[0]} is not congruent to {p} modulo the base image")
 
@@ -490,31 +547,37 @@ class _Template:
     def __init__(self, n: int, **cells):
         self.n, self.cells = n, cells
 
-    def dot(self, name: str, row) -> str:
-        """row . (x0, ..., x{n-1}): a product per nonzero coefficient, each
-        coefficient the cell name{k}."""
+    def dot(self, name: str, row, var: str = "x") -> str:
+        """row . (var0, ..., var{n-1}): a product per nonzero coefficient,
+        each coefficient the cell name{k}."""
         terms = []
         for k, v in enumerate(row):
             if v:
                 self.cells[f"{name}{k}"] = v
-                terms.append(f"{name}{k} * x{k}")
+                terms.append(f"{name}{k} * {var}{k}")
         return " + ".join(terms)
 
     def tup(self, fmt: str) -> str:
         """A tuple display of fmt for k = 0 ... n - 1."""
         return "(" + "".join(fmt.format(k=k) + ", " for k in range(self.n)) + ")"
 
-    def classes(self, adj, det, rows, table) -> None:
-        """Readies ``step`` on a set's tables: the class index terms, and
-        adj_p, the products adj(phi) x."""
-        self.cells.update(table=table, det=det, _fault=_fault)
+    def key(self, rows, name: str = "") -> str:
+        """The class index of x0 ... x{n-1}: the mixed-radix sum of (row .
+        x) mod m times its stride over the rows (row, m, stride) of a Smith
+        form with m > 1, each value a cell named after name."""
         terms = []
         for i, (row, m, stride) in enumerate(rows):
             if m > 1:
-                self.cells[f"m{i}"], self.cells[f"s{i}"] = m, stride
-                term = f"({self.dot(f'u{i}_', row)}) % m{i}"
-                terms.append(f"{term} * s{i}" if stride > 1 else term)
-        self.index = " + ".join(terms) or "0"
+                self.cells[f"{name}m{i}"], self.cells[f"{name}s{i}"] = m, stride
+                term = f"({self.dot(f'{name}u{i}_', row)}) % {name}m{i}"
+                terms.append(f"{term} * {name}s{i}" if stride > 1 else term)
+        return " + ".join(terms) or "0"
+
+    def classes(self, adj, det, rows, table) -> None:
+        """Readies ``step`` on a set's tables: the class index modulo
+        phi^w, and adj_p, the products adj(phi) x."""
+        self.cells.update(table=table, det=det, _fault=_fault)
+        self.index = self.key(rows)
         self.adj_p = [self.dot(f"a{i}_", row) for i, row in enumerate(adj)]
 
     def step(self, exprs, dv, slot, point, zero_tail, digit_tail) -> list[str]:
@@ -551,36 +614,99 @@ class _Template:
         return factory(**self.cells)
 
 
-def _division_lines(src: _Template, mat_p: list[str]) -> list[str]:
-    """The lines of divide, walk and divisions in ``DigitSet._kernel``.
+def _division_lines(src: _Template) -> list[str]:
+    """The lines of divide and divisions in ``DigitSet._kernel``.
 
-    divide, walk and the oracle's w-NAF share one quotient body,
-    ``_Template.step`` with (mat, den, slot). It reads the table entry at
-    the class index of x modulo phi^w, the mixed-radix sum of (u_i x) mod
-    m_i times its stride, None standing for the zero digit (a class
-    inside phi Z^n): then q = adj(phi) x / det, else q = (mat x -
+    divide, the oracle's w-NAF and the window walk's table build share one
+    quotient body, ``_Template.step`` with (mat, den, slot). It reads the
+    table entry at the class index of x modulo phi^w, the mixed-radix sum
+    of (u_i x) mod m_i times its stride, None standing for the zero digit
+    (a class inside phi Z^n): then q = adj(phi) x / det, else q = (mat x -
     entry[slot]) / den, raising ``_fault`` on a nonzero remainder. An
-    entry is (d, adj(phi) d, A d) with phi^-w = A / q, mat_p being the
-    products A x and den q. divide is step(adj(phi), det, 1); walk reads
-    its raw point into locals x0 ... x{n-1} through index, a cap None as
-    64 + spb (8 + x0.bit_length() + ...), and loops step(A, q, 2), writing
-    the digit and, unless q is zero, pad (the w - 1 forced zeros) after a
-    nonzero one. divisions looks up the digits congruent to p modulo phi
-    in by_class.
+    entry is (d, adj(phi) d, A d) with phi^-w = A / q. divide is
+    step(adj(phi), det, 1). divisions looks up the digits congruent to p
+    modulo phi in by_class.
 
     Every coefficient, modulus, stride and divisor is a cell
-    (``_Template``) beside table, by_class, zero, pad, index and
-    ``_fault``. The cell spb is filled from the steps_per_bit callable on
-    the first walk without a cap or oracle call: that count can take far
-    longer than the kernel (16,611 matrix powers for [[2, 10^5000], [0,
-    3]]), and a division or an explicit cap needs none.
+    (``_Template``) beside table, by_class, zero and ``_fault``.
     """
     n, tup, step = src.n, src.tup, src.step
-    q, x, nonzero = tup("q{k}"), tup("x{k}"), " or ".join(f"x{k}" for k in range(n))
+    q, x = tup("q{k}"), tup("x{k}")
     return [
         "def divide(p):",
         f"    {x} = p",
         *(f"    {s}" for s in step(src.adj_p, "det", 1, "p", [f"return zero, {q}"], [f"return entry[0], {q}"])),
+        "def divisions(p):",
+        f"    {x} = p",
+        *(f"    t{k} = {e}" for k, e in enumerate(src.adj_p)),
+        f"    cls = by_class.get({tup('t{k} % det')}, ())",
+        f"    return [(d, {tup('(t{k} - e{k}) // det')}) for d, {tup('e{k}')} in cls]",
+    ]
+
+
+def _window_lines(src: _Template, mat_p: list[str], rows, u_inv, pattern) -> list[str]:
+    """The lines of ``DigitSet.walk``: build(), which writes the window
+    table, and walk(p, cap), which reads it.
+
+    build. rows are the Smith rows (u_i, m_i, stride_i) of phi^K and
+    index the table as ``_Template.key`` does (cells wu, wm, ws). Since u
+    u_inv = I, the point u_inv k of a key k lies in the class of index k,
+    so nested loops over the keys of the moduli above 1 (columns of u_inv
+    as cells c) give one point y per class, in index order. From y, the
+    block step (``_Template.step`` with (A, q, slot 2), the quotient body
+    of divide and of the oracle's w-NAF) strips digits until at least
+    fixed = K - w + 1 are out: one division step on a class inside phi
+    Z^n, else the class's digit and the w - 1 zeros after it. These are
+    the s digits the class fixes, and x = phi^-s (y - v) for their value
+    v. With pulls[s] = (q_s, the entries of A_s at pattern), phi^-s = A_s
+    / q_s, the entry is (digits, cut, q_s, A_s at pattern, e): e = A_s v
+    = A_s y - q_s x, and cut the zeros after the last nonzero digit. The
+    pattern is every position where some A_s is nonzero, so the source
+    holds a shape and each entry its own values.
+
+    walk reads its raw point into locals x0 ... x{n-1} through index and
+    a cap None as 64 + spb (8 + x0.bit_length() + ...). Each pass reads the
+    entry of x's class, sets x to (A_s x - e) / q_s, raising ``_fault`` at
+    x on a nonzero remainder (or on a None entry), and writes the digits.
+    Once x is zero, the last entry's cut zeros, those past the point where
+    x reached zero, come off. The cell spb is filled from the
+    steps_per_bit callable on the first walk without a cap, as the oracle
+    fills its own on its first call: that count can take far longer than
+    the walk (16,611 matrix powers for [[2, 10^5000], [0, 3]]), and an
+    explicit cap needs none.
+    """
+    n, tup = src.n, src.tup
+    q, x, y = tup("q{k}"), tup("x{k}"), tup("y{k}")
+    nonzero = " or ".join(f"x{k}" for k in range(n))
+    loops = [i for i, (_, m, _) in enumerate(rows) if m > 1]
+    rep = [
+        src.dot(f"c{k}_", [v if i in loops else 0 for i, v in enumerate(row)], "k") or "0"
+        for k, row in enumerate(u_inv)
+    ]
+    coeffs = ", ".join(["dv", *(f"f{i}_{j}" for i, j in pattern)])
+
+    def product(k, var):
+        return " + ".join(f"f{i}_{j} * {var}{j}" for i, j in pattern if i == k) or "0"
+
+    wkey = src.key(rows, "w")
+    return [
+        "def build():",
+        "    window = []",
+        *(f"    {'    ' * depth}for k{i} in range(wm{i}):" for depth, i in enumerate(loops)),
+        *(f"    {'    ' * len(loops)}{s}" for s in [
+            f"{x} = {y} = {', '.join(rep)},",
+            "word = []",
+            "size, last = 0, -1",
+            "while size < fixed:",
+            *(f"    {s}" for s in src.step(mat_p, "den", 2, x, [f"{x} = {q}", "word.append(zero)", "size += 1"], [
+                f"{x} = {q}", "word.append(entry[0])", "word += pad", "last = size", "size += w",
+            ])),
+            f"{coeffs} = pulls[size]",
+            f"window.append((tuple(word), size - 1 - last, {coeffs}, "
+            + "".join(f"{product(k, 'y')} - dv * x{k}, " for k in range(n)) + "))",
+        ]),
+        "    return window",
+        "window = build()",
         "def walk(p, cap):",
         "    nonlocal spb",
         f"    {x} = p",
@@ -590,18 +716,24 @@ def _division_lines(src: _Template, mat_p: list[str]) -> list[str]:
         "            spb = steps_per_bit()",
         f"        cap = 64 + spb * (8{''.join(f' + x{k}.bit_length()' for k in range(n))})",
         "    word = []",
+        "    cut = 0",
         f"    while {nonzero}:",
         "        if len(word) >= cap:",
         "            return None",
-        *(f"        {s}" for s in step(mat_p, "den", 2, x, [f"{x} = {q}", "word.append(zero)"], [
-            f"{x} = {q}", "word.append(entry[0])", f"if {nonzero}:", "    word += pad",
-        ])),
+        f"        entry = window[{wkey}]",
+        "        if entry is None:",
+        f"            raise _fault(None, {x})",
+        f"        digits, cut, {coeffs}, {', '.join(f'e{k}' for k in range(n))}, = entry",
+        *(f"        q{k}, r{k} = divmod({product(k, 'x')} - e{k}, dv)" for k in range(n)),
+        f"        if {' or '.join(f'r{k}' for k in range(n))}:",
+        f"            raise _fault(digits, {x})",
+        f"        {x} = {q}",
+        "        word += digits",
+        "    if cut:",
+        "        del word[-cut:]",
+        "    if len(word) > cap:",
+        "        return None",
         "    return p, tuple(word)",
-        "def divisions(p):",
-        f"    {x} = p",
-        *(f"    t{k} = {e}" for k, e in enumerate(src.adj_p)),
-        f"    cls = by_class.get({tup('t{k} % det')}, ())",
-        f"    return [(d, {tup('(t{k} - e{k}) // det')}) for d, {tup('e{k}')} in cls]",
     ]
 
 
@@ -611,13 +743,15 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
     the states a word of any congruent digits passes through, bounded by
     the w-NAF's weight.
 
-    The incumbent. The kernel first loops walk's block step
+    The incumbent. The kernel first loops the block step
     (``_Template.step``) from start under walk's default cap, 64 + spb (8
     + the coordinate bit lengths), counting nonzero digits: U, the weight
     of the w-NAF, or the cell never (infinity) with no word within the
-    cap, as on a cycle. The w-NAF is a word of the set (every remainder is
-    checked, a fault raising ``_fault`` as in walk), so the least weight
-    is at most U, and the search only rules out lighter words.
+    cap, as on a cycle. This loop builds no window table: a set's first
+    oracle call is often its first use. The w-NAF is a word of the set
+    (every remainder is checked, a fault raising ``_fault`` as in
+    divide), so the least weight is at most U, and the search only rules
+    out lighter words.
 
     The search. A popped state sits in locals x0 ... x{n-1}; one popped
     again after a cost-0 edge improved it is in done and skipped. The

@@ -8,15 +8,23 @@ adjugate product over det, written out for the set's dimension.
 ``digit_of`` and ``step`` are its halves, ``value`` is Horner's rule
 back. Words are least significant first.
 
-After a nonzero digit d the window form is forced: d is congruent to
-its point p modulo phi^w, so p - d = phi^w x with x integral, and the
-next w - 1 steps see phi^(w-1) x, ..., phi x, each divisible by the base,
-and strip zeros. ``expand`` therefore runs on ``DigitSet.walk``, one
-kernel call per point that loops those w steps as one block step: one
-class index and one product A (p - d) / q per nonzero digit (phi^-w =
-A / q, up to sign the adjugate of phi^w over |det|^w), and a plain
-division step per free zero, on the point's coordinates held in locals.
-The call checks the raw point and sizes the default cap itself. Its
+The digit at position j of a point p depends on p modulo phi^(j + w)
+only: it is the digit of the class of T^j(p) modulo phi^w, T being the
+division step, and p modulo phi^(j + w) fixes T^j(p) modulo phi^w. So
+the digits at positions 0 ... K - w are the same for every point of a
+class modulo phi^K. After a nonzero digit d the window form is forced
+too: d is congruent to its point modulo phi^w, so the point minus d is
+phi^w x with x integral, and the next w - 1 steps see phi^(w-1) x, ...,
+phi x, each divisible by the base, and strip zeros. ``expand`` therefore
+runs on ``DigitSet.walk``, one kernel call per point that strips, per
+pass, the s digits its class modulo phi^K fixes (positions 0 ... K - w,
+then through the zeros forced by the last nonzero digit among them,
+K - w + 1 <= s <= K) with one table lookup and one product (A_s p - e) /
+q_s, where phi^-s = A_s / q_s and e = A_s v for the value v of those
+digits, on the point's coordinates held in locals. K is the largest k >=
+w with |det|^k at most ``digitset.WINDOW_CLASSES`` (w when |det|^w is
+larger). Once the point is zero, the zeros of the last pass past it come
+off. The call checks the raw point and sizes the default cap itself. Its
 loop keeps no visited set: it ends at zero, at the step cap or on a
 kernel fault. Whenever it gives no word (a bad point or cap, a cycle, a
 long word, a kernel fault) the checks and the step loop on

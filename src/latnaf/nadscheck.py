@@ -20,7 +20,7 @@ from . import lattice
 from .digitset import DigitSet, FAMILY_INTERVAL
 from .errors import ConsistencyError
 from .exactreal import CReal
-from .expansion import CycleReport, step
+from .expansion import CycleReport
 from .record import Record
 
 Point = lattice.Point
@@ -96,10 +96,12 @@ def certify(ds: DigitSet) -> NadsVerdict | None:
 def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
     """Decide the property by orbit classification over the invariant
     ball. Deterministic: starting points in lexicographic order, first
-    nonzero cycle reported, rotated to start at its smallest point."""
+    nonzero cycle reported, rotated to start at its smallest point. Each
+    step is one call of the set's ``DigitSet.divide``."""
     m_hi = invariant_ball_bound(ds)
     zero = ds.inst.zero()
     starts = ds.geo.ball(m_hi * m_hi, ball_cap)
+    divide = ds.divide
     status: dict[Point, bool] = {zero: True}
     for start in starts:
         if start in status:
@@ -125,7 +127,7 @@ def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
                 )
             index[cur] = len(path)
             path.append(cur)
-            cur = step(ds, cur)
+            cur = divide(cur)[1]
     return NadsVerdict(STATUS_SEARCH, search_radius=m_hi)
 
 
@@ -136,10 +138,11 @@ def validate_cycle(ds: DigitSet, report: CycleReport) -> None:
     if not cyc:
         raise ConsistencyError("empty cycle")
     zero = ds.inst.zero()
+    divide = ds.divide
     for i, p in enumerate(cyc):
         if p == zero:
             raise ConsistencyError("cycle through zero")
-        if step(ds, p) != cyc[(i + 1) % len(cyc)]:
+        if divide(p)[1] != cyc[(i + 1) % len(cyc)]:
             raise ConsistencyError(f"cycle does not close at {p}")
 
 

@@ -136,7 +136,8 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
 
 def default_norm_cap(ds: DigitSet) -> Fraction:
     """Twice the invariant-ball radius: minimum-weight paths provably
-    stay inside the ball itself, so the default has slack."""
+    stay inside the ball itself, so the default has slack. The oracle
+    compares with its integer limit, ``DigitSet.default_norm_limit``."""
     return 2 * nadscheck.invariant_ball_bound(ds)
 
 
@@ -167,17 +168,19 @@ def min_weight_oracle(
         raise ValueError(f"norm cap {norm_cap} is not a finite non-negative number")
     if start == inst.zero():
         return 0
-    if norm_cap is None:
-        norm_cap = default_norm_cap(ds)
     _, hi, den = ds.geo.norm_sq_interval(start)
     # every bracket shares den: a state escapes once its lower end, an
     # integer over den, exceeds max(cap^2, hi / den); hi is an integer
-    limit = max(floor(Fraction(norm_cap) ** 2 * den), hi)
+    if norm_cap is None:
+        limit = max(ds.default_norm_limit, hi)
+    else:
+        limit = max(floor(Fraction(norm_cap) ** 2 * den), hi)
 
     try:
         weight = ds.oracle(start, limit)
     except NormCapError as e:
-        raise NormCapError(f"state {e.state} escapes the norm cap {norm_cap}", e.state) from None
+        cap = default_norm_cap(ds) if norm_cap is None else norm_cap
+        raise NormCapError(f"state {e.state} escapes the norm cap {cap}", e.state) from None
     if weight is None:
         raise LatnafError(f"no digit word represents {start} within the cap")
     return weight

@@ -90,13 +90,15 @@ def test_digit_set_two_dim(capsys, tmp_path):
 
 
 def test_listing_sets_compiles_no_division_kernel(capsys, tmp_path, monkeypatch, base3):
-    """digit-set builds and prints a set and never divides, so the
-    division kernel, compiled on a set's first division, is never
-    written; nor for a check-nads that a certificate settles."""
+    """digit-set builds and prints a set and never divides, so neither
+    the division kernel, compiled on a set's first division, nor the
+    window walk, compiled on its first expansion, is ever written; nor
+    for a check-nads that a certificate settles."""
     def refuse(*args):
         raise RuntimeError("the division kernel was compiled")
 
     monkeypatch.setattr(dsm, "_division_lines", refuse)
+    monkeypatch.setattr(dsm, "_window_lines", refuse)
     for obj in (
         {"base": {"minpoly": [5, -4, 1]}, "w": 3},
         {"base": {"matrix": [[3, 1], [-1, 3]]}, "w": 2},

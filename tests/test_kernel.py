@@ -1,9 +1,8 @@
 """Property tests of the division kernel ``DigitSet.divide`` /
 ``DigitSet.divisions`` against the reference path of ``lattice``
-(``solve_divisibility`` and ``residue_key``), of its block loop
-``DigitSet.walk`` against the step loop on ``divide`` (w division steps
-per nonzero digit, one at w = 1, where both run the same quotient body),
-of the expansions and
+(``solve_divisibility`` and ``residue_key``), of the window walk
+``DigitSet.walk`` against the step loop on ``divide`` (every digit a
+point's class modulo phi^K fixes per pass), of the expansions and
 weights built on it, and of the integer norm brackets against
 ``quadform_reference.eval_quadratic`` on the midpoint Gram matrix. The
 systems cover the kernel written out for n = 1, 2, 3 and 4, with cyclic
@@ -57,8 +56,24 @@ def _custom_digits():
     return [new if d == old else d for d in base.digits]
 
 
+# the custom sets of the CLI benchmark corpus: (minimal polynomial, w,
+# the minimal-norm digit d moved to d + c * shift, shift, c)
+CLI_CUSTOM = {
+    "custom541c2": ((5, -4, 1), 2, (-6, 3), (-75, 45), 2),
+    "custom541c3": ((5, -4, 1), 2, (-6, 3), (-75, 45), 3),
+    "custom211c2": ((2, -1, 1), 3, (-1, 1), (0, 12), 2),
+    "custom211c3": ((2, -1, 1), 3, (-1, 1), (0, 12), 3),
+}
+
+
 @lru_cache(maxsize=None)
 def system(name):
+    if name in CLI_CUSTOM:
+        coeffs, w, old, shift, c = CLI_CUSTOM[name]
+        source = nfm.build(list(coeffs))
+        new = tuple(a + c * b for a, b in zip(old, shift))
+        digits = dsm.build_minimal_norm(source, w).digits
+        return dsm.from_digits(source, w, [new if d == old else d for d in digits])
     if name in MATRICES:
         rows, w = MATRICES[name]
         return dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix(rows), w)
@@ -188,32 +203,62 @@ def _check_walk(ds, p, cap):
         assert ds.walk(p, len(want) - 1) is None
 
 
+def _window(ds):
+    """The window table ``DigitSet.walk`` reads, built on first access."""
+    return inspect.getclosurevars(ds.walk).nonlocals["window"]
+
+
+def _depth(ds):
+    """K: the window table covers the classes modulo phi^K."""
+    k, size = ds.w, abs(ds.inst.det) ** ds.w
+    while size < len(_window(ds)):
+        k, size = k + 1, size * abs(ds.inst.det)
+    return k
+
+
+def _window_index(ds, p):
+    """The index of p's class modulo phi^K in the window table: the
+    mixed-radix number of its residue key."""
+    _, diag, _ = lattice.residue_structure(ds.inst, _depth(ds))
+    index = 0
+    for key, m in zip(lattice.residue_key(ds.inst, _depth(ds), p), diag):
+        index = index * m + key
+    return index
+
+
 WALKED = SYSTEMS + ["m23w2", "cycle211w3"]
+WIDTH_ONE = ["t3w1", "q541w1", "c3101w1", "m4w1"]
+WINDOWED = WALKED + WIDTH_ONE + list(CLI_CUSTOM)
 
 
 @SETTINGS
 @given(
-    st.one_of(points(10**6, WALKED), points(10**60, WALKED)),
+    st.one_of(points(10**6, WINDOWED), points(10**60, WINDOWED)),
     st.one_of(st.none(), st.integers(1, 40)),
 )
 @example(("q541w3", (-16, 6)), None)
 @example(("m4w3", (-2, 0, -1, 0)), None)
 @example(("cycle211w3", (5, 8)), None)  # on the cycle
 @example(("cycle211w3", (5, -29)), None)  # enters the cycle mid-block
+@example(("cycle211w3", (5, -29)), 40)
 @example(("t3w3", (1000,)), 7)  # the word 1 0 0 10 0 0 1: the cap at its length
 @example(("t3w3", (1000,)), 5)  # the cap inside the zero run after 10
 @example(("t3w3", (0,)), 1)  # the empty word
+@example(("t3w1", (0,)), None)
+@example(("t2w2", (1000,)), 3)  # the cap inside the first entry's digits
+@example(("t2w2", (1000,)), 10)  # the word 0 0 0 1 0 -1 0 0 0 0 1 is one digit longer
+@example(("t2w2", (1000,)), 11)  # and ends inside its second entry
+@example(("t3w3", (5,)), None)  # the word 5 ends inside its entry 5 0 0
+@example(("custom541c3", (10**60, -10**60)), None)
 def test_walk_matches_the_step_loop(case, cap):
-    """One walk call gives the word of the division steps: a plain step
-    per zero digit and, after a nonzero digit, the point w divide steps
-    on, the w - 1 steps between giving zero digits. No word (a cycle, the
-    cap) is None."""
+    """One walk call gives the word of the division steps on divide,
+    whatever the cap: on the systems above, at width one and on the
+    custom sets of the CLI corpus. Every pass strips the digits the
+    point's class modulo phi^K fixes, after a nonzero digit the w - 1
+    zeros between, and no word (a cycle, the cap) is None."""
     name, p = case
     ds = system(name)
     _check_walk(ds, p, em.default_step_limit(ds, p) if cap is None else cap)
-
-
-WIDTH_ONE = ["t3w1", "q541w1", "c3101w1", "m4w1"]
 
 
 @SETTINGS
@@ -222,13 +267,64 @@ WIDTH_ONE = ["t3w1", "q541w1", "c3101w1", "m4w1"]
     st.one_of(st.none(), st.integers(1, 40)),
 )
 def test_walk_is_the_step_loop_at_width_one(case, cap):
-    """At w = 1 the block step is the division step: (A, q) is
-    (+-adj(phi), |det|) and the pad is empty, so walk gives the divide
-    loop's word digit for digit for every n."""
+    """At w = 1 no digit forces a zero, so every window entry holds
+    exactly the K digits its class modulo phi^K fixes, and walk gives the
+    divide loop's word digit for digit for every n."""
     name, p = case
     ds = system(name)
-    assert inspect.getclosurevars(ds.walk).nonlocals["pad"] == ()
+    window = _window(ds)
+    assert {len(entry[0]) for entry in window} == {_depth(ds)}
     _check_walk(ds, p, em.default_step_limit(ds, p) if cap is None else cap)
+
+
+def test_the_examples_reach_inside_an_entry():
+    """The examples of test_walk_matches_the_step_loop test what they
+    say: t2w2's entries hold 7 or 8 digits (K = 8), so a cap of 3 falls
+    inside the first entry of 1000, and its word of 11 digits ends inside
+    the second entry; t3w3's entries hold 3 to 5 digits (K = 5), and the
+    word of 5, one digit, ends inside its entry, whose last two digits
+    walk cuts."""
+    t2w2, t3w3 = system("t2w2"), system("t3w3")
+    assert (_depth(t2w2), _depth(t3w3)) == (8, 5)
+    zero = (0,)
+    word = t2w2.walk((1000,), None)[1]
+    first = _window(t2w2)[_window_index(t2w2, (1000,))][0]
+    assert 3 < len(first) < len(word) < 2 * len(first)
+    assert word[:len(first)] == first and word[-1] != zero
+    assert t2w2.walk((1000,), 10) is None and t2w2.walk((1000,), 3) is None
+    entry = _window(t3w3)[_window_index(t3w3, (5,))]
+    assert t3w3.walk((5,), None) == ((5,), ((5,),))
+    assert entry[:2] == (((5,), zero, zero), 2)
+
+
+def test_only_a_walk_builds_the_window_table(monkeypatch):
+    """Building a set, divide, divisions and the oracle write no window
+    walk and build no window table. A set's first walk builds both, once:
+    the table covers the classes modulo phi^K for the largest K >= w with
+    |det|^K <= WINDOW_CLASSES, or K = w when |det|^w exceeds it (t17w2's
+    289 classes), so it has at most max(WINDOW_CLASSES, |det|^w) entries."""
+    built, real = [], dsm._window_lines
+    monkeypatch.setattr(dsm, "_window_lines", lambda *args: built.append(args) or real(*args))
+    fresh = {name: (lambda name=name: _fresh(name)) for name in SHAPES}
+    fresh["c3101w4"] = lambda: dsm.build_minimal_norm(nfm.build([3, 1, 0, 1]), 4)
+    fresh["t17w2"] = lambda: dsm.build_minimal_norm(nfm.build([-17, 1]), 2)
+    for name, make in fresh.items():
+        ds = make()
+        n, d, w = ds.inst.n, abs(ds.inst.det), ds.w
+        for p in [(5,) * n, (-9,) + (4,) * (n - 1)]:
+            ds.divide(p)
+            ds.divisions(p)
+            om.min_weight_oracle(ds, p)
+        assert built == [] and "walk" not in vars(ds), name
+        for p in [(5,) * n, (0,) * n, (10**40,) * n]:
+            assert em.value(ds.inst, em.expand(ds, p).word) == p
+            want = _step_word(ds, p, 3)
+            assert ds.walk(p, 3) == (want if want is None else (p, want))
+        assert len(built) == 1, name
+        built.clear()
+        k, size = _depth(ds), len(_window(ds))
+        assert k >= w and size == d**k <= max(dsm.WINDOW_CLASSES, d**w), name
+        assert k == w or d ** (k + 1) > dsm.WINDOW_CLASSES >= d**k, name
 
 
 @SETTINGS
@@ -273,8 +369,10 @@ def test_a_terminating_point_takes_one_walk_call(monkeypatch):
     the step loop checks the point, sizes the cap and divides."""
     walks, checks, limits, divides = [], [], [], []
 
+    real_walk = dsm.DigitSet.walk
+
     def counting_walk(self):
-        kernel = self._kernel[2]
+        kernel = real_walk.__get__(self, dsm.DigitSet)
         return lambda p, cap: walks.append(p) or kernel(p, cap)
 
     def counting(calls, fn):
@@ -416,13 +514,17 @@ def test_divide_on_a_corrupted_table_raises(name):
     """Every digit's class emptied, and every class inside phi Z^n given
     that digit: each remainder coordinate of adj(phi) (p - digit) mod det
     is checked (m23w2 has digits whose first coordinate divides and whose
-    second does not). walk raises what divide raises at its first point;
+    second does not). The window table walk reads is corrupted alike: the
+    entry of the digit's class emptied or given the zero class's entry,
+    and every entry whose first digit is zero given the entry of the
+    digit's class. walk raises what divide raises, at the point walked;
     expand meets the fault in its walk, reruns its step loop and raises
     what that loop on divide raises."""
     ds = system(name)
-    ds = dsm.DigitSet(ds.geo, ds.w, ds.digits, ds.family)  # a table of its own
+    ds = dsm.DigitSet(ds.geo, ds.w, ds.digits, ds.family)  # tables of its own
     table = inspect.getclosurevars(ds._kernel[0]).nonlocals["table"]
-    intact = list(table)
+    window = _window(ds)
+    intact, whole = list(table), list(window)
     p = intmat.mat_vec(ds.inst.phi, (1,) + (0,) * (ds.inst.n - 1))
     walk = lambda x: ds.walk(x, em.default_step_limit(ds, x))  # noqa: E731
     default_walk = lambda x: ds.walk(x, None)  # noqa: E731
@@ -430,17 +532,21 @@ def test_divide_on_a_corrupted_table_raises(name):
         if entry is None:
             continue
         d = entry[0]
-        table[:] = intact
+        table[:], window[:] = intact, whole
         table[i] = None
-        for division in (ds.divide, walk, default_walk):
-            with pytest.raises(MalformedDigitSetError, match=re.escape(
-                f"no digit covers the residue class of {d}"
-            )):
-                division(d)
+        for corrupt in (None, whole[_window_index(ds, ds.inst.zero())]):
+            window[_window_index(ds, d)] = corrupt
+            for division in (ds.divide, walk, default_walk):
+                with pytest.raises(MalformedDigitSetError, match=re.escape(
+                    f"no digit covers the residue class of {d}"
+                )):
+                    division(d)
         want = _outcome(_reference_expand, ds, d, None, dsm.DigitSet.divide)
         assert want[0] is MalformedDigitSetError
         assert _outcome(em.expand, ds, d) == want
         table[:] = [e or entry for e in intact]
+        moved = whole[_window_index(ds, d)]
+        window[:] = [e if any(e[0][0]) else moved for e in whole]
         for division in (ds.divide, walk, default_walk):
             with pytest.raises(MalformedDigitSetError, match=re.escape(
                 f"digit {d} is not congruent to {p} modulo the base image"
@@ -569,9 +675,18 @@ def test_companion_matrix_twin_gives_identical_words(twins, p):
 
 # sets by kernel shape: the n = 1 sets have one Smith modulus and one
 # coefficient per matrix; q541w3 and [2, -1, 1] at w = 3 are cyclic, with
-# every coefficient nonzero; m31w2 (Z/2 x Z/50) has a shape of its own
+# every coefficient nonzero; m31w2 (Z/2 x Z/50) has a shape of its own.
+# Their window walks fall into the same three shapes (modulo phi^K, the
+# n = 1 groups and those of q541w3 and [2, -1, 1] are cyclic, and m31w2's
+# is Z/10 x Z/10)
 SHAPES = {"t2w2": 1, "t3w2": 1, "t3w3": 1, "q541w3": 2, "q211w3": 2, "m31w2": 3}
-KERNEL = ("divide", "divisions", "walk", "oracle")
+KERNEL = ("divide", "divisions", "oracle", "walk")
+
+
+def _functions(ds):
+    """The set's generated functions, in KERNEL order: the kernel's three
+    and the window walk."""
+    return (*ds._kernel, ds.walk)
 
 
 def _fresh(name):
@@ -589,21 +704,23 @@ def _fresh(name):
     ("t3w3", "q541w3", "m31w2", "t2w2", "q211w3", "t3w2"),
 ])
 def test_sets_of_one_shape_share_code_and_never_cells(order):
-    """Whichever set comes first, every kernel function of a later set
-    of its shape runs the same code object under the same globals dict
-    (one per shape, so the interpreter's cached global lookups hold when
-    calls alternate between the sets), and no other shape's; no two sets
-    share a closure cell."""
+    """Whichever set comes first, every kernel function and the window
+    walk of a later set of its shape run the same code object under the
+    same globals dict (one per shape, so the interpreter's cached global
+    lookups hold when calls alternate between the sets), and no other
+    shape's; no two sets share a closure cell. The kernel and the walk are
+    two factories per shape."""
     dsm._Template.factories.clear()
     sets = {name: _fresh(name) for name in order}
     for ds in sets.values():
         ds.divide((1,) * ds.inst.n)
+        ds.walk((1,) * ds.inst.n, None)
     for a, b in itertools.combinations(order, 2):
-        for fn, fa, fb in zip(KERNEL, sets[a]._kernel, sets[b]._kernel):
+        for fn, fa, fb in zip(KERNEL, _functions(sets[a]), _functions(sets[b])):
             same = SHAPES[a] == SHAPES[b]
             assert (fa.__code__ is fb.__code__) == same == (fa.__globals__ is fb.__globals__), (a, b, fn)
             assert not set(map(id, fa.__closure__)) & set(map(id, fb.__closure__)), (a, b, fn)
-    assert len(dsm._Template.factories) == 3
+    assert len(dsm._Template.factories) == 6
 
 
 @lru_cache(maxsize=None)
@@ -614,11 +731,14 @@ def _shared_and_fresh():
     shared = {name: _fresh(name) for name in SHAPES}
     for ds in shared.values():
         ds.divide((0,) * ds.inst.n)  # builds the kernel
+        ds.walk  # and the window walk
     fresh = {}
     for name in SHAPES:
         dsm._Template.factories.clear()
-        fresh[name] = _fresh(name)
-        assert fresh[name].walk.__code__ is not shared[name].walk.__code__
+        fresh[name] = ds = _fresh(name)
+        ds.divide((0,) * ds.inst.n)
+        for fa, fb in zip(_functions(ds), _functions(shared[name])):
+            assert fa.__code__ is not fb.__code__
     return shared, fresh
 
 
@@ -643,5 +763,5 @@ def test_shared_code_returns_what_fresh_code_returns(case, cap, limit):
     compiled for the set alone do."""
     name, p = case
     shared, fresh = _shared_and_fresh()
-    for fn, args in zip(KERNEL, ((p,), (p,), (p, cap), (p, limit))):
+    for fn, args in zip(KERNEL, ((p,), (p,), (p, limit), (p, cap))):
         assert _raised(getattr(shared[name], fn), *args) == _raised(getattr(fresh[name], fn), *args)

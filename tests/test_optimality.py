@@ -654,7 +654,7 @@ def test_an_oracle_call_is_one_kernel_call(monkeypatch):
     for name in ("t2w2", "t3w2", "q541w3", "m31w2", "c3101w4"):
         ds = ORACLE_SYSTEMS[name][0]()
         n = ds.inst.n
-        em.expand(ds, (7,) * n)
+        ds.divide((7,) * n)
         assert len(built) == 1
         built.clear()
         ncm.invariant_ball_bound(ds)  # brackets every digit, once per set
@@ -684,7 +684,7 @@ def test_an_oracle_call_builds_the_one_kernel(monkeypatch):
         n = ds.inst.n
         for p in [(5,) * n, (-9,) + (4,) * (n - 1), (1,) * n]:
             _oracle_outcome(om.min_weight_oracle, ds, p)
-        assert len(built) == 1 and ds.oracle is ds._kernel[3], name
+        assert len(built) == 1 and ds.oracle is ds._kernel[2], name
         assert "walk" not in vars(ds) and divisions == [], name
         built.clear()
 
@@ -757,3 +757,23 @@ def test_the_invariant_ball_bound_is_computed_once_per_set(monkeypatch):
         om.min_weight_oracle(ds, (3,) * ds.inst.n)
         om.verify_empirically(ds, 3)
     assert calls == sets
+
+
+def test_the_default_cap_is_one_cached_integer_limit(monkeypatch):
+    """With no cap given, the oracle compares with the set's cached
+    default_norm_limit, floor(C^2 D) for C = default_norm_cap and D the
+    den of the 64-bit brackets, and forms no Fraction cap: it calls
+    default_norm_cap only to word a NormCapError, and returns or raises
+    on every set what the same cap given explicitly does."""
+    caps, real = [], om.default_norm_cap
+    monkeypatch.setattr(om, "default_norm_cap", lambda ds: caps.append(ds) or real(ds))
+    for name in sorted(ORACLE_SYSTEMS):
+        ds = ORACLE_SYSTEMS[name][0]()
+        n = ds.inst.n
+        points = [(5,) * n, (-9,) + (4,) * (n - 1), (1,) * n]
+        got = [_oracle_outcome(om.min_weight_oracle, ds, p) for p in points]
+        assert caps == [], name
+        cap = real(ds)
+        den = ds.geo.norm_sq_interval((0,) * n)[2]
+        assert vars(ds)["default_norm_limit"] == floor(cap**2 * den), name
+        assert got == [_oracle_outcome(om.min_weight_oracle, ds, p, cap) for p in points], name
