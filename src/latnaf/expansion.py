@@ -63,8 +63,7 @@ class Expansion(Record):
 
     @property
     def weight(self) -> int:
-        zero = tuple(0 for _ in self.point)
-        return sum(1 for d in self.word if d != zero)
+        return word_weight(self.word)
 
 
 class CycleReport(Record):
@@ -176,4 +175,5 @@ def is_wnaf(e: Expansion) -> bool:
 
 
 def word_weight(word) -> int:
-    return sum(1 for d in word if any(v != 0 for v in d))
+    """Nonzero digits of a word: a digit counts when a coordinate is nonzero."""
+    return sum(map(any, word))

@@ -39,7 +39,7 @@ from . import intmat, lattice, nadscheck
 from .digitset import DigitSet
 from .errors import InstanceError, LatnafError, MalformedDigitSetError, NormCapError
 from .exactreal import CReal, Interval
-from .expansion import CycleReport, default_step_limit, expand
+from .expansion import CycleReport, expand
 from .record import Record
 
 Point = lattice.Point
@@ -223,44 +223,6 @@ def _distance_table(ds: DigitSet, bound: Fraction) -> dict:
     return dist
 
 
-def _known_word_weight(ds: DigitSet, words: dict, p: Point) -> int | None:
-    """Weight of expand(ds, p), computed by walking the orbit of p only
-    up to the first point whose word is known: word(p) = digit .
-    word(quotient). words maps each point walked to the weight, length
-    and leading zero digits of its word, zero to (0, 0, w - 1) since any
-    digit may precede the empty word; every point of the walk is added.
-
-    Returns None wherever expand would not return an Expansion, so the
-    caller runs expand to report the fault: no known word within the
-    step cap (a cycle among others), a class no digit covers, a nonzero
-    digit whose quotient's word starts with fewer than w - 1 zeros, or a
-    word longer than the cap."""
-    limit = default_step_limit(ds, p)
-    zero = (0,) * len(p)
-    path = []
-    cur = p
-    try:
-        while cur not in words:
-            if len(path) >= limit:
-                return None
-            d, nxt = ds.divide(cur)
-            path.append((cur, d != zero))
-            cur = nxt
-    except MalformedDigitSetError:
-        return None
-    weight, length, lead = words[cur]
-    for x, nonzero in reversed(path):
-        if nonzero:
-            if lead < ds.w - 1:
-                return None
-            weight, lead = weight + 1, 0
-        else:
-            lead += 1
-        length += 1
-        words[x] = (weight, length, lead)
-    return weight if length <= limit else None
-
-
 class VerifyReport(Record):
     """Outcome of an empirical optimality sweep."""
 
@@ -286,7 +248,11 @@ def verify_empirically(
     lattice point of norm up to radius (or a seeded sample when the ball
     is larger than sample_threshold). Zero violations is the certified
     expectation whenever check_hypotheses passes. Raises ValueError for a
-    non-finite radius; a negative one gives the empty report."""
+    non-finite radius; a negative one gives the empty report.
+
+    Each point's w-NAF comes from one ``DigitSet.walk`` call. Where the
+    walk gives no word or faults, ``expand`` reruns its checks and step
+    loop on that point and reports the cycle, the step cap or the fault."""
     geo = ds.geo
     try:
         radius = Fraction(radius)
@@ -306,11 +272,18 @@ def verify_empirically(
         sampled = True
     sweep_bound = max(radius, nadscheck.invariant_ball_bound(ds))
     table = _distance_table(ds, sweep_bound)
-    words = {ds.inst.zero(): (0, 0, ds.w - 1)}
+    zero = ds.inst.zero()
+    walk = ds.walk
     violations = []
     for p in pts:
-        weight = _known_word_weight(ds, words, p)
-        if weight is None:
+        try:
+            found = walk(p, None)
+        except MalformedDigitSetError:
+            found = None
+        if found is not None:
+            word = found[1]
+            weight = len(word) - word.count(zero)
+        else:
             result = expand(ds, p)
             if isinstance(result, CycleReport):
                 raise LatnafError(

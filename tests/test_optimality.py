@@ -353,26 +353,45 @@ def test_sweep_non_terminating_set_raises_as_reference():
 
 
 def test_sweep_step_cap_raises_at_the_reference_point(monkeypatch):
-    """A cap of 3 steps at 27 alone: its word 0001 is four long, and all
-    but its first step is already known when the sweep reaches it. The
-    sweep's own walk reads default_step_limit; expand sizes its default
-    cap inside DigitSet.walk, so both expands are handed the cap."""
-    default = em.default_step_limit
+    """A cap of 3 steps at 27 alone: its word 0001 is four long. The
+    sweep takes 27's word from one walk with the default cap, planted
+    there as 3, so the walk gives no word; expand sizes its default cap
+    inside DigitSet.walk, so both expands are handed the cap and raise it
+    from their step loops."""
+    real_walk = dsm.DigitSet.walk
     expand = em.expand
 
-    def limit(ds, p):
-        return 3 if p == (27,) else default(ds, p)
+    def limit(p, cap):
+        return 3 if cap is None and p == (27,) else cap
+
+    def capped_walk(self):
+        kernel = real_walk.__get__(self, dsm.DigitSet)
+        return lambda p, cap: kernel(p, limit(p, cap))
 
     def capped(ds, p, max_steps=None):
-        return expand(ds, p, limit(ds, p) if max_steps is None else max_steps)
+        return expand(ds, p, limit(p, max_steps))
 
-    monkeypatch.setattr(om, "default_step_limit", limit)
+    monkeypatch.setattr(dsm.DigitSet, "walk", property(capped_walk))
     monkeypatch.setattr(em, "expand", capped)
     monkeypatch.setattr(om, "expand", capped)
     ds = ds_int(3, 2)
     want = _outcome(_reference_sweep, ds, 40)
     assert want == (LatnafError, "expansion exceeded 3 steps")
     assert _outcome(om.verify_empirically, ds, 40) == want
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_sweep_takes_each_word_from_one_walk(monkeypatch, name):
+    """The sweep divides no point with DigitSet.divide: each swept
+    point's w-NAF comes from the set's window walk, built at most once."""
+    divides, built = [], []
+    divide, lines = dsm.DigitSet.divide, dsm._window_lines
+    monkeypatch.setattr(dsm.DigitSet, "divide", lambda self, p: divides.append(p) or divide(self, p))
+    monkeypatch.setattr(dsm, "_window_lines", lambda *args: built.append(args) or lines(*args))
+    build, radius = DIFFERENTIAL[name]
+    ds = build()
+    assert om.verify_empirically(ds, radius).points_checked >= 13
+    assert divides == [] and len(built) <= 1
 
 
 @pytest.mark.parametrize(
