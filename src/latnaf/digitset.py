@@ -41,11 +41,12 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import floor, inf, lcm, prod
+from math import floor, inf, isqrt, lcm, prod
 from operator import index, mul
 
 from . import intmat, lattice, numberfield, quadform
 from .errors import (
+    BallSizeError,
     ConsistencyError,
     InstanceError,
     MalformedDigitSetError,
@@ -195,9 +196,22 @@ class Geometry(Record):
     def ball(self, bound_sq: Fraction, cap: int | None = None) -> list[Point]:
         """Lattice points of squared norm at most bound_sq: exactly that
         ball with an exact Gram matrix, a certified superset otherwise.
-        Raises BallSizeError once more than cap points are found."""
-        _, form, kappa = self.enclosure()
-        return quadform.enumerate_ball(form, bound_sq / (1 - kappa), cap)
+        Raises BallSizeError once more than cap points are found.
+
+        The enumeration covers every v with Q_M(v) / D <= bound, bound =
+        bound_sq / (1 - kappa), at the enclosure's level (D, M). With S
+        the sum of the |M_ij|, Q_M(v) <= S |v|_inf^2, so every v with
+        |v|_inf <= t = isqrt(floor(bound D / S)) is among them: when the
+        (2t + 1)^n points of that box already exceed cap, the error is
+        raised before the enumeration starts."""
+        bits, form, kappa = self.enclosure()
+        bound = Fraction(bound_sq) / (1 - kappa)
+        if cap is not None and bound > 0:
+            den, m, _ = self._level(bits)
+            t = isqrt(floor(bound * den / sum(abs(v) for row in m for v in row)))
+            if (2 * t + 1) ** len(m) > cap:
+                raise BallSizeError(f"search ball holds more than {cap} points", cap)
+        return quadform.enumerate_ball(form, bound, cap)
 
     @cached_property
     def u(self) -> CReal:
@@ -451,12 +465,15 @@ class DigitSet(Record):
 
     @cached_property
     def oracle(self):
-        """oracle(start, limit), the zero-one search of
+        """oracle(start, limit, states), the zero-one search of
         ``optimality.min_weight_oracle`` in the set's one kernel
         (``_oracle_lines``): the least weight of a digit word of value start
-        (a point tuple), or None when no word is found. A state it relaxes
-        whose 64-bit norm bracket has its lower end, an integer over the den
-        of ``Geometry.norm_sq_interval``, above limit raises NormCapError with it."""
+        (a point tuple), or None when no word is found. It raises
+        BallSizeError once it holds more than states states. With limit
+        None it evaluates no norm; otherwise a state it relaxes whose
+        64-bit norm bracket has its lower end, an integer over the den of
+        ``Geometry.norm_sq_interval``, above limit raises NormCapError
+        with it."""
         return self._kernel[2]
 
     @cached_property
@@ -474,14 +491,6 @@ class DigitSet(Record):
                 raise PrecisionCapError("could not separate the contraction factor from 1")
         md_hi = sqrt_upper(max_digit_norm_sq_upper(self), 64)
         return u_hi * md_hi / (1 - u_hi)
-
-    @cached_property
-    def default_norm_limit(self) -> int:
-        """floor(C^2 D) for the weight oracle's default norm cap C, twice
-        ``invariant_ball_bound``, and D the den of the 64-bit level of
-        ``Geometry.norm_sq_interval``: the integer that ``oracle`` compares
-        the lower bracket ends of states with."""
-        return floor((2 * self.invariant_ball_bound) ** 2 * self.geo._level(64)[0])
 
     @cached_property
     def steps_per_bit(self) -> int:
@@ -531,6 +540,10 @@ def _fault(entry, p) -> MalformedDigitSetError:
 
 def _escape(state):
     raise NormCapError(f"state {state} escapes the norm cap", state)
+
+
+def _overflow(cap):
+    raise BallSizeError(f"weight search holds more than {cap} states", cap)
 
 
 class _Template:
@@ -738,10 +751,10 @@ def _window_lines(src: _Template, mat_p: list[str], rows, u_inv, pattern) -> lis
 
 
 def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class, w) -> list[str]:
-    """The lines of oracle(start, limit) in ``DigitSet._kernel``: the
-    zero-one breadth-first search of ``optimality.min_weight_oracle`` over
-    the states a word of any congruent digits passes through, bounded by
-    the w-NAF's weight.
+    """The lines of oracle(start, limit, states) in ``DigitSet._kernel``:
+    the zero-one breadth-first search of ``optimality.min_weight_oracle``
+    over the states a word of any congruent digits passes through, bounded
+    by the w-NAF's weight.
 
     The incumbent. The kernel first loops the block step
     (``_Template.step``) from start under walk's default cap, 64 + spb (8
@@ -764,13 +777,27 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
     its class, (adj(phi) x - adj(phi) d) / det in digit order, pushed at
     the back. As adj(phi) x and adj(phi) d leave the same remainders mod
     det, that edge is adj(phi) x // det - adj(phi) d // det, and steps
-    holds the second term per digit: no edge divides. A state reached
-    more cheaply than before is checked against the norm cap first: the
-    lower end of its bracket at ``level`` = (D, M, H), the 64-bit level of
+    holds the second term per digit: no edge divides. Each pop first
+    checks that dist holds at most states states, else the cell overflow
+    raises BallSizeError: dist then never holds more than states plus one
+    class's digits. With a limit, a state reached more cheaply than
+    before is checked against the norm cap first: the lower end of its
+    bracket at ``level`` = (D, M, H), the 64-bit level of
     ``Geometry._level``, Q_M(y) - |y|^T H |y| (no H on an exact Gram
     matrix), summed over i <= k with M_ik + M_ki and H_ik + H_ki off the
     diagonal, is an integer over D compared with limit. Past it, the cell
-    escape raises NormCapError with the state.
+    escape raises NormCapError with the state. With limit None no norm is
+    evaluated.
+
+    Termination needs no norm. phi is expanding, so some norm |.| exists
+    in which phi^-1 contracts, |phi^-1 v| <= c |v| with c < 1; it is only
+    shown to exist (an adapted norm of the Jordan form) and is never
+    computed. An edge maps x to (x - d) / phi with d a digit or zero, so
+    |next| <= c (|x| + m) for m the largest digit norm, and every state
+    reachable from start has norm at most max(|start|, c m / (1 - c)).
+    That is a bounded set of lattice points, hence finite: the search
+    drains after finitely many pops, the state cap being a resource bound
+    and not what stops it.
 
     The bound. A nonzero state x reaches zero only through a cost-1 edge
     with digit d = x (the quotient of a nonzero state by phi is nonzero),
@@ -789,12 +816,15 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
     and the rest keep their order. So where that search returns a
     weight, this returns the same one; this raises NormCapError only
     where that search raises too; and it may return the exact weight
-    where that search escapes.
+    where that search escapes. With limit None that search escapes
+    nowhere and, on its finite state set, pops zero exactly when a word
+    exists: the result is the exact least weight, or None when there is
+    no word at all.
     """
     n, tup = src.n, src.tup
     _, m, h = level
     src.cells.update(
-        w=w, deque=deque, escape=_escape, never=inf,
+        w=w, deque=deque, escape=_escape, overflow=_overflow, never=inf,
         steps={key: tuple(tuple(v // det for v in ad) for _, ad in cls) for key, cls in by_class.items()},
         digits=frozenset(e[0] for e in table if e is not None),
     )
@@ -817,7 +847,7 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
     def relax(cost, push):
         return [
             f"if seen(nxt, {cost} + 1) > {cost}:",
-            f"    if {lo} > limit:",
+            f"    if limit is not None and {lo} > limit:",
             "        escape(nxt)",
             "    if nxt in digits:",
             f"        reach = {cost}",
@@ -826,7 +856,7 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
         ]
 
     return [
-        "def oracle(start, limit):",
+        "def oracle(start, limit, states):",
         "    nonlocal spb",
         f"    {x} = start",
         "    if spb is None:",
@@ -847,6 +877,8 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
         "    pop, seen, expanded = queue.popleft, dist.get, done.add",
         "    push, push_zero = queue.append, queue.appendleft",
         "    while queue:",
+        "        if len(dist) > states:",
+        "            overflow(states)",
         "        cur = pop()",
         "        if cur in done:",
         "            continue",

@@ -25,7 +25,10 @@ class MalformedDigitSetError(LatnafError):
 
 
 class BallSizeError(LatnafError):
-    """A certified ball enumeration exceeded the configured point cap."""
+    """A search exceeded its configured size cap: a certified ball
+    enumeration more than cap points (found up front where a box inside
+    the ball already holds more), or the weight oracle's search more than
+    cap states."""
 
     def __init__(self, message: str, cap: int):
         super().__init__(message)

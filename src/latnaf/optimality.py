@@ -18,14 +18,16 @@ Two independent instruments:
   only rules out lighter words. It takes no edge that can only lead to
   weight U or more, and stops once the least weight is settled.
 
-The oracle checks each state it relaxes against a norm cap, by default
-twice the radius of the ball that orbits of the division map enter and
-never leave (``nadscheck.invariant_ball_bound``). A state past the cap
-raises NormCapError instead of being dropped, so no answer comes from a
-search pruned by the cap; the states the bound and the stop leave out
-lead only to words no lighter than the answer, so a cap passed only
-there does not raise. The empirical sweep's reverse table covers at
-least that ball, which forward minimum paths never leave.
+By default the oracle evaluates no norm: phi is expanding, so the
+states reachable from a point form a finite set (``min_weight_oracle``),
+and its one resource bound is a state count. An explicit norm cap is an
+opt-in check of each state it relaxes: a state past the cap raises
+NormCapError instead of being dropped, so no answer comes from a search
+pruned by the cap; the states the bound and the stop leave out lead only
+to words no lighter than the answer, so a cap passed only there does not
+raise. The empirical sweep's reverse table covers the invariant ball
+(``nadscheck.invariant_ball_bound``), which forward minimum paths never
+leave.
 """
 
 from __future__ import annotations
@@ -134,13 +136,6 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
     )
 
 
-def default_norm_cap(ds: DigitSet) -> Fraction:
-    """Twice the invariant-ball radius: minimum-weight paths provably
-    stay inside the ball itself, so the default has slack. The oracle
-    compares with its integer limit, ``DigitSet.default_norm_limit``."""
-    return 2 * nadscheck.invariant_ball_bound(ds)
-
-
 def min_weight_oracle(
     ds: DigitSet, p, norm_cap: Fraction | None = None
 ) -> int:
@@ -148,12 +143,20 @@ def min_weight_oracle(
     forms): zero-one shortest path on lattice states, where a state q
     steps to (q - digit)/base at cost one for a nonzero digit and zero
     for the zero digit. The whole search is one call of the set's
-    generated ``DigitSet.oracle``; this function checks the point and
-    turns the norm cap into the integer limit that kernel compares the
-    lower bracket ends of states with. The point's w-NAF is a word of the
-    set, so its weight U bounds the answer: the search takes no edge that
-    can only lead to weight U or more (with no w-NAF, as on a cycle, it
-    has no bound), and stops once the answer is settled.
+    generated ``DigitSet.oracle``; this function checks the point and,
+    given a norm cap, turns it into the integer limit that kernel compares
+    the lower bracket ends of states with. The point's w-NAF is a word of
+    the set, so its weight U bounds the answer: the search takes no edge
+    that can only lead to weight U or more (with no w-NAF, as on a cycle,
+    it has no bound), and stops once the answer is settled.
+
+    With no cap the search evaluates no norm, needs no contraction
+    factor or invariant ball, and returns the exact least weight: phi is
+    expanding, so some norm exists in which phi^-1 contracts (it is only
+    shown to exist, never computed), every state reachable from p lies in
+    a bounded set of lattice points, and that set is finite. Raises
+    BallSizeError once the search holds more than
+    ``nadscheck.DEFAULT_BALL_CAP`` states, under a norm cap too.
 
     Raises ValueError for a negative or non-finite cap, and NormCapError
     when a state the search relaxes provably exceeds the cap (cap too
@@ -168,19 +171,16 @@ def min_weight_oracle(
         raise ValueError(f"norm cap {norm_cap} is not a finite non-negative number")
     if start == inst.zero():
         return 0
-    _, hi, den = ds.geo.norm_sq_interval(start)
-    # every bracket shares den: a state escapes once its lower end, an
-    # integer over den, exceeds max(cap^2, hi / den); hi is an integer
-    if norm_cap is None:
-        limit = max(ds.default_norm_limit, hi)
-    else:
+    limit = None
+    if norm_cap is not None:
+        # every bracket shares den: a state escapes once its lower end, an
+        # integer over den, exceeds max(cap^2, hi / den); hi is an integer
+        _, hi, den = ds.geo.norm_sq_interval(start)
         limit = max(floor(Fraction(norm_cap) ** 2 * den), hi)
-
     try:
-        weight = ds.oracle(start, limit)
+        weight = ds.oracle(start, limit, nadscheck.DEFAULT_BALL_CAP)
     except NormCapError as e:
-        cap = default_norm_cap(ds) if norm_cap is None else norm_cap
-        raise NormCapError(f"state {e.state} escapes the norm cap {cap}", e.state) from None
+        raise NormCapError(f"state {e.state} escapes the norm cap {norm_cap}", e.state) from None
     if weight is None:
         raise LatnafError(f"no digit word represents {start} within the cap")
     return weight

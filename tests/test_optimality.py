@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import deque
 from decimal import Decimal
 from fractions import Fraction
@@ -17,6 +18,7 @@ from latnaf import numberfield as nfm
 from latnaf import optimality as om
 from latnaf import quadform as qf
 from latnaf.errors import (
+    BallSizeError,
     ConsistencyError,
     InstanceError,
     LatnafError,
@@ -166,9 +168,20 @@ def test_oracle_unreachable_point_raises():
 
 
 def test_default_norm_cap_generous():
-    ds = ds_int(3, 2)
-    cap = om.default_norm_cap(ds)
-    assert cap >= 2 * ncm.invariant_ball_bound(ds)
+    """The default oracle has no norm cap: wherever an explicit cap gives
+    a weight, twice the invariant ball among them, the default gives the
+    same one, and where a cap escapes, the default still answers.
+    custom541's moved digit pulls the search past a zero cap."""
+    escaped = 0
+    for ds, p in [(ds_int(3, 2), (7,)), (ds_int(3, 2), (-40,)), (ds_int(3, 2), (1000,)),
+                  (oracle_system("custom541"), (-6, -11)), (oracle_system("custom541"), (14, -37))]:
+        want = om.min_weight_oracle(ds, p)
+        for cap in (0, 1, 4, _default_cap(ds), 10**6):
+            got = _oracle_outcome(om.min_weight_oracle, ds, p, cap)
+            if got != want:
+                assert got[0] is NormCapError, (p, cap)
+                escaped += 1
+    assert escaped
 
 
 def test_verify_base_three_no_violations():
@@ -433,6 +446,12 @@ def test_oracle_refuses_a_non_integer_point():
 # --- the oracle kernel vs the step-by-step search it replaced ---
 
 
+def _default_cap(ds):
+    """The references' default norm cap: twice the invariant-ball bound,
+    which minimum-weight paths provably never leave."""
+    return 2 * ncm.invariant_ball_bound(ds)
+
+
 def _reference_oracle(ds, p, norm_cap=None, settle=True):
     """Reference: min_weight_oracle as a Python zero-one BFS, one
     divisions call per state and one norm bracket per new state. best is
@@ -450,7 +469,7 @@ def _reference_oracle(ds, p, norm_cap=None, settle=True):
         return 0
     geo = ds.geo
     if norm_cap is None:
-        norm_cap = om.default_norm_cap(ds)
+        norm_cap = _default_cap(ds)
     _, hi, den = geo.norm_sq_interval(start)
     limit = floor(max(Fraction(norm_cap) ** 2, Fraction(hi, den)) * den)
     digits = set(ds.nonzero_digits)
@@ -656,10 +675,10 @@ def _counting_compiles(monkeypatch):
 
 
 def test_an_oracle_call_is_one_kernel_call(monkeypatch):
-    """min_weight_oracle brackets the start point's norm and hands the
-    search to the generated kernel: no divisions call and no further
-    norm bracket, whatever the number of states. After a division, the
-    set's one kernel is built, so an oracle call builds nothing."""
+    """With no cap, min_weight_oracle hands the search to the generated
+    kernel without a norm bracket: no divisions call and no bracket,
+    whatever the number of states. After a division, the set's one
+    kernel is built, so an oracle call builds nothing."""
     divisions, brackets = [], []
 
     def counting(calls, fn):
@@ -676,7 +695,7 @@ def test_an_oracle_call_is_one_kernel_call(monkeypatch):
         ds.divide((7,) * n)
         assert len(built) == 1
         built.clear()
-        ncm.invariant_ball_bound(ds)  # brackets every digit, once per set
+        ncm.invariant_ball_bound(ds)  # the reference's cap brackets every digit, once per set
         for p in [(5,) * n, (-9,) + (4,) * (n - 1), (11,) * n]:
             divisions.clear()
             brackets.clear()
@@ -685,7 +704,7 @@ def test_an_oracle_call_is_one_kernel_call(monkeypatch):
             divisions.clear()
             brackets.clear()
             om.min_weight_oracle(ds, p)
-            assert divisions == [] and brackets == [p]
+            assert divisions == [] and brackets == []
         assert built == []
 
 
@@ -772,27 +791,150 @@ def test_the_invariant_ball_bound_is_computed_once_per_set(monkeypatch):
     for ds, bound in zip(sets, want):
         for _ in range(3):
             assert ncm.invariant_ball_bound(ds) == bound
-        assert om.default_norm_cap(ds) == 2 * bound
+        assert _default_cap(ds) == 2 * bound
         om.min_weight_oracle(ds, (3,) * ds.inst.n)
         om.verify_empirically(ds, 3)
     assert calls == sets
 
 
 def test_the_default_cap_is_one_cached_integer_limit(monkeypatch):
-    """With no cap given, the oracle compares with the set's cached
-    default_norm_limit, floor(C^2 D) for C = default_norm_cap and D the
-    den of the 64-bit brackets, and forms no Fraction cap: it calls
-    default_norm_cap only to word a NormCapError, and returns or raises
-    on every set what the same cap given explicitly does."""
-    caps, real = [], om.default_norm_cap
-    monkeypatch.setattr(om, "default_norm_cap", lambda ds: caps.append(ds) or real(ds))
+    """With no cap given, the oracle is norm-free: it hands the kernel no
+    limit and the state cap nadscheck.DEFAULT_BALL_CAP, computes no
+    invariant ball and no integer limit (the set has no
+    default_norm_limit), and on every set returns what the search under
+    an explicit cap of twice the invariant ball returns, or the exact
+    weight where that search escapes."""
     for name in sorted(ORACLE_SYSTEMS):
         ds = ORACLE_SYSTEMS[name][0]()
         n = ds.inst.n
+        calls, real = [], ds.oracle
+        vars(ds)["oracle"] = lambda *args: calls.append(args[1:]) or real(*args)
         points = [(5,) * n, (-9,) + (4,) * (n - 1), (1,) * n]
         got = [_oracle_outcome(om.min_weight_oracle, ds, p) for p in points]
-        assert caps == [], name
-        cap = real(ds)
-        den = ds.geo.norm_sq_interval((0,) * n)[2]
-        assert vars(ds)["default_norm_limit"] == floor(cap**2 * den), name
-        assert got == [_oracle_outcome(om.min_weight_oracle, ds, p, cap) for p in points], name
+        assert calls and set(calls) == {(None, ncm.DEFAULT_BALL_CAP)}, name
+        assert "invariant_ball_bound" not in vars(ds), name
+        assert not hasattr(ds, "default_norm_limit"), name
+        capped = [_oracle_outcome(om.min_weight_oracle, ds, p, _default_cap(ds)) for p in points]
+        for p, g, c in zip(points, got, capped):
+            assert g == c or (isinstance(g, int) and c[0] is NormCapError), (name, p)
+
+
+# --- the norm-free default ---
+
+
+def _readme_matrix_set():
+    """README's matrix base [[0, -2], [1, 1]] at w = 2: expanding, but
+    phi^-1 is no contraction in the coordinate norm, so it has no u."""
+    return dsm.build_minimal_norm(lattice.LatticeInstance.from_matrix([[0, -2], [1, 1]]), 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(DECIDED_ORACLE).flatmap(
+    lambda name: st.tuples(st.just(name), _drawn_point(name))
+))
+def test_norm_free_oracle_matches_the_oracle_under_twice_the_invariant_ball(case):
+    name, p = case
+    ds = oracle_system(name)
+    want = _oracle_outcome(om.min_weight_oracle, ds, p, _default_cap(ds))
+    assert _oracle_outcome(om.min_weight_oracle, ds, p) == want
+
+
+def test_norm_free_oracle_answers_on_the_readme_matrix_base():
+    ds = _readme_matrix_set()
+    with pytest.raises(InstanceError):
+        ds.geo.u
+    rng = random.Random("oracle-readme-matrix")
+    pts = [(5, 3), (17, -9), (40, 41)]
+    pts += [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(30)]
+    got = [om.min_weight_oracle(ds, p) for p in pts]
+    assert got[:3] == [4, 4, 5]
+    assert got == [_reference_oracle(ds, p, 10**4) for p in pts]
+    assert all(w <= em.expand(ds, p).weight for p, w in zip(pts, got))
+
+
+def test_the_default_oracle_reads_no_norm(monkeypatch):
+    """Fresh sets, README's matrix base among them: with no cap, the
+    oracle brackets no norm and reads no contraction factor."""
+    sets = [ORACLE_SYSTEMS[name][0]() for name in sorted(ORACLE_SYSTEMS)] + [_readme_matrix_set()]
+
+    def refuse(*args):
+        raise AssertionError("the default oracle read a norm")
+
+    monkeypatch.setattr(dsm.Geometry, "norm_sq_interval", refuse)
+    monkeypatch.setattr(dsm.Geometry, "u", property(refuse))
+    for ds in sets:
+        n = ds.inst.n
+        for p in [(5,) * n, (-9,) + (4,) * (n - 1), (1,) * n]:
+            outcome = _oracle_outcome(om.min_weight_oracle, ds, p)
+            assert isinstance(outcome, int) or "no digit word" in outcome[1], (ds, p)
+
+
+def _most_states(call):
+    """(the outcome of call(), the most states the oracle kernel's dist
+    held during it), read by a trace of the kernel's frames."""
+    most = 0
+
+    def local(frame, event, arg):
+        nonlocal most
+        dist = frame.f_locals.get("dist")
+        if dist is not None:
+            most = max(most, len(dist))
+        return local
+
+    def enter(frame, event, arg):
+        code = frame.f_code
+        return local if code.co_name == "oracle" and code.co_filename == "<kernel>" else None
+
+    sys.settrace(enter)
+    try:
+        try:
+            outcome = call()
+        except LatnafError as e:
+            outcome = (type(e), str(e), getattr(e, "cap", None))
+    finally:
+        sys.settrace(None)
+    return outcome, most
+
+
+@pytest.mark.parametrize("build, points, cap", [
+    # the six cycle points of c3101w3 have no w-NAF, so U is infinite
+    (lambda: dsm.build_minimal_norm(nfm.build([3, 1, 0, 1]), 3),
+     [(-3, 1, -1), (2, -1, 1), (-3, 2, -1), (3, -1, 1), (-2, 1, -1), (3, -2, 1)], 4),
+    # a far negative point of {0, 1, 3} at base 2 has no word at all
+    (lambda: dsm.from_digits(nfm.build([-2, 1]), 2, [(0,), (1,), (3,)]), [(-10**6,)], 8),
+], ids=["c3101w3-cycle", "unreachable013-far"])
+def test_the_state_cap_stops_a_larger_search(monkeypatch, build, points, cap):
+    """With the state cap small, a search whose reachable set is larger
+    raises BallSizeError, and its dist never held more than the cap plus
+    one class's digits; the real cap gives the answer."""
+    ds = build()
+    widest = max(len(ds.divisions(d)) for d in ds.digits)
+    for p in points:
+        answer, held = _most_states(lambda: om.min_weight_oracle(ds, p))
+        assert held > cap, p
+        monkeypatch.setattr(ncm, "DEFAULT_BALL_CAP", cap)
+        outcome, held = _most_states(lambda: om.min_weight_oracle(ds, p))
+        monkeypatch.undo()
+        assert outcome == (BallSizeError, f"weight search holds more than {cap} states", cap), p
+        assert cap < held <= cap + widest, p
+        assert om.min_weight_oracle(ds, p) == answer if isinstance(answer, int) else answer[0] is LatnafError
+
+
+@pytest.mark.parametrize("poly, w", [
+    ([-6, -4, 1], 4),  # x^2 - 4x - 6
+    ([3] + [0] * 10 + [1], 2),  # x^11 + 3
+    ([2, 1, 0, 0, 0, 0, 1], 3),
+], ids=["x2-4x-6w4", "x11+3w2", "deg6w3"])
+def test_an_oversized_ball_is_refused_before_enumeration(monkeypatch, poly, w):
+    """A box inside the search ball already holds more than the cap, so
+    search raises the enumeration's BallSizeError without enumerating."""
+    ds = dsm.build_minimal_norm(nfm.build(poly), w)
+
+    def refuse(*args):
+        raise AssertionError("the ball was enumerated")
+
+    monkeypatch.setattr(qf, "enumerate_with_offset", refuse)
+    with pytest.raises(BallSizeError) as caught:
+        ncm.search(ds)
+    assert str(caught.value) == f"search ball holds more than {ncm.DEFAULT_BALL_CAP} points"
+    assert caught.value.cap == ncm.DEFAULT_BALL_CAP
