@@ -26,13 +26,14 @@ consume.
 ``DigitSet`` owns its ``Geometry``, the division map p -> (p - d) / phi
 that orbit search and the weight oracle run, the block step p -> (p -
 d) / phi^w, and the window walk of expansion, which strips in one step
-every digit a point's class modulo phi^K fixes. The division step and
-the block step are one quotient body read with two matrices: the division
-step is the block step of width 1. The digit table is built once, when
-the set is validated, and one source template writes the kernel, with the
-weight oracle's search over every congruent digit, out for the set's
-dimension on its first division or oracle call; the window table and its
-walk are built on the first walk. A source of one shape is compiled once
+every digit a point's class modulo phi^K fixes, on the point held in the
+Smith coordinates of phi^K. The division step and the block step are
+one quotient body read with two matrices: the division step is the block
+step of width 1. The digit table is built once, when the set is
+validated, and one source template writes the kernel, with the weight
+oracle's search over every congruent digit, out for the set's dimension
+on its first division or oracle call; the window table and its walk are
+built on the first walk. A source of one shape is compiled once
 per process.
 """
 
@@ -337,7 +338,9 @@ class DigitSet(Record):
 
     The window walk, the whole fast path of ``expansion.expand``, goes
     further: one table entry per class modulo phi^K holds every digit that
-    class fixes, so one product strips up to K digits (``walk``).
+    class fixes, so one product strips up to K digits, and the point is
+    held in the Smith coordinates of phi^K, where its class index is one
+    remainder per Smith modulus above 1 (``walk``).
     """
 
     geo: Geometry
@@ -436,9 +439,16 @@ class DigitSet(Record):
         the zeros forced by the last nonzero digit among them (K - w + 1
         <= s <= K), and e = A_s v for their value v, phi^-s = A_s / q_s:
         every point p of the class is v + phi^s x with x = (A_s p - e) /
-        q_s. A pass is one class index and one such product. At K = w an
-        entry is the block step: s = 1 on a class inside phi Z^n, s = w
-        with the class's digit otherwise."""
+        q_s. At K = w an entry is the block step: s = 1 on a class inside
+        phi Z^n, s = w with the class's digit otherwise.
+
+        The loop runs in the Smith coordinates z = U p of phi^K, U phi^K V
+        = diag(m_i) with U unimodular (``lattice.residue_structure``): the
+        class index is then the mixed-radix number of the remainders z_i
+        mod m_i, one per modulus above 1, and an entry holds G_s = U A_s
+        U^-1 and U e, so that a pass is one index and one product (G_s z -
+        U e) / q_s = U x. As U is unimodular, that quotient is integral
+        exactly when x is, and a fault names the point U^-1 z."""
         adj, det, (mat, den), rows, table, by_class, zero = self._tables
         inst, w = self.inst, self.w
         depth, size = w, abs(det) ** w
@@ -450,9 +460,9 @@ class DigitSet(Record):
         powers = [intmat.mat_pow(one, fixed)]
         while len(powers) < w:
             powers.append(intmat.mat_mul(powers[-1], one))
-        pattern = sorted({(i, j) for a in powers for i, row in enumerate(a) for j, v in enumerate(row) if v})
         pulls = [None] * fixed + [
-            (q1 ** (fixed + t), *(a[i][j] for i, j in pattern)) for t, a in enumerate(powers)
+            (q1 ** (fixed + t), *(v for row in intmat.mat_mul(intmat.mat_mul(u, a), u_inv) for v in row))
+            for t, a in enumerate(powers)
         ]
         src = _Template(
             len(adj), zero=zero, pad=(zero,) * (w - 1), w=w, den=den, index=index, fixed=fixed,
@@ -460,8 +470,8 @@ class DigitSet(Record):
         )
         src.classes(adj, det, rows, table)
         mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
-        krows = [(row, m, prod(diag[i + 1:])) for i, (row, m) in enumerate(zip(u, diag))]
-        return src.compile([*_window_lines(src, mat_p, krows, u_inv, pattern), "return walk"])
+        moduli = [(m, prod(diag[i + 1:])) for i, m in enumerate(diag)]
+        return src.compile([*_window_lines(src, mat_p, moduli, u, u_inv), "return walk"])
 
     @cached_property
     def oracle(self):
@@ -548,11 +558,12 @@ def _overflow(cap):
 
 class _Template:
     """Source helpers of one generated kernel for dimension n. The source
-    carries only a shape (n, the nonzero pattern of the coefficients, the
-    Smith moduli above 1, the bracket terms): every value it reads is a
-    closure cell of the generated factory, so no integer is formatted past
-    ``sys.get_int_max_str_digits()``, and sets of one shape can share one
-    compiled factory with cells of their own. Its one globals dict keeps
+    carries only a shape (n, the nonzero pattern of the coefficients, which
+    the window walk writes out whole, the Smith moduli above 1, the bracket
+    terms): every value it reads is a closure cell of the generated
+    factory, so no integer is formatted past ``sys.get_int_max_str_digits()``,
+    and sets of one shape can share one compiled factory with cells of
+    their own. Its one globals dict keeps
     the interpreter's cached builtin lookups valid from set to set."""
 
     factories: dict = {}  # source text -> factory, the 64 used last
@@ -574,16 +585,16 @@ class _Template:
         """A tuple display of fmt for k = 0 ... n - 1."""
         return "(" + "".join(fmt.format(k=k) + ", " for k in range(self.n)) + ")"
 
-    def key(self, rows, name: str = "") -> str:
+    def key(self, rows) -> str:
         """The class index of x0 ... x{n-1}: the mixed-radix sum of (row .
         x) mod m times its stride over the rows (row, m, stride) of a Smith
-        form with m > 1, each value a cell named after name."""
+        form with m > 1, each value a cell."""
         terms = []
         for i, (row, m, stride) in enumerate(rows):
             if m > 1:
-                self.cells[f"{name}m{i}"], self.cells[f"{name}s{i}"] = m, stride
-                term = f"({self.dot(f'{name}u{i}_', row)}) % {name}m{i}"
-                terms.append(f"{term} * {name}s{i}" if stride > 1 else term)
+                self.cells[f"m{i}"], self.cells[f"s{i}"] = m, stride
+                term = f"({self.dot(f'u{i}_', row)}) % m{i}"
+                terms.append(f"{term} * s{i}" if stride > 1 else term)
         return " + ".join(terms) or "0"
 
     def classes(self, adj, det, rows, table) -> None:
@@ -657,57 +668,64 @@ def _division_lines(src: _Template) -> list[str]:
     ]
 
 
-def _window_lines(src: _Template, mat_p: list[str], rows, u_inv, pattern) -> list[str]:
+def _window_lines(src: _Template, mat_p: list[str], moduli, u, u_inv) -> list[str]:
     """The lines of ``DigitSet.walk``: build(), which writes the window
     table, and walk(p, cap), which reads it.
 
-    build. rows are the Smith rows (u_i, m_i, stride_i) of phi^K and
-    index the table as ``_Template.key`` does (cells wu, wm, ws). Since u
-    u_inv = I, the point u_inv k of a key k lies in the class of index k,
-    so nested loops over the keys of the moduli above 1 (columns of u_inv
-    as cells c) give one point y per class, in index order. From y, the
-    block step (``_Template.step`` with (A, q, slot 2), the quotient body
-    of divide and of the oracle's w-NAF) strips digits until at least
-    fixed = K - w + 1 are out: one division step on a class inside phi
-    Z^n, else the class's digit and the w - 1 zeros after it. These are
-    the s digits the class fixes, and x = phi^-s (y - v) for their value
-    v. With pulls[s] = (q_s, the entries of A_s at pattern), phi^-s = A_s
-    / q_s, the entry is (digits, cut, q_s, A_s at pattern, e): e = A_s v
-    = A_s y - q_s x, and cut the zeros after the last nonzero digit. The
-    pattern is every position where some A_s is nonzero, so the source
-    holds a shape and each entry its own values.
+    Both read the Smith form U phi^K V = diag(m_i) of phi^K: moduli are
+    the (m_i, stride_i) of the mixed-radix class index, cells wm and ws
+    where m_i > 1, and U and U^-1 are the cells wu and wv, one per entry,
+    zero or not, so that the source holds the moduli above 1 and n alone.
 
-    walk reads its raw point into locals x0 ... x{n-1} through index and
-    a cap None as 64 + spb (8 + x0.bit_length() + ...). Each pass reads the
-    entry of x's class, sets x to (A_s x - e) / q_s, raising ``_fault`` at
-    x on a nonzero remainder (or on a None entry), and writes the digits.
-    Once x is zero, the last entry's cut zeros, those past the point where
-    x reached zero, come off. The cell spb is filled from the
-    steps_per_bit callable on the first walk without a cap, as the oracle
-    fills its own on its first call: that count can take far longer than
-    the walk (16,611 matrix powers for [[2, 10^5000], [0, 3]]), and an
-    explicit cap needs none.
+    build. Since U U^-1 = I, the point U^-1 k of a key k lies in the class
+    of index k, so nested loops over the keys of the moduli above 1 give
+    one point y per class, in index order. From y, the block step
+    (``_Template.step`` with (A, q, slot 2), the quotient body of divide
+    and of the oracle's w-NAF) strips digits until at least fixed = K - w
+    + 1 are out: one division step on a class inside phi Z^n, else the
+    class's digit and the w - 1 zeros after it. These are the s digits the
+    class fixes, and x = phi^-s (y - v) for their value v. With pulls[s] =
+    (q_s, the entries of G_s = U A_s U^-1 row by row), phi^-s = A_s / q_s,
+    the entry is (digits, cut, q_s, G_s, U e): e = A_s y - q_s x, so U e =
+    G_s k - q_s U x, and cut is the zeros after the last nonzero digit.
+
+    walk reads its raw point into locals x0 ... x{n-1} through index, a
+    cap None as 64 + spb (8 + x0.bit_length() + ...), and then holds the
+    point as z = U x in z0 ... z{n-1}. Each pass reads the entry at the
+    index sum (z_i mod m_i) stride_i, sets z to (G_s z - U e) / q_s,
+    raising ``_fault`` at x = U^-1 z on a nonzero remainder (or on a None
+    entry), and writes the digits. Once z is zero, the last entry's cut
+    zeros, those past the point where z reached zero, come off. The cell
+    spb is filled from the steps_per_bit callable on the first walk without
+    a cap, as the oracle fills its own on its first call: that count can
+    take far longer than the walk (16,611 matrix powers for [[2, 10^5000],
+    [0, 3]]), and an explicit cap needs none.
     """
     n, tup = src.n, src.tup
-    q, x, y = tup("q{k}"), tup("x{k}"), tup("y{k}")
-    nonzero = " or ".join(f"x{k}" for k in range(n))
-    loops = [i for i, (_, m, _) in enumerate(rows) if m > 1]
-    rep = [
-        src.dot(f"c{k}_", [v if i in loops else 0 for i, v in enumerate(row)], "k") or "0"
-        for k, row in enumerate(u_inv)
-    ]
-    coeffs = ", ".join(["dv", *(f"f{i}_{j}" for i, j in pattern)])
+    q, x, y, z = tup("q{k}"), tup("x{k}"), tup("y{k}"), tup("z{k}")
+    loops = [i for i, (m, _) in enumerate(moduli) if m > 1]
+    terms = []
+    for i in loops:
+        m, stride = moduli[i]
+        src.cells[f"wm{i}"], src.cells[f"ws{i}"] = m, stride
+        terms.append(f"z{i} % wm{i} * ws{i}" if stride > 1 else f"z{i} % wm{i}")
+    coeffs = ", ".join(["dv", *(f"f{i}_{j}" for i in range(n) for j in range(n))])
 
-    def product(k, var):
-        return " + ".join(f"f{i}_{j} * {var}{j}" for i, j in pattern if i == k) or "0"
+    for name, a in (("wu", u), ("wv", u_inv)):
+        src.cells.update({f"{name}{i}_{j}": v for i, row in enumerate(a) for j, v in enumerate(row)})
 
-    wkey = src.key(rows, "w")
+    def product(name, var, cols=range(n)):
+        """The rows of the matrix name{i}_{j} times (var0, ...), a term
+        per column in cols, zero or not."""
+        return [" + ".join(f"{name}{i}_{j} * {var}{j}" for j in cols) or "0" for i in range(n)]
+
+    back = "(" + "".join(f"{e}, " for e in product("wv", "z")) + ")"
     return [
         "def build():",
         "    window = []",
         *(f"    {'    ' * depth}for k{i} in range(wm{i}):" for depth, i in enumerate(loops)),
         *(f"    {'    ' * len(loops)}{s}" for s in [
-            f"{x} = {y} = {', '.join(rep)},",
+            f"{x} = {y} = {', '.join(product('wv', 'k', loops))},",
             "word = []",
             "size, last = 0, -1",
             "while size < fixed:",
@@ -716,7 +734,8 @@ def _window_lines(src: _Template, mat_p: list[str], rows, u_inv, pattern) -> lis
             ])),
             f"{coeffs} = pulls[size]",
             f"window.append((tuple(word), size - 1 - last, {coeffs}, "
-            + "".join(f"{product(k, 'y')} - dv * x{k}, " for k in range(n)) + "))",
+            + "".join(f"{g} - dv * ({e}), " for g, e in zip(product("f", "k", loops), product("wu", "x")))
+            + "))",
         ]),
         "    return window",
         "window = build()",
@@ -728,19 +747,20 @@ def _window_lines(src: _Template, mat_p: list[str], rows, u_inv, pattern) -> lis
         "        if spb is None:",
         "            spb = steps_per_bit()",
         f"        cap = 64 + spb * (8{''.join(f' + x{k}.bit_length()' for k in range(n))})",
+        f"    {z} = {', '.join(product('wu', 'x'))},",
         "    word = []",
         "    cut = 0",
-        f"    while {nonzero}:",
+        f"    while {' or '.join(f'z{k}' for k in range(n))}:",
         "        if len(word) >= cap:",
         "            return None",
-        f"        entry = window[{wkey}]",
+        f"        entry = window[{' + '.join(terms) or '0'}]",
         "        if entry is None:",
-        f"            raise _fault(None, {x})",
+        f"            raise _fault(None, {back})",
         f"        digits, cut, {coeffs}, {', '.join(f'e{k}' for k in range(n))}, = entry",
-        *(f"        q{k}, r{k} = divmod({product(k, 'x')} - e{k}, dv)" for k in range(n)),
+        *(f"        q{i}, r{i} = divmod({g} - e{i}, dv)" for i, g in enumerate(product("f", "z"))),
         f"        if {' or '.join(f'r{k}' for k in range(n))}:",
-        f"            raise _fault(digits, {x})",
-        f"        {x} = {q}",
+        f"            raise _fault(digits, {back})",
+        f"        {z} = {q}",
         "        word += digits",
         "    if cut:",
         "        del word[-cut:]",

@@ -19,17 +19,21 @@ phi x, each divisible by the base, and strip zeros. ``expand`` therefore
 runs on ``DigitSet.walk``, one kernel call per point that strips, per
 pass, the s digits its class modulo phi^K fixes (positions 0 ... K - w,
 then through the zeros forced by the last nonzero digit among them,
-K - w + 1 <= s <= K) with one table lookup and one product (A_s p - e) /
-q_s, where phi^-s = A_s / q_s and e = A_s v for the value v of those
-digits, on the point's coordinates held in locals. K is the largest k >=
-w with |det|^k at most ``digitset.WINDOW_CLASSES`` (w when |det|^w is
-larger). Once the point is zero, the zeros of the last pass past it come
-off. The call checks the raw point and sizes the default cap itself. Its
-loop keeps no visited set: it ends at zero, at the step cap or on a
-kernel fault. Whenever it gives no word (a bad point or cap, a cycle, a
-long word, a kernel fault) the checks and the step loop on
-``DigitSet.divide`` rerun from the start and report what they find, so
-both loops give the same Expansion, CycleReport or error.
+K - w + 1 <= s <= K) with one table lookup and one product. The point
+p of such a class is v + phi^s x for the value v of those digits, x =
+(A_s p - e) / q_s with phi^-s = A_s / q_s and e = A_s v. The walk holds
+the point in locals in the Smith coordinates z = U p of phi^K (U phi^K V
+diagonal, U unimodular), so the lookup is one remainder z_i mod m_i per
+Smith modulus above 1, and the product (G_s z - U e) / q_s = U x with G_s
+= U A_s U^-1. K is the largest k >= w with |det|^k at most
+``digitset.WINDOW_CLASSES`` (w when |det|^w is larger). Once the point is
+zero, the zeros of the last pass past it come off. The call checks the
+raw point and sizes the default cap itself. Its loop keeps no visited
+set: it ends at zero, at the step cap or on a kernel fault. Whenever it
+gives no word (a bad point or cap, a cycle, a long word, a kernel fault)
+the checks and the step loop on ``DigitSet.divide`` rerun from the start
+and report what they find, so both loops give the same Expansion,
+CycleReport or error.
 
 The default step cap allows max(w, s) steps per coordinate bit of the
 point (``DigitSet.steps_per_bit``), s being the least number of inverse
@@ -114,7 +118,12 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
     except (TypeError, ValueError, MalformedDigitSetError):
         found = None
     if found is not None:
-        return Expansion(*found, ds.w)
+        # Expansion(*found, ds.w) without the __init__ frame: the same stores
+        out = object.__new__(Expansion)
+        fields = out.__dict__
+        fields["point"], fields["word"] = found
+        fields["w"] = ds.w
+        return out
     start = ds.inst.check_point(p)
     if max_steps is None:
         max_steps = default_step_limit(ds, start)

@@ -6,8 +6,9 @@ residue systems come from a Smith normal form and the expanding test is
 a rational root-locus test on the characteristic polynomial, so there is
 no floating point anywhere in this module.
 
-The instance caches its adjugate; Smith data are recomputed per call,
-so callers that key many points keep them. ``solve_divisibility`` and
+The instance caches its adjugate, whether phi is expanding, and the
+Smith data of each power phi^k it was asked for, so the digit sets and
+window walks of one base share them. ``solve_divisibility`` and
 ``residue_key`` are the reference that ``DigitSet.divide`` is tested on.
 """
 
@@ -38,7 +39,7 @@ class LatticeInstance(Record):
             raise ValueError("endomorphism must be injective (nonzero determinant)")
         if det != intmat.determinant(phi):
             raise ValueError("stored determinant disagrees with the matrix")
-        vars(self).update(n=n, phi=phi, det=det)
+        vars(self).update(n=n, phi=phi, det=det, _smith={})
 
     @classmethod
     def from_matrix(cls, rows) -> "LatticeInstance":
@@ -49,6 +50,13 @@ class LatticeInstance(Record):
     def adjugate(self) -> intmat.Matrix:
         """adj(phi) = det * phi^-1, an integer matrix."""
         return intmat.adjugate(self.phi)
+
+    @cached_property
+    def _expanding(self) -> bool:
+        """Whether every eigenvalue of phi has modulus strictly above 1
+        (``is_expanding``), decided once."""
+        f = intmat.char_poly(self.phi)
+        return f[0] != 0 and intmat.all_roots_in_open_unit_disk(f[::-1])
 
     def zero(self) -> Point:
         return (0,) * self.n
@@ -95,7 +103,8 @@ def residue_structure(inst: LatticeInstance, k: int):
     Returns (u, diag, u_inv) with u unimodular and diag the invariant
     factors; the class key of a point p is (u @ p) mod diag, and the
     canonical representative of key e is u_inv @ e. Raises BallSizeError
-    before phi^k is formed when its |det|^k classes exceed the cap.
+    before phi^k is formed when its |det|^k classes exceed the cap. The
+    instance keeps the data per k, so each power is reduced once.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -106,11 +115,14 @@ def residue_structure(inst: LatticeInstance, k: int):
         raise BallSizeError(
             f"residue system has {d}^{k} classes, above the cap", _RESIDUE_CAP
         )
-    a = inst.phi
-    for _ in range(k - 1):
-        a = intmat.mat_mul(a, inst.phi)
-    u, diag, _v = intmat.smith_normal_form(a)
-    return u, diag, intmat.unimodular_inverse(u)
+    found = inst._smith.get(k)
+    if found is None:
+        a = inst.phi
+        for _ in range(k - 1):
+            a = intmat.mat_mul(a, inst.phi)
+        u, diag, _v = intmat.smith_normal_form(a)
+        found = inst._smith[k] = (u, diag, intmat.unimodular_inverse(u))
+    return found
 
 
 def residue_key(inst: LatticeInstance, k: int, p) -> tuple[int, ...]:
@@ -149,9 +161,7 @@ def is_expanding(inst: LatticeInstance) -> bool:
 
     Equivalent to all roots of the reversed characteristic polynomial
     lying strictly inside the unit circle, which the exact Schur-Cohn
-    reduction decides; eigenvalues on the circle report False.
+    reduction decides; eigenvalues on the circle report False. The
+    instance decides it once and keeps the answer.
     """
-    f = char_poly(inst)
-    if f[0] == 0:
-        return False
-    return intmat.all_roots_in_open_unit_disk(f[::-1])
+    return inst._expanding

@@ -235,3 +235,22 @@ def test_expand_refuses_a_non_integer_point():
     ds = dsm.build_minimal_norm(nfm.build([-2, 1]), 2)
     with pytest.raises(ValueError, match="not an integer: 0.5"):
         em.expand(ds, (0.5,))
+
+
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def test_the_walked_expansion_is_the_constructed_one(name):
+    """expand builds a walked Expansion without calling its __init__: the
+    object is equal, hash-equal and repr-equal to Expansion(point, word,
+    w), carries the same fields, and refuses assignment and deletion."""
+    ds = kernel_system(name)
+    for p in [(0,) * ds.inst.n, (7,) * ds.inst.n, (-10**30,) * ds.inst.n]:
+        found = ds.walk(p, None)
+        e = em.expand(ds, p)
+        made = em.Expansion(*found, ds.w)
+        assert type(e) is em.Expansion and vars(e) == vars(made)
+        assert e == made and hash(e) == hash(made) and repr(e) == repr(made)
+        for field in ("point", "word", "w", "weight"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, None)
+            with pytest.raises(AttributeError):
+                delattr(e, field)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latnaf import digitset as dsm
@@ -95,6 +95,7 @@ def system(name):
         "t3w1": ([-3, 1], 1),
         "q541w1": ([5, -4, 1], 1),
         "c3101w1": ([3, 1, 0, 1], 1),
+        "t17w2": ([-17, 1], 2),
     }[name]
     return dsm.build_minimal_norm(nfm.build(coeffs), w)
 
@@ -325,6 +326,136 @@ def test_only_a_walk_builds_the_window_table(monkeypatch):
         k, size = _depth(ds), len(_window(ds))
         assert k >= w and size == d**k <= max(dsm.WINDOW_CLASSES, d**w), name
         assert k == w or d ** (k + 1) > dsm.WINDOW_CLASSES >= d**k, name
+
+
+def _long_points(n, count, seed):
+    """Seeded points with coordinates of 300 digits, either sign."""
+    rng = random.Random(seed)
+    return [tuple(rng.choice((-1, 1)) * rng.randrange(10**299, 10**300) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["t17w2", *WALKED])
+def test_the_smith_walk_is_the_step_loop(name):
+    """walk keeps its point in the Smith coordinates of phi^K and gives
+    the step loop's word, and None at a cap one digit short of it, where
+    the index has two remainders (m31w2: phi^2 has the moduli 2 and 50),
+    where K = w because |det|^w exceeds WINDOW_CLASSES (x - 17 at w = 2,
+    289 classes), and on points with 300-digit coordinates.
+    test_kernel_constants_past_the_int_string_limit checks the same on
+    [[2, 10^5000], [0, 3]], whose G_s = U A_s U^-1 hold entries past the
+    int string limit."""
+    ds = system(name)
+    n, k = ds.inst.n, _depth(ds)
+    _, diag, _ = lattice.residue_structure(ds.inst, k)
+    if name == "m31w2":
+        assert diag == (2, 50)
+    if name == "t17w2":
+        assert k == ds.w and len(_window(ds)) == 17**2 > dsm.WINDOW_CLASSES
+    for p in [(7,) * n, tuple(10**6 - 3 * i for i in range(n)), *_long_points(n, 4, name)]:
+        want = _step_word(ds, p, 10**5)
+        assert want is not None
+        assert ds.walk(p, None) == ds.walk(p, len(want)) == (p, want)
+        assert ds.walk(p, len(want) - 1) is None
+
+
+def _reference_walk(ds, window, p, cap):
+    """walk(p, cap) read off a window table through the digits of its
+    entries alone, in lattice coordinates: the entry of x's class modulo
+    phi^K (``_window_index``), its digits' value v, and x - v divided by
+    phi^s with ``lattice.solve_divisibility``, a fault raised as
+    ``digitset`` words it at x. This is the walk's meaning whatever
+    coordinates the kernel keeps its point in."""
+    inst, zero = ds.inst, ds.inst.zero()
+    word, cut, x = [], 0, p
+    while x != zero:
+        if len(word) >= cap:
+            return None
+        entry = window[_window_index(ds, x)]
+        if entry is None:
+            return MalformedDigitSetError, f"no digit covers the residue class of {x}"
+        digits, cut = entry[:2]
+        v = em.value(inst, digits)
+        nxt = lattice.solve_divisibility(inst, tuple(a - b for a, b in zip(x, v)), len(digits))
+        if nxt is None:
+            if any(digits[0]):
+                return MalformedDigitSetError, f"digit {digits[0]} is not congruent to {x} modulo the base image"
+            return MalformedDigitSetError, f"no digit covers the residue class of {x}"
+        word += digits
+        x = nxt
+    if cut:
+        del word[-cut:]
+    return None if len(word) > cap else (p, tuple(word))
+
+
+@pytest.mark.parametrize("name", ["t2w2", "t3w3", "q541w3", "m31w2", "c3101w4", "m3w3", "m23w2"])
+def test_a_corrupted_window_faults_where_the_lattice_walk_does(name):
+    """With window entries emptied, swapped or copied over others, walk
+    gives what a walk in lattice coordinates over the same entries gives:
+    the same word, or a fault at the same point of the walk, not only its
+    start, with the same message, and None at the cap."""
+    ds = system(name)
+    ds = dsm.DigitSet(ds.geo, ds.w, ds.digits, ds.family)  # a window of its own
+    window = _window(ds)
+    whole = list(window)
+    n, rng = ds.inst.n, random.Random(name)
+    pts = [(7,) * n, (-123456,) * n, *_long_points(n, 1, name)]
+    inside = 0
+    for trial in range(15):
+        window[:] = whole
+        i, j = rng.randrange(len(whole)), rng.randrange(len(whole))
+        if trial % 3 == 0:
+            window[i] = None
+        elif trial % 3 == 1:
+            window[i], window[j] = whole[j], whole[i]
+        else:
+            window[i] = whole[j]
+        for p in pts:
+            cap = em.default_step_limit(ds, p)
+            want = _reference_walk(ds, window, p, cap)
+            assert _outcome(ds.walk, p, cap) == _outcome(ds.walk, p, None) == want
+            if want is not None and want[0] is MalformedDigitSetError and str(p) not in want[1]:
+                inside += 1
+    assert inside > 0
+
+
+def _matrix_sets():
+    """Strategy: a minimal-norm set of width w on an expanding 2 x 2 or
+    3 x 3 integer matrix with entries of absolute value at most 4 and at
+    most 512 classes modulo phi^w."""
+
+    def make(shape):
+        n, w = shape
+        return st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n).map(
+            lambda flat: (tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), w)
+        )
+
+    return st.tuples(st.sampled_from([2, 3]), st.integers(1, 3)).flatmap(make)
+
+
+@lru_cache(maxsize=None)
+def _matrix_set(rows, w):
+    det = intmat.determinant(rows)
+    if det == 0 or abs(det) ** w > 512:
+        return None
+    inst = lattice.LatticeInstance.from_matrix(rows)
+    return dsm.build_minimal_norm(inst, w) if lattice.is_expanding(inst) else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    _matrix_sets(),
+    st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-10**60, 10**60)), min_size=3, max_size=3),
+    st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_walk_on_random_expanding_matrices(rows_w, coords, cap):
+    """On random expanding matrix bases, the Smith walk gives the step
+    loop's word, whatever the Smith form of phi^K: cyclic or not, moduli
+    above 1 in any position, any unimodular U. Non-expanding draws are
+    skipped."""
+    ds = _matrix_set(*rows_w)
+    assume(ds is not None)
+    p = tuple(coords[:ds.inst.n])
+    _check_walk(ds, p, em.default_step_limit(ds, p) if cap is None else cap)
 
 
 @SETTINGS
@@ -598,7 +729,9 @@ def test_kernel_constants_past_the_int_string_limit(w):
     about 10^5000), so walk is checked on the values of seeded random
     w-NAF words of up to 40 digits instead: it returns the word itself,
     which division gives by uniqueness (each nonzero digit is the one
-    of its point's class modulo phi^w), and the step loop's word.
+    of its point's class modulo phi^w), and the step loop's word. The walk
+    holds such points in the Smith coordinates of phi^K, whose matrices
+    G_s = U A_s U^-1 hold entries past the int string limit too.
     """
     inst = lattice.LatticeInstance.from_matrix([[2, 10**5000], [0, 3]])
     reps = lattice.residue_system(inst, w)

@@ -3,7 +3,12 @@ import random
 import mpmath
 import pytest
 
+from latnaf import digitset as dsm
+from latnaf import expansion as em
 from latnaf import intmat, lattice
+from latnaf import numberfield as nfm
+from latnaf import optimality as om
+from latnaf.errors import BallSizeError
 
 
 def _inst(rows):
@@ -113,3 +118,49 @@ def test_non_integer_entries_are_refused_not_truncated():
         lattice.LatticeInstance.from_matrix([[2.5]])
     with pytest.raises(ValueError, match="not an integer: 0.5"):
         lattice.apply_phi(_inst([[2]]), (0.5,))
+
+
+def test_smith_data_are_reduced_once_per_power(monkeypatch):
+    """Two sets of different w on one base, each built and walked, share
+    the base's Smith data: smith_normal_form runs once per power phi^k
+    asked for (k = 2 and 3 for q541w2 and q541w3, whose window walks both
+    read phi^3), and a repeat call hands back the same tuple."""
+    reduced, real = [], intmat.smith_normal_form
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda a: reduced.append(intmat.determinant(a)) or real(a))
+    inst = _inst([[0, -5], [1, 4]])
+    for w in (2, 3):
+        ds = dsm.build_minimal_norm(inst, w)
+        for p in [(7, -3), (10**40, 1)]:
+            point, word = ds.walk(p, None)
+            assert point == p == em.value(inst, word)
+    assert sorted(reduced) == [25, 125]
+    assert lattice.residue_structure(inst, 3) is lattice.residue_structure(inst, 3)
+    assert len(reduced) == 2
+
+
+def test_the_class_cap_fires_before_the_cache(monkeypatch):
+    """A power past the residue cap raises BallSizeError before phi^k is
+    formed, on a base whose smaller powers are already kept."""
+    inst = _inst([[0, -5], [1, 4]])
+    lattice.residue_structure(inst, 2)
+    monkeypatch.setattr(intmat, "mat_mul", lambda *args: pytest.fail("phi^k formed"))
+    for k in (10, 10**6):
+        with pytest.raises(BallSizeError, match=f"^residue system has 5\\^{k} classes, above the cap$"):
+            lattice.residue_structure(inst, k)
+
+
+@pytest.mark.parametrize("base", [[[3, 1], [-1, 3]], [-2, 1], [-3, 1], [5, -4, 1]])
+def test_expanding_is_decided_once_per_base(monkeypatch, base):
+    """Building a set, walking without a cap (steps_per_bit), the weight
+    oracle and the contraction factor Geometry.u run the Schur-Cohn test
+    once per base between them; lattice.is_expanding reads the answer."""
+    tests, real = [], intmat.all_roots_in_open_unit_disk
+    monkeypatch.setattr(intmat, "all_roots_in_open_unit_disk", lambda f: tests.append(f) or real(f))
+    source = _inst(base) if isinstance(base[0], list) else nfm.build(base)
+    ds = dsm.build_minimal_norm(source, 2)
+    p = (5,) * ds.inst.n
+    ds.walk(p, None)
+    om.min_weight_oracle(ds, p)
+    ds.geo.u
+    assert lattice.is_expanding(ds.inst)
+    assert len(tests) == 1

@@ -1,6 +1,7 @@
 """Module layout: no module of the package reaches into a sibling's
 private names, whether by import or by attribute access; no function
-memoizes through a functools cache; no check rests on an assertion;
+memoizes through a functools cache; no check rests on an assertion; a
+generated kernel source spells out no value of its set;
 nothing imports sympy, which is a test-only dependency, nor dataclasses
 or typing; every module parses as Python 3.10, the oldest version the
 package declares; ``import latnaf`` loads no submodule and a CLI call only
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import latnaf
-from latnaf import expansion
+from latnaf import digitset, expansion
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "latnaf"
 
@@ -147,6 +148,45 @@ def syntax_newer_than_310(pkg: Path) -> list[str]:
         except SyntaxError as exc:
             hits.append(f"{path.name}:{exc.lineno}: {exc.msg}")
     return hits
+
+
+# the integers a generated kernel source may spell out: the indices,
+# increments and default-cap terms of the template, and none of a set's
+# values (a coefficient, modulus, stride or divisor is a closure cell)
+KERNEL_LITERALS = {0, 1, 2, 8, 64}
+
+
+def kernel_literals(texts) -> list[str]:
+    """Integer constants outside KERNEL_LITERALS in kernel source texts."""
+    found = []
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Constant) and type(node.value) is int and node.value not in KERNEL_LITERALS:
+                found.append(f"line {node.lineno}: {node.value}")
+    return found
+
+
+def test_kernel_sources_spell_out_no_values():
+    """Every source the kernel template compiled for the sets of the shape
+    test, built and walked (division, oracle and window walk factories),
+    holds only the integers of KERNEL_LITERALS. A value formatted into a
+    source would split sets of one shape and could pass the int string
+    limit."""
+    from test_kernel import SHAPES, _fresh
+
+    digitset._Template.factories.clear()
+    for name in SHAPES:
+        ds = _fresh(name)
+        ds.divide((1,) * ds.inst.n)
+        ds.walk((1,) * ds.inst.n, None)
+    texts = list(digitset._Template.factories)
+    assert len(texts) == 6
+    assert kernel_literals(texts) == []
+
+
+def test_kernel_literal_check_catches_a_formatted_value():
+    assert kernel_literals(["x = y % 125", "z = -1 + 2 * 64 + True"]) == ["line 1: 125"]
+    assert kernel_literals(["def f():\n    return 8, 0\n    q = p[3]"]) == ["line 3: 3"]
 
 
 def test_sources_parse_as_python_310():
