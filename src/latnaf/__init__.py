@@ -31,7 +31,6 @@ _EXPORTS = {
         "InstanceError",
         "LatnafError",
         "MalformedDigitSetError",
-        "NormCapError",
         "NotExpandingError",
         "PrecisionCapError",
     ),

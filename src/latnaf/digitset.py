@@ -51,7 +51,6 @@ from .errors import (
     ConsistencyError,
     InstanceError,
     MalformedDigitSetError,
-    NormCapError,
     NotExpandingError,
 )
 from .exactreal import (
@@ -315,15 +314,15 @@ class DigitSet(Record):
     Construction validates the digits (one per residue class modulo
     phi^w outside the image of phi) and builds the division kernel's
     tables: the digit d with adj(phi) d and A d per class index modulo
-    phi^w, where phi^-w = A / q (``_pullback``), and the digits grouped
-    by class modulo phi, keyed on adj(phi) d mod det (p - d lies in the
-    image of phi exactly when adj(phi) (p - d) is divisible by det). One
-    source template writes ``divide``, ``divisions`` (``_division_lines``)
-    and ``oracle``, the weight oracle's whole search (``_oracle_lines``),
-    out for the set's n on its first division or oracle call, and
-    ``walk`` (``_window_lines``) with its window table on its first walk
-    (a set only built and printed writes none). Sets of one shape share
-    one compiled factory of each (``_Template``).
+    phi^w, where phi^-w = A / q (``lattice.power_pullback``), and the
+    digits grouped by class modulo phi, keyed on adj(phi) d mod det (p - d
+    lies in the image of phi exactly when adj(phi) (p - d) is divisible by
+    det). One source template writes ``divide``, ``divisions``
+    (``_division_lines``) and ``oracle``, the weight oracle's whole search
+    (``_oracle_lines``), out for the set's n on its first division or
+    oracle call, and ``walk`` (``_window_lines``) with its window table on
+    its first walk (a set only built and printed writes none). Sets of one
+    shape share one compiled factory of each (``_Template``).
 
     The block step. A nonzero digit d is congruent to its point p modulo
     phi^w, so p - d = phi^w x with x integral: the next w - 1 division
@@ -352,7 +351,7 @@ class DigitSet(Record):
         inst = geo.inst
         adj, det = inst.adjugate, inst.det
         u, diag, _ = lattice.residue_structure(inst, w)
-        block = _pullback(intmat.mat_pow(inst.phi, w))
+        _, block = lattice.power_pullback(inst, w)
         zero = inst.zero()
         want = digit_count(geo, w)
         got = sum(1 for d in digits if d != zero)
@@ -393,7 +392,7 @@ class DigitSet(Record):
         mat_p = [src.dot(f"b{i}_", row) for i, row in enumerate(mat)]
         return src.compile([
             *_division_lines(src),
-            *_oracle_lines(src, mat_p, self.geo._level(64), det, table, by_class, self.w),
+            *_oracle_lines(src, mat_p, det, table, by_class, self.w),
             "return divide, divisions, oracle",
         ])
 
@@ -475,15 +474,12 @@ class DigitSet(Record):
 
     @cached_property
     def oracle(self):
-        """oracle(start, limit, states), the zero-one search of
+        """oracle(start, states), the zero-one search of
         ``optimality.min_weight_oracle`` in the set's one kernel
         (``_oracle_lines``): the least weight of a digit word of value start
-        (a point tuple), or None when no word is found. It raises
-        BallSizeError once it holds more than states states. With limit
-        None it evaluates no norm; otherwise a state it relaxes whose
-        64-bit norm bracket has its lower end, an integer over the den of
-        ``Geometry.norm_sq_interval``, above limit raises NormCapError
-        with it."""
+        (a point tuple), or None when no word is found. It evaluates no
+        norm, and raises BallSizeError once it holds more than states
+        states."""
         return self._kernel[2]
 
     @cached_property
@@ -537,8 +533,7 @@ class DigitSet(Record):
             return True
         if self.geo.gram is None:
             return False
-        pw = intmat.mat_pow(self.inst.phi, self.w)
-        pullback = _pullback(pw)
+        pw, pullback = lattice.power_pullback(self.inst, self.w)
         return all(d in _minimizers(self.geo, pw, pullback, d) for d in self.nonzero_digits)
 
 
@@ -548,10 +543,6 @@ def _fault(entry, p) -> MalformedDigitSetError:
     return MalformedDigitSetError(f"digit {entry[0]} is not congruent to {p} modulo the base image")
 
 
-def _escape(state):
-    raise NormCapError(f"state {state} escapes the norm cap", state)
-
-
 def _overflow(cap):
     raise BallSizeError(f"weight search holds more than {cap} states", cap)
 
@@ -559,12 +550,12 @@ def _overflow(cap):
 class _Template:
     """Source helpers of one generated kernel for dimension n. The source
     carries only a shape (n, the nonzero pattern of the coefficients, which
-    the window walk writes out whole, the Smith moduli above 1, the bracket
-    terms): every value it reads is a closure cell of the generated
-    factory, so no integer is formatted past ``sys.get_int_max_str_digits()``,
-    and sets of one shape can share one compiled factory with cells of
-    their own. Its one globals dict keeps
-    the interpreter's cached builtin lookups valid from set to set."""
+    the window walk writes out whole, the Smith moduli above 1): every
+    value it reads is a closure cell of the generated factory, so no
+    integer is formatted past ``sys.get_int_max_str_digits()``, and sets of
+    one shape can share one compiled factory with cells of their own. Its
+    one globals dict keeps the interpreter's cached builtin lookups valid
+    from set to set."""
 
     factories: dict = {}  # source text -> factory, the 64 used last
 
@@ -770,8 +761,8 @@ def _window_lines(src: _Template, mat_p: list[str], moduli, u, u_inv) -> list[st
     ]
 
 
-def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class, w) -> list[str]:
-    """The lines of oracle(start, limit, states) in ``DigitSet._kernel``:
+def _oracle_lines(src: _Template, mat_p: list[str], det, table, by_class, w) -> list[str]:
+    """The lines of oracle(start, states) in ``DigitSet._kernel``:
     the zero-one breadth-first search of ``optimality.min_weight_oracle``
     over the states a word of any congruent digits passes through, bounded
     by the w-NAF's weight.
@@ -800,14 +791,7 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
     holds the second term per digit: no edge divides. Each pop first
     checks that dist holds at most states states, else the cell overflow
     raises BallSizeError: dist then never holds more than states plus one
-    class's digits. With a limit, a state reached more cheaply than
-    before is checked against the norm cap first: the lower end of its
-    bracket at ``level`` = (D, M, H), the 64-bit level of
-    ``Geometry._level``, Q_M(y) - |y|^T H |y| (no H on an exact Gram
-    matrix), summed over i <= k with M_ik + M_ki and H_ik + H_ki off the
-    diagonal, is an integer over D compared with limit. Past it, the cell
-    escape raises NormCapError with the state. With limit None no norm is
-    evaluated.
+    class's digits. No norm is evaluated.
 
     Termination needs no norm. phi is expanding, so some norm |.| exists
     in which phi^-1 contracts, |phi^-1 v| <= c |v| with c < 1; it is only
@@ -833,42 +817,21 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
 
     Left out of the relaxations of the search run to zero with no bound
     are only states that search would not pop before this one returns,
-    and the rest keep their order. So where that search returns a
-    weight, this returns the same one; this raises NormCapError only
-    where that search raises too; and it may return the exact weight
-    where that search escapes. With limit None that search escapes
-    nowhere and, on its finite state set, pops zero exactly when a word
-    exists: the result is the exact least weight, or None when there is
-    no word at all.
+    and the rest keep their order. That search, on its finite state set,
+    pops zero exactly when a word exists: the result is the exact least
+    weight, or None when there is no word at all.
     """
     n, tup = src.n, src.tup
-    _, m, h = level
     src.cells.update(
-        w=w, deque=deque, escape=_escape, overflow=_overflow, never=inf,
+        w=w, deque=deque, overflow=_overflow, never=inf,
         steps={key: tuple(tuple(v // det for v in ad) for _, ad in cls) for key, cls in by_class.items()},
         digits=frozenset(e[0] for e in table if e is not None),
     )
-    low, wide = [], []
-    for i in range(n):
-        for k in range(i, n):
-            c = m[i][k] + m[k][i] if k > i else m[i][i] - (h[i][i] if h else 0)
-            e = h[i][k] + h[k][i] if h and k > i else 0
-            if c:
-                src.cells[f"g{i}_{k}"] = c
-                low.append(f"g{i}_{k} * (y{i} * y{k})")
-            if e:
-                src.cells[f"h{i}_{k}"] = e
-                wide.append(f"h{i}_{k} * abs(y{i} * y{k})")
-    lo = " + ".join(low) or "0"
-    if wide:
-        lo = f"{lo} - ({' + '.join(wide)})"
-    q, x, y = tup("q{k}"), tup("x{k}"), tup("y{k}")
+    q, x = tup("q{k}"), tup("x{k}")
 
     def relax(cost, push):
         return [
             f"if seen(nxt, {cost} + 1) > {cost}:",
-            f"    if limit is not None and {lo} > limit:",
-            "        escape(nxt)",
             "    if nxt in digits:",
             f"        reach = {cost}",
             f"    dist[nxt] = {cost}",
@@ -876,7 +839,7 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
         ]
 
     return [
-        "def oracle(start, limit, states):",
+        "def oracle(start, states):",
         "    nonlocal spb",
         f"    {x} = start",
         "    if spb is None:",
@@ -910,14 +873,14 @@ def _oracle_lines(src: _Template, mat_p: list[str], level, det, table, by_class,
         *(f"        t{k} = {e}" for k, e in enumerate(src.adj_p)),
         *(f"        q{k}, k{k} = t{k} // det, t{k} % det" for k in range(n)),
         f"        if not ({' or '.join(f'k{k}' for k in range(n))}):",
-        f"            nxt = {y} = {q}",
+        f"            nxt = {q}",
         *(f"            {s}" for s in relax("base", "push_zero")),
         "            continue",
         "        cost = base + 1",
         "        if cost >= reach:",
         "            continue",
         f"        for {tup('f{k}')} in steps.get({tup('k{k}')}, ()):",
-        f"            nxt = {y} = {tup('q{k} - f{k}')}",
+        f"            nxt = {tup('q{k} - f{k}')}",
         *(f"            {s}" for s in relax("cost", "push")),
         "    return None if reach == never else reach + 1",
     ]
@@ -943,22 +906,13 @@ def _finish(geo: Geometry, w: int, nonzero: list[Point], family: str) -> DigitSe
     return DigitSet(geo, w, tuple(sorted([*nonzero, geo.inst.zero()])), family)
 
 
-def _pullback(pw: intmat.Matrix) -> tuple[intmat.Matrix, int]:
-    """(A, q) with Phi^-w = A / q and q > 0: one adjugate of phi^w, so
-    the pullback of a class representative rep is A rep / q."""
-    adj, det = intmat.adjugate(pw), intmat.determinant(pw)
-    if det < 0:
-        adj, det = tuple(tuple(-v for v in row) for row in adj), -det
-    return adj, det
-
-
 def _minimizers(geo: Geometry, pw: intmat.Matrix, pullback, rep: Point) -> list[Point]:
     """All representatives of rep's class minimizing the norm of the
     class member pulled back through the w-th power of the base: the
     digit candidates with Phi^-w(digit) in the Voronoi cell.
 
     The pullbacks are t + x with t = Phi^-w(rep) = a / q, (A, q) =
-    ``_pullback(pw)`` and a = A rep, and x integral. Integer
+    ``lattice.power_pullback`` and a = A rep, and x integral. Integer
     Fincke-Pohst on the LDL of the midpoint Gram matrix of
     ``Geometry.enclosure`` enumerates them out to the inflated norm of
     the Babai point, which provably contains every minimizer, and they
@@ -1005,8 +959,7 @@ def build_minimal_norm(source, w: int) -> DigitSet:
     geo = _expanding_geometry(source, w)
     inst = geo.inst
     reps = lattice.residue_system(inst, w)  # checks the class cap first
-    pw = intmat.mat_pow(inst.phi, w)
-    pullback = _pullback(pw)
+    pw, pullback = lattice.power_pullback(inst, w)
     nonzero = [
         _minimizers(geo, pw, pullback, rep)[0]
         for rep in reps

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Two resource caps have a class of their own: BallSizeError (ball points,
+residue classes, the weight oracle's states) and PrecisionCapError
+(precision bits). The weight oracle evaluates no norm and has no norm
+cap."""
 
 from __future__ import annotations
 
@@ -33,14 +38,6 @@ class BallSizeError(LatnafError):
     def __init__(self, message: str, cap: int):
         super().__init__(message)
         self.cap = cap
-
-
-class NormCapError(LatnafError):
-    """A weight search escaped its norm cap; carries the escaping state."""
-
-    def __init__(self, message: str, state):
-        super().__init__(message)
-        self.state = state
 
 
 class InstanceError(LatnafError):

@@ -81,6 +81,13 @@ class CycleReport(Record):
         vars(self).update(point=point, cycle=cycle)
 
 
+def least_rotation(cycle: tuple[Point, ...]) -> tuple[Point, ...]:
+    """The cycle rotated to start at its smallest point, as a
+    CycleReport holds it."""
+    k = min(range(len(cycle)), key=cycle.__getitem__)
+    return cycle[k:] + cycle[:k]
+
+
 def digit_of(ds: DigitSet, p: Point) -> Point:
     """The digit congruent to p: zero when p is divisible by the base,
     the class representative otherwise."""
@@ -137,9 +144,7 @@ def expand(ds: DigitSet, p, max_steps: int | None = None):
     quiet = 0
     while cur != zero:
         if cur in seen:
-            cyc = tuple(seen)[seen[cur]:]
-            k = min(range(len(cyc)), key=lambda i: cyc[i])
-            return CycleReport(start, cyc[k:] + cyc[:k])
+            return CycleReport(start, least_rotation(tuple(seen)[seen[cur]:]))
         if len(seen) >= max_steps:
             raise LatnafError(f"expansion exceeded {max_steps} steps")
         seen[cur] = len(seen)

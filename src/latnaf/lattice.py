@@ -7,9 +7,10 @@ a rational root-locus test on the characteristic polynomial, so there is
 no floating point anywhere in this module.
 
 The instance caches its adjugate, whether phi is expanding, and the
-Smith data of each power phi^k it was asked for, so the digit sets and
-window walks of one base share them. ``solve_divisibility`` and
-``residue_key`` are the reference that ``DigitSet.divide`` is tested on.
+Smith data and the pullback of each power phi^k it was asked for, so the
+digit sets and window walks of one base share them.
+``solve_divisibility`` and ``residue_key`` are the reference that
+``DigitSet.divide`` is tested on.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class LatticeInstance(Record):
             raise ValueError("endomorphism must be injective (nonzero determinant)")
         if det != intmat.determinant(phi):
             raise ValueError("stored determinant disagrees with the matrix")
-        vars(self).update(n=n, phi=phi, det=det, _smith={})
+        vars(self).update(n=n, phi=phi, det=det, _smith={}, _pullbacks={})
 
     @classmethod
     def from_matrix(cls, rows) -> "LatticeInstance":
@@ -97,15 +98,9 @@ def solve_divisibility(inst: LatticeInstance, p, k: int = 1) -> Point | None:
     return cur
 
 
-def residue_structure(inst: LatticeInstance, k: int):
-    """Smith normal form data for Z^n modulo phi^k(Z^n).
-
-    Returns (u, diag, u_inv) with u unimodular and diag the invariant
-    factors; the class key of a point p is (u @ p) mod diag, and the
-    canonical representative of key e is u_inv @ e. Raises BallSizeError
-    before phi^k is formed when its |det|^k classes exceed the cap. The
-    instance keeps the data per k, so each power is reduced once.
-    """
+def _check_classes(inst: LatticeInstance, k: int) -> None:
+    """Raises BallSizeError when the |det|^k classes modulo phi^k exceed
+    the cap, before any power of phi is formed."""
     if k < 1:
         raise ValueError("k must be positive")
     d = abs(inst.det)
@@ -115,6 +110,18 @@ def residue_structure(inst: LatticeInstance, k: int):
         raise BallSizeError(
             f"residue system has {d}^{k} classes, above the cap", _RESIDUE_CAP
         )
+
+
+def residue_structure(inst: LatticeInstance, k: int):
+    """Smith normal form data for Z^n modulo phi^k(Z^n).
+
+    Returns (u, diag, u_inv) with u unimodular and diag the invariant
+    factors; the class key of a point p is (u @ p) mod diag, and the
+    canonical representative of key e is u_inv @ e. Raises BallSizeError
+    before phi^k is formed when its |det|^k classes exceed the cap. The
+    instance keeps the data per k, so each power is reduced once.
+    """
+    _check_classes(inst, k)
     found = inst._smith.get(k)
     if found is None:
         a = inst.phi
@@ -122,6 +129,23 @@ def residue_structure(inst: LatticeInstance, k: int):
             a = intmat.mat_mul(a, inst.phi)
         u, diag, _v = intmat.smith_normal_form(a)
         found = inst._smith[k] = (u, diag, intmat.unimodular_inverse(u))
+    return found
+
+
+def power_pullback(inst: LatticeInstance, k: int):
+    """(phi^k, (A, q)) with phi^-k = A / q and q > 0: one adjugate of
+    phi^k, so the pullback of a class representative rep is A rep / q.
+    Raises BallSizeError before phi^k is formed, as ``residue_structure``
+    does. The instance keeps the pair per k, so each power is formed and
+    inverted once."""
+    _check_classes(inst, k)
+    found = inst._pullbacks.get(k)
+    if found is None:
+        pw = intmat.mat_pow(inst.phi, k)
+        adj, det = intmat.adjugate(pw), intmat.determinant(pw)
+        if det < 0:
+            adj, det = tuple(tuple(-v for v in row) for row in adj), -det
+        found = inst._pullbacks[k] = (pw, (adj, det))
     return found
 
 

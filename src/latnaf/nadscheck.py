@@ -20,7 +20,7 @@ from . import lattice
 from .digitset import DigitSet, FAMILY_INTERVAL
 from .errors import ConsistencyError
 from .exactreal import CReal
-from .expansion import CycleReport
+from .expansion import CycleReport, least_rotation
 from .record import Record
 
 Point = lattice.Point
@@ -97,28 +97,26 @@ def search(ds: DigitSet, ball_cap: int = DEFAULT_BALL_CAP) -> NadsVerdict:
     """Decide the property by orbit classification over the invariant
     ball. Deterministic: starting points in lexicographic order, first
     nonzero cycle reported, rotated to start at its smallest point. Each
-    step is one call of the set's ``DigitSet.divide``."""
+    step is one call of the set's ``DigitSet.divide``. A path that meets
+    a cycle returns at once, so every point a finished path passed
+    through reaches zero: one set holds them."""
     m_hi = invariant_ball_bound(ds)
     zero = ds.inst.zero()
     starts = ds.geo.ball(m_hi * m_hi, ball_cap)
     divide = ds.divide
-    status: dict[Point, bool] = {zero: True}
+    reaches_zero: set[Point] = {zero}
     for start in starts:
-        if start in status:
+        if start in reaches_zero:
             continue
         path: list[Point] = []
         index: dict[Point, int] = {}
         cur = start
         while True:
-            if cur in status:
-                good = status[cur]
-                for p in path:
-                    status[p] = good
+            if cur in reaches_zero:
+                reaches_zero.update(path)
                 break
             if cur in index:
-                cyc = tuple(path[index[cur]:])
-                k = min(range(len(cyc)), key=lambda i: cyc[i])
-                witness = CycleReport(start, cyc[k:] + cyc[:k])
+                witness = CycleReport(start, least_rotation(tuple(path[index[cur]:])))
                 validate_cycle(ds, witness)
                 return NadsVerdict(
                     STATUS_COUNTEREXAMPLE,

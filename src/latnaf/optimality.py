@@ -18,16 +18,11 @@ Two independent instruments:
   only rules out lighter words. It takes no edge that can only lead to
   weight U or more, and stops once the least weight is settled.
 
-By default the oracle evaluates no norm: phi is expanding, so the
-states reachable from a point form a finite set (``min_weight_oracle``),
-and its one resource bound is a state count. An explicit norm cap is an
-opt-in check of each state it relaxes: a state past the cap raises
-NormCapError instead of being dropped, so no answer comes from a search
-pruned by the cap; the states the bound and the stop leave out lead only
-to words no lighter than the answer, so a cap passed only there does not
-raise. The empirical sweep's reverse table covers the invariant ball
-(``nadscheck.invariant_ball_bound``), which forward minimum paths never
-leave.
+The oracle evaluates no norm: phi is expanding, so the states
+reachable from a point form a finite set (``min_weight_oracle``), and
+its one resource bound is a state count. The empirical sweep's reverse
+table covers the invariant ball (``nadscheck.invariant_ball_bound``),
+which forward minimum paths never leave.
 """
 
 from __future__ import annotations
@@ -35,11 +30,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from math import floor, inf
 
 from . import intmat, lattice, nadscheck
 from .digitset import DigitSet
-from .errors import InstanceError, LatnafError, MalformedDigitSetError, NormCapError
+from .errors import InstanceError, LatnafError, MalformedDigitSetError
 from .exactreal import CReal, Interval
 from .expansion import CycleReport, expand
 from .record import Record
@@ -136,51 +130,31 @@ def check_hypotheses(ds: DigitSet) -> OptimalityCertificate:
     )
 
 
-def min_weight_oracle(
-    ds: DigitSet, p, norm_cap: Fraction | None = None
-) -> int:
+def min_weight_oracle(ds: DigitSet, p) -> int:
     """Minimum weight over ALL digit words with value p (not only window
     forms): zero-one shortest path on lattice states, where a state q
     steps to (q - digit)/base at cost one for a nonzero digit and zero
     for the zero digit. The whole search is one call of the set's
-    generated ``DigitSet.oracle``; this function checks the point and,
-    given a norm cap, turns it into the integer limit that kernel compares
-    the lower bracket ends of states with. The point's w-NAF is a word of
-    the set, so its weight U bounds the answer: the search takes no edge
-    that can only lead to weight U or more (with no w-NAF, as on a cycle,
-    it has no bound), and stops once the answer is settled.
+    generated ``DigitSet.oracle``; this function checks the point. The
+    point's w-NAF is a word of the set, so its weight U bounds the
+    answer: the search takes no edge that can only lead to weight U or
+    more (with no w-NAF, as on a cycle, it has no bound), and stops once
+    the answer is settled.
 
-    With no cap the search evaluates no norm, needs no contraction
-    factor or invariant ball, and returns the exact least weight: phi is
-    expanding, so some norm exists in which phi^-1 contracts (it is only
-    shown to exist, never computed), every state reachable from p lies in
-    a bounded set of lattice points, and that set is finite. Raises
+    The search evaluates no norm, needs no contraction factor or
+    invariant ball, and returns the exact least weight: phi is expanding,
+    so some norm exists in which phi^-1 contracts (it is only shown to
+    exist, never computed), every state reachable from p lies in a
+    bounded set of lattice points, and that set is finite. Raises
     BallSizeError once the search holds more than
-    ``nadscheck.DEFAULT_BALL_CAP`` states, under a norm cap too.
-
-    Raises ValueError for a negative or non-finite cap, and NormCapError
-    when a state the search relaxes provably exceeds the cap (cap too
-    small), only where the search run to zero with no bound raises too:
-    where that search returns a weight, this returns the same one, and
-    where it escapes, this may return the exact weight. Raises
-    LatnafError when no word exists at all.
+    ``nadscheck.DEFAULT_BALL_CAP`` states, and LatnafError when no word
+    exists at all.
     """
     inst = ds.inst
     start = inst.check_point(p)
-    if norm_cap is not None and not (norm_cap == norm_cap and 0 <= norm_cap < inf):  # nan != nan
-        raise ValueError(f"norm cap {norm_cap} is not a finite non-negative number")
     if start == inst.zero():
         return 0
-    limit = None
-    if norm_cap is not None:
-        # every bracket shares den: a state escapes once its lower end, an
-        # integer over den, exceeds max(cap^2, hi / den); hi is an integer
-        _, hi, den = ds.geo.norm_sq_interval(start)
-        limit = max(floor(Fraction(norm_cap) ** 2 * den), hi)
-    try:
-        weight = ds.oracle(start, limit, nadscheck.DEFAULT_BALL_CAP)
-    except NormCapError as e:
-        raise NormCapError(f"state {e.state} escapes the norm cap {norm_cap}", e.state) from None
+    weight = ds.oracle(start, nadscheck.DEFAULT_BALL_CAP)
     if weight is None:
         raise LatnafError(f"no digit word represents {start} within the cap")
     return weight

@@ -179,8 +179,7 @@ def _mirror_ties_only(pre):
 def test_enclosure_minimizers_match_exact(coeffs, w):
     exact, forced = _pair(coeffs)
     inst = exact.inst
-    pw = intmat.mat_pow(inst.phi, w)
-    pullback = dsm._pullback(pw)
+    pw, pullback = lattice.power_pullback(inst, w)
     compared = 0
     for rep in lattice.residue_system(inst, w):
         if rep == inst.zero() or lattice.solve_divisibility(inst, rep, 1) is not None:

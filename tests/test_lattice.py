@@ -140,13 +140,38 @@ def test_smith_data_are_reduced_once_per_power(monkeypatch):
 
 def test_the_class_cap_fires_before_the_cache(monkeypatch):
     """A power past the residue cap raises BallSizeError before phi^k is
-    formed, on a base whose smaller powers are already kept."""
+    formed, on a base whose smaller powers are already kept, for its Smith
+    data and for its pullback alike."""
     inst = _inst([[0, -5], [1, 4]])
     lattice.residue_structure(inst, 2)
+    lattice.power_pullback(inst, 2)
     monkeypatch.setattr(intmat, "mat_mul", lambda *args: pytest.fail("phi^k formed"))
     for k in (10, 10**6):
-        with pytest.raises(BallSizeError, match=f"^residue system has 5\\^{k} classes, above the cap$"):
-            lattice.residue_structure(inst, k)
+        for data in (lattice.residue_structure, lattice.power_pullback):
+            with pytest.raises(BallSizeError, match=f"^residue system has 5\\^{k} classes, above the cap$"):
+                data(inst, k)
+
+
+def test_the_power_and_its_pullback_are_formed_once_per_w(monkeypatch):
+    """Building q541w3, then a custom set of its digits on the same
+    geometry and asking both is_minimal_norm, forms phi^3 once and takes
+    its adjugate once: the builder, each set's block step and the
+    minimizer check share the pair the base keeps."""
+    powers, adjugates = [], []
+    real_pow, real_adj = intmat.mat_pow, intmat.adjugate
+    monkeypatch.setattr(intmat, "mat_pow", lambda a, k: powers.append((a, k)) or real_pow(a, k))
+    monkeypatch.setattr(intmat, "adjugate", lambda a: adjugates.append(a) or real_adj(a))
+    ds = dsm.build_minimal_norm(nfm.build([5, -4, 1]), 3)
+    custom = dsm.from_digits(ds.geo, 3, ds.digits)
+    assert ds.is_minimal_norm and custom.is_minimal_norm
+    assert custom.family == dsm.FAMILY_CUSTOM
+    phi = ds.inst.phi
+    cube = real_pow(phi, 3)
+    assert powers.count((phi, 3)) == 1
+    assert adjugates.count(cube) == 1
+    pw, (adj, q) = lattice.power_pullback(ds.inst, 3)
+    assert pw == cube and q == 125 and intmat.mat_mul(pw, adj) == ((q, 0), (0, q))
+    assert lattice.power_pullback(ds.inst, 3) is lattice.power_pullback(ds.inst, 3)
 
 
 @pytest.mark.parametrize("base", [[[3, 1], [-1, 3]], [-2, 1], [-3, 1], [5, -4, 1]])

@@ -171,7 +171,9 @@ def test_kernel_sources_spell_out_no_values():
     test, built and walked (division, oracle and window walk factories),
     holds only the integers of KERNEL_LITERALS. A value formatted into a
     source would split sets of one shape and could pass the int string
-    limit."""
+    limit. Every oracle among them is oracle(start, states) and spells
+    neither a norm limit nor an escape: the oracle has one mode, with no
+    norm."""
     from test_kernel import SHAPES, _fresh
 
     digitset._Template.factories.clear()
@@ -182,6 +184,29 @@ def test_kernel_sources_spell_out_no_values():
     texts = list(digitset._Template.factories)
     assert len(texts) == 6
     assert kernel_literals(texts) == []
+    oracles = [
+        (text, node) for text in texts for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and node.name == "oracle"
+    ]
+    assert len(oracles) == 3
+    for text, node in oracles:
+        assert [a.arg for a in node.args.args] == ["start", "states"]
+        segment = ast.get_source_segment(text, node)
+        assert "limit" not in segment and "escape" not in segment
+
+
+def test_every_kernel_mutant_still_applies():
+    """Each mutant of tests/kernel_mutants.py changes the oracle source of
+    every shape of the shape test, so its kill table measures today's
+    oracle and no mutant is counted as killed that no longer applies."""
+    import kernel_mutants
+    from test_kernel import SHAPES
+
+    sources = kernel_mutants.oracle_sources()
+    assert sorted(sources) == sorted(SHAPES)
+    assert len(kernel_mutants.MUTANTS) >= 8
+    for name, *_ in kernel_mutants.MUTANTS:
+        assert kernel_mutants.applies(name, sources), name
 
 
 def test_kernel_literal_check_catches_a_formatted_value():
@@ -451,7 +476,7 @@ CONSTANTS = {
 def test_lazy_namespace_resolves_every_export():
     """Each exported name is its defining module's object; dir() and a
     star import cover them all; an unknown name is an AttributeError."""
-    assert len(latnaf.__all__) == 50
+    assert len(latnaf.__all__) == 49
     for name in latnaf.__all__:
         obj = getattr(latnaf, name)
         home = CONSTANTS.get(name)

@@ -23,7 +23,6 @@ from latnaf.errors import (
     InstanceError,
     LatnafError,
     MalformedDigitSetError,
-    NormCapError,
 )
 from latnaf.exactreal import sqrt_upper
 
@@ -133,30 +132,24 @@ def test_oracle_quadratic_field():
 
 
 def test_oracle_norm_cap_escape():
-    # digits pushed far from the origin force the search outward, and a
-    # tiny cap must turn that into a hard error instead of a wrong answer
+    # digits pushed far from the origin force the search outward: the
+    # reference bounded by a tiny norm cap escapes, and the norm-free
+    # oracle follows the search out and finds, as the reference under a
+    # wide cap does, that 1 has no word (it falls into the cycle -1, -3)
     ds = dsm.from_digits(nfm.build([-3, 1]), 1, [(0,), (7,), (8,)])
-    with pytest.raises(NormCapError):
-        om.min_weight_oracle(ds, (1,), norm_cap=1)
-
-
-@pytest.mark.parametrize("cap", [
-    -30, -1, Fraction(-1, 2), -0.5, float("inf"), float("-inf"), float("nan"), Decimal("NaN"),
-    Decimal("Infinity"),
-])
-def test_oracle_refuses_a_negative_or_non_finite_cap(cap):
-    # a negative cap would act as its absolute value once squared, and
-    # inf has no integer ratio; the zero start is checked too
-    ds = ds_int(3, 2)
-    for p in [(7,), (0,)]:
-        with pytest.raises(ValueError, match="norm cap"):
-            om.min_weight_oracle(ds, p, norm_cap=cap)
+    with pytest.raises(_Escaped):
+        _reference_oracle(ds, (1,), 1)
+    want = _oracle_outcome(_full_reference_oracle, ds, (1,), 10**6)
+    assert want[0] is LatnafError and "no digit word" in want[1]
+    assert _oracle_outcome(om.min_weight_oracle, ds, (1,)) == want
 
 
 def test_oracle_accepts_a_zero_or_float_cap():
+    # the reference's bound is never below the start's norm, and on t3w2
+    # no state of 7 passes it: a zero or a float cap gives the oracle's weight
     ds = ds_int(3, 2)
-    assert om.min_weight_oracle(ds, (7,), norm_cap=0) == om.min_weight_oracle(ds, (7,))
-    assert om.min_weight_oracle(ds, (7,), norm_cap=2.5) == om.min_weight_oracle(ds, (7,))
+    assert om.min_weight_oracle(ds, (7,)) == _reference_oracle(ds, (7,), 0)
+    assert om.min_weight_oracle(ds, (7,)) == _reference_oracle(ds, (7,), 2.5)
 
 
 def test_oracle_unreachable_point_raises():
@@ -168,18 +161,18 @@ def test_oracle_unreachable_point_raises():
 
 
 def test_default_norm_cap_generous():
-    """The default oracle has no norm cap: wherever an explicit cap gives
-    a weight, twice the invariant ball among them, the default gives the
-    same one, and where a cap escapes, the default still answers.
-    custom541's moved digit pulls the search past a zero cap."""
+    """The oracle has no norm cap: wherever the reference under a cap
+    gives a weight, twice the invariant ball among them, the oracle gives
+    the same one, and where the capped reference escapes, the oracle still
+    answers. custom541's moved digit pulls the search past a zero cap."""
     escaped = 0
     for ds, p in [(ds_int(3, 2), (7,)), (ds_int(3, 2), (-40,)), (ds_int(3, 2), (1000,)),
                   (oracle_system("custom541"), (-6, -11)), (oracle_system("custom541"), (14, -37))]:
-        want = om.min_weight_oracle(ds, p)
+        got = om.min_weight_oracle(ds, p)
         for cap in (0, 1, 4, _default_cap(ds), 10**6):
-            got = _oracle_outcome(om.min_weight_oracle, ds, p, cap)
+            want = _oracle_outcome(_reference_oracle, ds, p, cap)
             if got != want:
-                assert got[0] is NormCapError, (p, cap)
+                assert want[0] is _Escaped, (p, cap)
                 escaped += 1
     assert escaped
 
@@ -452,6 +445,14 @@ def _default_cap(ds):
     return 2 * ncm.invariant_ball_bound(ds)
 
 
+class _Escaped(LatnafError):
+    """A reference search passed its norm cap; carries the state."""
+
+    def __init__(self, message, state):
+        super().__init__(message)
+        self.state = state
+
+
 def _reference_oracle(ds, p, norm_cap=None, settle=True):
     """Reference: min_weight_oracle as a Python zero-one BFS, one
     divisions call per state and one norm bracket per new state. best is
@@ -497,7 +498,7 @@ def _reference_oracle(ds, p, norm_cap=None, settle=True):
             if nxt in dist and dist[nxt] <= base + cost:
                 continue
             if geo.norm_sq_interval(nxt)[0] > limit:
-                raise NormCapError(f"state {nxt} escapes the norm cap {norm_cap}", nxt)
+                raise _Escaped(f"state {nxt} escapes the norm cap {norm_cap}", nxt)
             dist[nxt] = base + cost
             if nxt in digits and (best is None or base + cost + 1 < best):
                 best = base + cost + 1
@@ -515,10 +516,11 @@ def _full_reference_oracle(ds, p, norm_cap=None):
     return _reference_oracle(ds, p, norm_cap, settle=False)
 
 
-def _oracle_outcome(oracle, ds, p, norm_cap=None):
-    """The weight, or the exception's type, message, args and state."""
+def _oracle_outcome(oracle, ds, p, *cap):
+    """The weight, or the exception's type, message, args and state; a
+    reference takes an optional norm cap."""
     try:
-        return oracle(ds, p, norm_cap)
+        return oracle(ds, p, *cap)
     except (LatnafError, ValueError) as e:
         return type(e), str(e), e.args, getattr(e, "state", None)
 
@@ -584,9 +586,12 @@ def test_oracle_kernel_matches_reference_bfs_on_custom_sets(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
 def test_oracle_kernel_matches_reference_bfs_under_small_caps(name):
-    """Explicit caps from 1 up: the same weight, or a NormCapError on the
-    same state with the same message. Against the search run to zero, the
-    outcome is the same, or the exact weight where that search escapes."""
+    """The reference under explicit caps from 1 up: where it gives a
+    weight or raises no word, the oracle gives the same outcome, and where
+    it escapes, the oracle gives the outcome of the search run to zero
+    under a wide cap. Against the search run to zero under the same cap,
+    the reference's outcome is the same, or the wide weight where that
+    search escapes."""
     ds = oracle_system(name)
     rng = random.Random(f"oracle-caps/{name}")
     bound = min(ORACLE_SYSTEMS[name][1], 40)
@@ -597,27 +602,31 @@ def test_oracle_kernel_matches_reference_bfs_under_small_caps(name):
         pts += [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(5)]
         for p in pts:
             want = _oracle_outcome(_reference_oracle, ds, p, cap)
-            assert _oracle_outcome(om.min_weight_oracle, ds, p, cap) == want, (p, cap)
+            got = _oracle_outcome(om.min_weight_oracle, ds, p)
             kinds.add(want[0] if isinstance(want, tuple) else int)
+            if isinstance(want, tuple) and want[0] is _Escaped:
+                assert got == _oracle_outcome(_full_reference_oracle, ds, p, 10**6), (p, cap)
+            else:
+                assert got == want, (p, cap)
             full = _oracle_outcome(_full_reference_oracle, ds, p, cap)
             if want != full:
-                assert full[0] is NormCapError, (p, cap)
+                assert full[0] is _Escaped, (p, cap)
                 assert want == _full_reference_oracle(ds, p, 10**6), (p, cap)
     # on t2w2, t3w2 and {0, 1, 3} the states of these points stay within
     # the start's norm, which the cap never goes below; on m31w2, q541w3
     # and c3101w4 the w-NAF's weight settles every escape of the search
     # run to zero before the escaping state is relaxed
     assert int in kinds
-    assert (NormCapError in kinds) == (name in ("custom541", "far78"))
+    assert (_Escaped in kinds) == (name in ("custom541", "far78"))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
 def test_stopped_oracle_against_the_search_run_to_zero(name):
-    """The stopped kernel against the full search under every cap: the
-    same weight wherever the full search returns one; a NormCapError only
-    where the full search raises the same one on the same state; and
-    where only the full search escapes, the weight under the default cap
-    (twice the invariant ball, which minimum paths never leave)."""
+    """The stopped kernel against the full reference search under every
+    cap: the same weight, or the same no-word error, wherever the full
+    search gives one; where the full search escapes, the outcome under the
+    default cap (twice the invariant ball, which minimum paths never
+    leave)."""
     ds = oracle_system(name)
     n = ds.inst.n
     rng = random.Random(f"oracle-settled/{name}")
@@ -625,18 +634,17 @@ def test_stopped_oracle_against_the_search_run_to_zero(name):
     pts = [(1,) * n, (-2,) + (1,) * (n - 1)]
     pts += [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(12)]
     early = []
-    for cap in (None, 1, 2, Fraction(7, 2), 6, 12, 30):
-        for p in pts:
-            got = _oracle_outcome(om.min_weight_oracle, ds, p, cap)
+    for p in pts:
+        got = _oracle_outcome(om.min_weight_oracle, ds, p)
+        for cap in (None, 1, 2, Fraction(7, 2), 6, 12, 30):
             full = _oracle_outcome(_full_reference_oracle, ds, p, cap)
             if got == full:
                 continue
-            assert isinstance(got, int) and full[0] is NormCapError, (p, cap)
-            assert got == _full_reference_oracle(ds, p), (p, cap)
+            assert full[0] is _Escaped, (p, cap)
+            assert got == _oracle_outcome(_full_reference_oracle, ds, p), (p, cap)
             early.append((p, cap))
-    # on t2w2, t3w2 and {0, 1, 3} no state passes the start's norm, and
-    # on {7, 8} every escape comes before the weight is settled
-    assert bool(early) == (name in ("c3101w4", "custom541", "m31w2", "q541w3"))
+    # on t2w2, t3w2 and {0, 1, 3} no state passes the start's norm
+    assert bool(early) == (name in ("c3101w4", "custom541", "far78", "m31w2", "q541w3"))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -675,8 +683,8 @@ def _counting_compiles(monkeypatch):
 
 
 def test_an_oracle_call_is_one_kernel_call(monkeypatch):
-    """With no cap, min_weight_oracle hands the search to the generated
-    kernel without a norm bracket: no divisions call and no bracket,
+    """min_weight_oracle hands the search to the generated kernel
+    without a norm bracket: no divisions call and no bracket,
     whatever the number of states. After a division, the set's one
     kernel is built, so an oracle call builds nothing."""
     divisions, brackets = [], []
@@ -729,11 +737,10 @@ def test_an_oracle_call_builds_the_one_kernel(monkeypatch):
 
 def test_a_first_division_computes_no_step_count_or_enclosure(monkeypatch):
     """steps_per_bit is a lazy cell of the kernel, read by walk without
-    a cap and by the oracle: a set's first divisions compute none. The
-    oracle's bracket reads the 64-bit Gram level, which a minimal-norm set
-    holds from its build and an exact Gram matrix has for free: their
-    first division computes no Gram enclosure. A custom set on an
-    enclosure base computes that level on its first division, once."""
+    a cap and by the oracle: a set's first divisions compute none. A
+    kernel build reads no geometry, so no first division computes a Gram
+    enclosure, not even that of a custom set on an enclosure base, which
+    its build never needed."""
     enclosures, real = [], nfm.gram_enclosure
     monkeypatch.setattr(nfm, "gram_enclosure", lambda nf, bits: enclosures.append(bits) or real(nf, bits))
     for name in sorted(ORACLE_SYSTEMS):
@@ -750,7 +757,7 @@ def test_a_first_division_computes_no_step_count_or_enclosure(monkeypatch):
     enclosures.clear()
     custom.divide((5, 5, 5))
     custom.walk((6, 5, 5), None)
-    assert enclosures == [64]
+    assert enclosures == []
 
 
 def test_oracle_without_a_w_naf_runs_the_unbounded_search():
@@ -765,11 +772,11 @@ def test_oracle_without_a_w_naf_runs_the_unbounded_search():
     assert len(pts) > len(cycle)
     for p in pts:
         assert ds.walk(p, None) is None
-        want = _oracle_outcome(_full_reference_oracle, ds, p)
-        assert _oracle_outcome(om.min_weight_oracle, ds, p) == want, p
+        got = _oracle_outcome(om.min_weight_oracle, ds, p)
+        assert got == _oracle_outcome(_full_reference_oracle, ds, p), p
         for cap in (1, 3):
             want = _oracle_outcome(_reference_oracle, ds, p, cap)
-            assert _oracle_outcome(om.min_weight_oracle, ds, p, cap) == want, (p, cap)
+            assert got == want or want[0] is _Escaped, (p, cap)
     assert [om.min_weight_oracle(ds, p) for p in cycle] == [2] * 6
 
 
@@ -798,12 +805,11 @@ def test_the_invariant_ball_bound_is_computed_once_per_set(monkeypatch):
 
 
 def test_the_default_cap_is_one_cached_integer_limit(monkeypatch):
-    """With no cap given, the oracle is norm-free: it hands the kernel no
-    limit and the state cap nadscheck.DEFAULT_BALL_CAP, computes no
-    invariant ball and no integer limit (the set has no
-    default_norm_limit), and on every set returns what the search under
-    an explicit cap of twice the invariant ball returns, or the exact
-    weight where that search escapes."""
+    """The oracle is norm-free: it hands the kernel the state cap
+    nadscheck.DEFAULT_BALL_CAP alone, computes no invariant ball and no
+    integer limit (the set has no default_norm_limit), and on every set
+    returns what the reference under a cap of twice the invariant ball
+    returns, or the exact weight where that search escapes."""
     for name in sorted(ORACLE_SYSTEMS):
         ds = ORACLE_SYSTEMS[name][0]()
         n = ds.inst.n
@@ -811,12 +817,12 @@ def test_the_default_cap_is_one_cached_integer_limit(monkeypatch):
         vars(ds)["oracle"] = lambda *args: calls.append(args[1:]) or real(*args)
         points = [(5,) * n, (-9,) + (4,) * (n - 1), (1,) * n]
         got = [_oracle_outcome(om.min_weight_oracle, ds, p) for p in points]
-        assert calls and set(calls) == {(None, ncm.DEFAULT_BALL_CAP)}, name
+        assert calls and set(calls) == {(ncm.DEFAULT_BALL_CAP,)}, name
         assert "invariant_ball_bound" not in vars(ds), name
         assert not hasattr(ds, "default_norm_limit"), name
-        capped = [_oracle_outcome(om.min_weight_oracle, ds, p, _default_cap(ds)) for p in points]
+        capped = [_oracle_outcome(_reference_oracle, ds, p, _default_cap(ds)) for p in points]
         for p, g, c in zip(points, got, capped):
-            assert g == c or (isinstance(g, int) and c[0] is NormCapError), (name, p)
+            assert g == c or (isinstance(g, int) and c[0] is _Escaped), (name, p)
 
 
 # --- the norm-free default ---
@@ -833,10 +839,13 @@ def _readme_matrix_set():
     lambda name: st.tuples(st.just(name), _drawn_point(name))
 ))
 def test_norm_free_oracle_matches_the_oracle_under_twice_the_invariant_ball(case):
+    """Against the search run to zero with no w-NAF bound, under twice the
+    invariant ball: the same weight, or the exact weight where it escapes."""
     name, p = case
     ds = oracle_system(name)
-    want = _oracle_outcome(om.min_weight_oracle, ds, p, _default_cap(ds))
-    assert _oracle_outcome(om.min_weight_oracle, ds, p) == want
+    want = _oracle_outcome(_full_reference_oracle, ds, p, _default_cap(ds))
+    got = _oracle_outcome(om.min_weight_oracle, ds, p)
+    assert got == want or (isinstance(got, int) and want[0] is _Escaped)
 
 
 def test_norm_free_oracle_answers_on_the_readme_matrix_base():
@@ -853,8 +862,8 @@ def test_norm_free_oracle_answers_on_the_readme_matrix_base():
 
 
 def test_the_default_oracle_reads_no_norm(monkeypatch):
-    """Fresh sets, README's matrix base among them: with no cap, the
-    oracle brackets no norm and reads no contraction factor."""
+    """Fresh sets, README's matrix base among them: the oracle brackets
+    no norm and reads no contraction factor."""
     sets = [ORACLE_SYSTEMS[name][0]() for name in sorted(ORACLE_SYSTEMS)] + [_readme_matrix_set()]
 
     def refuse(*args):
@@ -918,6 +927,34 @@ def test_the_state_cap_stops_a_larger_search(monkeypatch, build, points, cap):
         assert outcome == (BallSizeError, f"weight search holds more than {cap} states", cap), p
         assert cap < held <= cap + widest, p
         assert om.min_weight_oracle(ds, p) == answer if isinstance(answer, int) else answer[0] is LatnafError
+
+
+# states the search holds, the start included, at points where taking
+# cost-1 edges at cost == reach, or expanding pops at base == reach,
+# would hold more; both give the same weights
+HELD = [
+    ("t2w2", (27,), 3, 4),
+    ("t3w2", (-9,), 1, 1),
+    ("q541w3", (5, 5), 2, 2),
+    ("m31w2", (-20, 20), 2, 2),
+    ("c3101w4", (-2, 6, -7), 3, 167),
+    ("c3101w4", (3, -5, 0), 2, 30),
+    ("custom541", (-9, 23), 4, 36),
+]
+
+
+@pytest.mark.parametrize("name, p, weight, held", HELD)
+def test_the_state_cap_is_the_most_states_held(name, p, weight, held):
+    """The kernel answers under a state cap equal to the states its search
+    holds and raises BallSizeError one below, as the message says: the cap
+    bounds the states held. The counts are pinned, so a search that holds
+    more states for the same weight (a looser prune or a later stop) fails
+    here and not only in the benchmark."""
+    ds = oracle_system(name)
+    assert _oracle_outcome(_reference_oracle, ds, p) == weight
+    assert _most_states(lambda: ds.oracle(p, held)) == (weight, held)
+    with pytest.raises(BallSizeError, match=f"^weight search holds more than {held - 1} states$"):
+        ds.oracle(p, held - 1)
 
 
 @pytest.mark.parametrize("poly, w", [
